@@ -225,15 +225,16 @@ def evaluate(model: numeric.Sequential, dataset: AudioDataset,
     return {"accuracy": accuracy, "confusion": confusion}
 
 
+def _named_params(model: numeric.Sequential):
+    return [(f"layer{i}.p{j}", p) for i, layer in enumerate(model.layers)
+            for j, p in enumerate(layer.params)]
+
+
 def save_model(weights_path, header_path, model: numeric.Sequential,
                representation: str, input_shape, class_order=None):
     import json
 
-    named = []
-    for i, layer in enumerate(model.layers):
-        for j, p in enumerate(layer.params):
-            named.append((f"layer{i}.p{j}", p))
-    numeric.save_weights(weights_path, named)
+    numeric.save_weights(weights_path, _named_params(model))
     header = {
         "representation": representation,
         "input_shape": list(input_shape),
@@ -245,10 +246,7 @@ def save_model(weights_path, header_path, model: numeric.Sequential,
 
 
 def load_model_weights(weights_path, model: numeric.Sequential):
-    loaded = dict(numeric.load_weights(weights_path))
-    for i, layer in enumerate(model.layers):
-        for j, p in enumerate(layer.params):
-            p[...] = loaded[f"layer{i}.p{j}"]
+    numeric.load_params(weights_path, _named_params(model))
     return model
 
 

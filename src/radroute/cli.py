@@ -104,6 +104,21 @@ def run_features(args, cfg):
     print(f"wrote {args.pgm_out} ({image.shape[0]}x{image.shape[1]})")
 
 
+def _report_seg_scores(results: dict, cfg: dict) -> int:
+    """Print held-out scores; EXIT_GATE_FAILED if any misses eval.min_*."""
+    failed = False
+    for name, r in sorted(results.items()):
+        print(f"{name}: pixel_accuracy={r['pixel_accuracy']:.4f} "
+              f"iou={r['iou']:.4f}")
+        if (r["pixel_accuracy"] < cfg["eval"]["min_pixel_accuracy"]
+                or r["iou"] < cfg["eval"]["min_iou"]):
+            failed = True
+    if failed:
+        print("gate failed", file=sys.stderr)
+        return EXIT_GATE_FAILED
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _set_threads(args.threads)
@@ -157,25 +172,12 @@ def main(argv=None) -> int:
             pipeline.run_segment(cfg, out, args.scans, args.model)
             print(f"segmented {args.scans}")
         elif command == "eval-seg":
-            results = pipeline.run_eval_seg(cfg, out)
-            failed = False
-            for name, r in sorted(results.items()):
-                print(f"{name}: pixel_accuracy={r['pixel_accuracy']:.4f} "
-                      f"iou={r['iou']:.4f}")
-                if (r["pixel_accuracy"] < cfg["eval"]["min_pixel_accuracy"]
-                        or r["iou"] < cfg["eval"]["min_iou"]):
-                    failed = True
-            if failed:
-                print("gate failed", file=sys.stderr)
-                return EXIT_GATE_FAILED
+            return _report_seg_scores(pipeline.run_eval_seg(cfg, out), cfg)
         elif command == "render":
             pipeline.run_render(cfg, out)
             print("renders written")
         elif command == "reproduce":
-            results = pipeline.run_reproduce(cfg, out)
-            for name, r in sorted(results.items()):
-                print(f"{name}: pixel_accuracy={r['pixel_accuracy']:.4f} "
-                      f"iou={r['iou']:.4f}")
+            return _report_seg_scores(pipeline.run_reproduce(cfg, out), cfg)
         return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

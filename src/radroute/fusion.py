@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import AssociationError, InputError, NumericError
 
-YAW_OBS_NONE = None  # GPS carries no orientation information
-
 
 def wrap_angle(a):
     """Wrap to (-pi, pi]."""

@@ -4,6 +4,11 @@ Layers operate on float64 numpy arrays shaped (N, C, H, W) for spatial ops
 and (N, F) for dense ops. Every layer exposes forward(x), backward(grad),
 and `params` / `grads` lists of same-shaped arrays. No autodiff: gradients
 are hand-derived and verified against central differences (see gradcheck).
+
+Conv2d keeps the (N, C, H, W) interface but computes channel-last, as one
+GEMM over the patch matrix of a padded (N, H, W, C) array (Chellapilla et
+al. 2006); UNetInference shares these helpers. Returned arrays may be
+transpose views of channel-last memory.
 """
 
 import struct
@@ -40,27 +45,56 @@ class Layer:
             g[...] = 0.0
 
 
-def _im2col(x: np.ndarray, k: int, stride: int):
-    """(N, C, H, W) -> (N*oh*ow, C*k*k) patch matrix."""
-    n, c, h, w = x.shape
+def pad_nhwc(x: np.ndarray, p: int) -> np.ndarray:
+    """Copy (N, H, W, C) into a fresh (N, H+2p, W+2p, C) zero-bordered array."""
+    n, h, w, c = x.shape
+    out = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    out[:, p:p + h, p:p + w] = x
+    return out
+
+
+def _patches_nhwc(xp: np.ndarray, k: int, stride: int = 1):
+    """Padded (N, H, W, C) -> ((N*oh*ow, k*k*C) patch matrix, oh, ow).
+
+    Columns run over (kernel row, kernel column, channel).
+    """
+    n, h, w, c = xp.shape
     oh = (h - k) // stride + 1
     ow = (w - k) // stride + 1
-    s0, s1, s2, s3 = x.strides
+    s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, oh, ow, k, k),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3))
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
-    return np.ascontiguousarray(cols), oh, ow
+        xp, shape=(n, oh, ow, k, k, c),
+        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False)
+    return windows.reshape(n * oh * ow, k * k * c), oh, ow
+
+
+def conv_nhwc(xp: np.ndarray, wmat: np.ndarray, k: int,
+              stride: int = 1) -> np.ndarray:
+    """Padded (N, H, W, C) times a (k*k*C, O) matrix: (N, oh, ow, O)."""
+    cols, oh, ow = _patches_nhwc(xp, k, stride)
+    return (cols @ wmat).reshape(xp.shape[0], oh, ow, -1)
+
+
+def conv_matrix(weight: np.ndarray) -> np.ndarray:
+    """(O, C, k, k) kernel as the (k*k*C, O) operand of conv_nhwc."""
+    return weight.transpose(2, 3, 1, 0).reshape(-1, weight.shape[0])
 
 
 class Conv2d(Layer):
-    """2-D convolution (cross-correlation), square kernel, zero padding."""
+    """2-D convolution (cross-correlation), square kernel, zero padding.
+
+    forward keeps only the padded NHWC input; backward rebuilds the patch
+    matrix from it, since keeping the matrix would hold k*k input copies.
+    The output is a transpose view of NHWC memory, which ReLU preserves.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0,
                  rng: np.random.Generator | None = None,
                  zero_init: bool = False):
         super().__init__()
+        if not 0 <= padding < kernel_size:
+            raise ShapeError(f"padding {padding} outside [0, {kernel_size})")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.k = kernel_size
@@ -81,58 +115,43 @@ class Conv2d(Layer):
         self.d_bias = np.zeros_like(self.bias)
         self.params = [self.weight, self.bias]
         self.grads = [self.d_weight, self.d_bias]
-        self._x_padded = None
-        self._in_shape = None
+        self._xp = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv2d expected (N,{self.in_channels},H,W), got {x.shape}")
-        n, _, h, w = x.shape
-        p = self.padding
-        if p > 0:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        self._x_padded = x
-        self._in_shape = (n, h, w)
-        cols, oh, ow = _im2col(x, self.k, self.stride)
-        wmat = self.weight.reshape(self.out_channels, -1)
-        out = cols @ wmat.T + self.bias
-        return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        self._xp = pad_nhwc(x.transpose(0, 2, 3, 1), self.padding)
+        out = conv_nhwc(self._xp, conv_matrix(self.weight), self.k,
+                        self.stride)
+        out += self.bias
+        return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        k, s, p = self.k, self.stride, self.padding
         n, _, oh, ow = grad.shape
-        gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow,
-                                                  self.out_channels)
-        cols, _, _ = _im2col(self._x_padded, self.k, self.stride)
-        self.d_weight += (gmat.T @ cols).reshape(self.weight.shape)
+        g = grad.transpose(0, 2, 3, 1)
+        gmat = g.reshape(n * oh * ow, self.out_channels)
+        # the patch matrix is a temporary, freed before dX needs its own
+        dw = _patches_nhwc(self._xp, k, s)[0].T @ gmat
+        self.d_weight += dw.reshape(
+            k, k, self.in_channels, self.out_channels).transpose(3, 2, 0, 1)
         self.d_bias += gmat.sum(axis=0)
-        if self.stride == 1:
-            # dX = full correlation of grad with spatially-flipped kernels
-            pad = self.k - 1
-            gpad = np.pad(grad, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            wflip = self.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gcols, gh, gw = _im2col(gpad, self.k, 1)
-            dxp = (gcols @ wflip.reshape(self.in_channels, -1).T)
-            dxp = dxp.reshape(n, gh, gw, self.in_channels).transpose(0, 3, 1, 2)
+        if s == 1:
+            # dX is the correlation of the gradient, padded so that the
+            # output is exactly H x W, with the spatially flipped kernels
+            wflip = self.weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+            dx = conv_nhwc(pad_nhwc(g, k - 1 - p),
+                           wflip.reshape(-1, self.in_channels), k)
         else:
-            dxp = np.zeros_like(self._x_padded)
-            dcols = gmat @ self.weight.reshape(self.out_channels, -1)
-            hp, wp = self._x_padded.shape[2], self._x_padded.shape[3]
-            idx = 0
-            for b in range(n):
-                for i in range(oh):
-                    for j in range(ow):
-                        patch = dcols[idx].reshape(self.in_channels, self.k,
-                                                   self.k)
-                        r, c = i * self.stride, j * self.stride
-                        dxp[b, :, r:r + self.k, c:c + self.k] += patch
-                        idx += 1
-            del hp, wp
-        p = self.padding
-        if p > 0:
-            dxp = dxp[:, :, p:-p, p:-p]
-        _, h, w = self._in_shape
-        return dxp[:, :, :h, :w]
+            # each kernel tap scatters one GEMM into a strided slice
+            dxp = np.zeros(self._xp.shape)
+            for u in range(k):
+                for v in range(k):
+                    dxp[:, u:u + s * oh:s, v:v + s * ow:s] += (
+                        gmat @ self.weight[:, :, u, v]).reshape(n, oh, ow, -1)
+            dx = dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p]
+        return dx.transpose(0, 3, 1, 2)
 
 
 class MaxPool2d(Layer):
@@ -463,20 +482,47 @@ def save_weights(path, named_tensors: list[tuple[str, np.ndarray]]):
             f.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
+def _read_exact(f, n: int) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated weights file: wanted {n} bytes at "
+                         f"offset {f.tell() - len(data)}, got {len(data)}")
+    return data
+
+
 def load_weights(path) -> list[tuple[str, np.ndarray]]:
     with open(path, "rb") as f:
         if f.read(4) != WEIGHTS_MAGIC:
             raise ValueError("not a KOWT weights file")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", _read_exact(f, 8))
         if version != WEIGHTS_VERSION:
             raise ValueError(f"unsupported weights version {version}")
         out = []
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
+            (name_len,) = struct.unpack("<I", _read_exact(f, 4))
+            name = _read_exact(f, name_len).decode("utf-8")
+            (rank,) = struct.unpack("<I", _read_exact(f, 4))
+            shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
             n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
+            data = np.frombuffer(_read_exact(f, 8 * n),
+                                 dtype="<f8").reshape(shape)
             out.append((name, data.astype(np.float64)))
         return out
+
+
+def load_params(path, named_params: list[tuple[str, np.ndarray]]):
+    """Fill named parameters in place from a weights file.
+
+    Names and shapes must match exactly; ShapeError names the tensor.
+    """
+    loaded = dict(load_weights(path))
+    missing = sorted({name for name, _ in named_params} - set(loaded))
+    extra = sorted(set(loaded) - {name for name, _ in named_params})
+    if missing or extra:
+        raise ShapeError(f"weights file {path} does not match the model: "
+                         f"missing {missing}, unexpected {extra}")
+    for name, p in named_params:
+        if loaded[name].shape != p.shape:
+            raise ShapeError(f"tensor {name}: file shape "
+                             f"{loaded[name].shape}, model shape {p.shape}")
+        p[...] = loaded[name]

@@ -143,15 +143,6 @@ class UNet:
                 out.append((f"layer{i}.p{j}", p))
         return out
 
-    def cast(self, dtype):
-        """In-place parameter cast (float32 inference, float64 training)."""
-        for layer in self._blocks():
-            for i, p in enumerate(layer.params):
-                layer.params[i] = p.astype(dtype)
-            if isinstance(layer, numeric.Conv2d):
-                layer.weight, layer.bias = layer.params
-        return self
-
 
 def save_unet(weights_path, header_path, model: UNet, thresholds=None):
     import json
@@ -172,9 +163,7 @@ def load_unet(weights_path, header_path) -> UNet:
         header = json.load(f)
     model = UNet(depth=header["depth"], base_channels=header["base_channels"],
                  in_channels=header["in_channels"])
-    loaded = dict(numeric.load_weights(weights_path))
-    for name, p in model.named_params():
-        p[...] = loaded[name]
+    numeric.load_params(weights_path, model.named_params())
     return model
 
 
@@ -471,32 +460,16 @@ _UPSAMPLE_TAPS = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
                   np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
-def _pad1_nhwc(x: np.ndarray) -> np.ndarray:
-    n, h, w, c = x.shape
-    out = np.zeros((n, h + 2, w + 2, c), dtype=x.dtype)
-    out[:, 1:h + 1, 1:w + 1] = x
-    return out
-
-
-def _conv3_nhwc(x: np.ndarray, wmat: np.ndarray,
-                bias: np.ndarray) -> np.ndarray:
-    """3x3 same-padding convolution, channel-last, via a strided-view GEMM."""
-    xp = _pad1_nhwc(x)
-    n, hp, wp, c = xp.shape
-    h, w = hp - 2, wp - 2
-    s0, s1, s2, s3 = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, h, w, 3, 3, c), (s0, s1, s2, s1, s2, s3))
-    out = win.reshape(n * h * w, 9 * c) @ wmat
-    out += bias
-    return out.reshape(n, h, w, -1)
-
-
 def _conv_mat(weight: np.ndarray) -> np.ndarray:
-    """(O, C, k, k) kernel as a (k*k*C, O) float32 GEMM operand."""
-    o = weight.shape[0]
-    return np.ascontiguousarray(
-        weight.transpose(2, 3, 1, 0).reshape(-1, o).astype(np.float32))
+    """(O, C, k, k) kernel as a float32 conv_nhwc operand."""
+    return np.ascontiguousarray(numeric.conv_matrix(weight), np.float32)
+
+
+def _conv3(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """3x3 same-padding convolution of channel-last x."""
+    out = numeric.conv_nhwc(numeric.pad_nhwc(x, 1), wmat, 3)
+    out += bias
+    return out
 
 
 def _parity_mats(weight: np.ndarray) -> list:
@@ -515,11 +488,10 @@ def _parity_mats(weight: np.ndarray) -> list:
 class UNetInference:
     """Single-threaded float32 forward pass precompiled from a U-Net.
 
-    Two layout changes make this several times faster than the training
-    forward: convolutions run channel-last so the patch matrix is a strided
-    view feeding one GEMM per layer, and each decoder stage convolves the
-    upsampled branch directly on the coarse grid (see _parity_mats), which
-    also removes the channel concatenation copy.
+    It runs the channel-last numeric convolution, as training does, but in
+    float32, with activations kept channel-last throughout, and each decoder
+    stage convolves the upsampled branch directly on the coarse grid (see
+    _parity_mats), which also removes the channel concatenation copy.
     """
 
     def __init__(self, model: UNet):
@@ -544,9 +516,8 @@ class UNetInference:
                 "conv2": (_conv_mat(conv2.weight),
                           conv2.bias.astype(np.float32)),
             })
-        self.head = (np.ascontiguousarray(
-            model.head.weight.reshape(1, -1).T.astype(np.float32)),
-            model.head.bias.astype(np.float32))
+        self.head = (_conv_mat(model.head.weight),
+                     model.head.bias.astype(np.float32))
         self._sigmoid = numeric.Sigmoid()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -559,32 +530,27 @@ class UNetInference:
         xt = x.transpose(0, 2, 3, 1).astype(np.float32)
         skips = []
         for (m1, b1), (m2, b2) in self.enc:
-            xt = _conv3_nhwc(xt, m1, b1)
+            xt = _conv3(xt, m1, b1)
             np.maximum(xt, 0.0, out=xt)
-            xt = _conv3_nhwc(xt, m2, b2)
+            xt = _conv3(xt, m2, b2)
             np.maximum(xt, 0.0, out=xt)
             skips.append(xt)
             n, h, w, c = xt.shape
             xt = xt.reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
         for m, b in self.bottleneck:
-            xt = _conv3_nhwc(xt, m, b)
+            xt = _conv3(xt, m, b)
             np.maximum(xt, 0.0, out=xt)
         for stage, skip in zip(self.dec, reversed(skips)):
-            out = _conv3_nhwc(skip, *stage["skip"])
-            zp = _pad1_nhwc(xt)
-            n, hp, wp, c = zp.shape
-            ch, cw = hp - 2, wp - 2
-            s0, s1, s2, s3 = zp.strides
+            out = _conv3(skip, *stage["skip"])
+            _, ch, cw, _ = xt.shape
+            zp = numeric.pad_nhwc(xt, 1)
             for a in (0, 1):
                 for b in (0, 1):
-                    win = np.lib.stride_tricks.as_strided(
+                    out[:, a::2, b::2, :] += numeric.conv_nhwc(
                         zp[:, a:a + ch + 1, b:b + cw + 1],
-                        (n, ch, cw, 2, 2, c), (s0, s1, s2, s1, s2, s3))
-                    out[:, a::2, b::2, :] += (
-                        win.reshape(n * ch * cw, 4 * c) @ stage["up"][a][b]
-                    ).reshape(n, ch, cw, -1)
+                        stage["up"][a][b], 2)
             np.maximum(out, 0.0, out=out)
-            xt = _conv3_nhwc(out, *stage["conv2"])
+            xt = _conv3(out, *stage["conv2"])
             np.maximum(xt, 0.0, out=xt)
         n, h, w, c = xt.shape
         logits = xt.reshape(n * h * w, c) @ self.head[0] + self.head[1]
@@ -595,31 +561,19 @@ class UNetInference:
         return self.forward(scan_image[None, None])[0, 0].astype(np.float64)
 
 
-def segment_probabilities(model, scan_image: np.ndarray,
-                          dtype=np.float64) -> np.ndarray:
+def segment_probabilities(model, scan_image: np.ndarray) -> np.ndarray:
     """Full-scan sigmoid probability map.
 
-    Training stays in float64; pass dtype=np.float32 (or a prebuilt
-    UNetInference) for fast inference.
+    A UNet runs its float64 training forward; pass a prebuilt UNetInference
+    for fast float32 inference.
     """
     if isinstance(model, UNetInference):
         return model.probabilities(scan_image)
-    if dtype == np.float64:
-        return model.forward(scan_image[None, None].astype(dtype))[0, 0]
-    return UNetInference(model).probabilities(scan_image)
-
-
-def cast_copy(model: UNet, dtype) -> UNet:
-    clone = UNet(depth=model.depth, base_channels=model.base_channels,
-                 in_channels=model.in_channels)
-    for (_, dst), (_, src) in zip(clone.named_params(),
-                                  model.named_params()):
-        dst[...] = src
-    return clone.cast(dtype)
+    return model.forward(scan_image[None, None].astype(np.float64))[0, 0]
 
 
 def segment(model: UNet, scan_image: np.ndarray,
             threshold: float = 0.5) -> np.ndarray:
     """Binary path mask: probability strictly above the threshold."""
-    probs = segment_probabilities(model, scan_image, dtype=np.float64)
+    probs = segment_probabilities(model, scan_image)
     return (probs > threshold).astype(np.uint8)

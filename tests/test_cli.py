@@ -137,6 +137,30 @@ class TestEvalSeg:
         assert rc == cli.EXIT_GATE_FAILED
 
 
+class TestReproduce:
+    def test_unreachable_gate_fails_run(self, tmp_path, capsys):
+        # gate 9's reduced sizes; no pixel accuracy can exceed 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "seed": 7,
+            "simworld": {"grid_size": 96, "scatterer_density": 300.0},
+            "audio": {"clips_per_class": 40, "recordings_per_class": 2,
+                      "epochs": 1, "trials": 1},
+            "canvas": {"image_size": 96},
+            "segmentation": {"stage1_steps": 20, "stage2_steps": 4,
+                             "crops_per_scan": 10, "n_rotations": 2,
+                             "crop": 32},
+            "eval": {"eval_scans_per_world": 2,
+                     "min_pixel_accuracy": 1.01, "min_iou": 0.0}}))
+        out = str(tmp_path / "run")
+        rc = cli.main(["--config", str(cfg_path), "--out", out, "reproduce"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_GATE_FAILED
+        assert "eval_short: pixel_accuracy=" in captured.out
+        assert "gate failed" in captured.err
+        assert os.path.exists(os.path.join(out, "seg_scores.json"))
+
+
 class TestFeatures:
     def test_wav_to_pgm(self, tmp_path, capsys):
         clip = simworld.synth_audio(simworld.TerrainClass.GRAVEL, 0.5,

@@ -58,6 +58,93 @@ class TestConv2d:
             conv.forward(np.zeros((1, 5, 8, 8)))
 
 
+def conv_backward_oracle(x, weight, grad, stride=1, padding=0):
+    """Scalar-loop d_weight, d_bias and dX of conv_oracle for grad."""
+    n, c, h, w = x.shape
+    o, _, k, _ = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dw = np.zeros_like(weight)
+    db = np.zeros(o)
+    dxp = np.zeros_like(xp)
+    _, _, oh, ow = grad.shape
+    for b in range(n):
+        for f in range(o):
+            for i in range(oh):
+                for j in range(ow):
+                    g = grad[b, f, i, j]
+                    db[f] += g
+                    for cc in range(c):
+                        for u in range(k):
+                            for v in range(k):
+                                r, q = i * stride + u, j * stride + v
+                                dw[f, cc, u, v] += g * xp[b, cc, r, q]
+                                dxp[b, cc, r, q] += g * weight[f, cc, u, v]
+    return dw, db, dxp[:, :, padding:padding + h, padding:padding + w]
+
+
+# (kernel, padding, stride); the 8x7 input leaves a trailing row unused at
+# stride 2, which must receive zero gradient
+CONV_CONFIGS = [(3, 1, 1), (3, 0, 2), (3, 1, 2), (1, 0, 1)]
+
+
+def random_conv(k, p, s, seed):
+    rng = np.random.default_rng(seed)
+    conv = numeric.Conv2d(3, 4, k, stride=s, padding=p, rng=rng)
+    conv.bias[...] = rng.normal(size=4)
+    return conv, rng.normal(size=(2, 3, 8, 7)), rng
+
+
+class TestConv2dOracle:
+    @pytest.mark.parametrize("k,p,s", CONV_CONFIGS)
+    def test_forward_and_backward_match_loops(self, k, p, s):
+        conv, x, rng = random_conv(k, p, s, seed=10 * k + 3 * p + s)
+        out = conv.forward(x)
+        want = conv_oracle(x, conv.weight, conv.bias, stride=s, padding=p)
+        assert out.shape == want.shape
+        assert np.abs(out - want).max() <= 1e-12
+        grad = rng.normal(size=out.shape)
+        dx = conv.backward(grad)
+        dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, s, p)
+        assert dx.shape == x.shape
+        assert np.abs(conv.d_weight - dw).max() <= 1e-12
+        assert np.abs(conv.d_bias - db).max() <= 1e-12
+        assert np.abs(dx - dx_want).max() <= 1e-12
+
+    @pytest.mark.parametrize("k,p,s", CONV_CONFIGS)
+    def test_gradient_layout_does_not_matter(self, k, p, s):
+        conv, x, rng = random_conv(k, p, s, seed=5)
+        n, o, oh, ow = conv.forward(x).shape
+        view = rng.normal(size=(n, oh, ow, o)).transpose(0, 3, 1, 2)
+        results = []
+        for grad in (np.ascontiguousarray(view), view):
+            conv.zero_grad()
+            conv.forward(x)
+            dx = conv.backward(grad)
+            results.append((conv.d_weight.copy(), conv.d_bias.copy(), dx))
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
+
+    def test_padding_must_be_below_kernel(self):
+        # dX pads the gradient by k - 1 - padding, which must not be negative
+        with pytest.raises(ShapeError):
+            numeric.Conv2d(1, 1, 3, padding=3)
+
+    def test_float32_helpers_match_layer(self):
+        rng = np.random.default_rng(8)
+        conv = numeric.Conv2d(4, 5, 3, padding=1, rng=rng)
+        conv.bias[...] = rng.normal(size=5)
+        x = rng.normal(size=(2, 4, 8, 8))
+        want = conv.forward(x)
+        # the channel-last float32 call sequence of UNetInference
+        xt = x.transpose(0, 2, 3, 1).astype(np.float32)
+        wmat = np.ascontiguousarray(numeric.conv_matrix(conv.weight),
+                                    np.float32)
+        got = numeric.conv_nhwc(numeric.pad_nhwc(xt, 1), wmat, 3)
+        got += conv.bias.astype(np.float32)
+        assert got.dtype == np.float32
+        assert np.abs(got.transpose(0, 3, 1, 2) - want).max() <= 1e-5
+
+
 class TestSimpleLayers:
     def test_maxpool_spot(self):
         pool = numeric.MaxPool2d(2)
@@ -297,3 +384,12 @@ class TestWeightsFile:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
             numeric.load_weights(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "short.kowt"
+        numeric.save_weights(path, [("w", np.ones((3, 4)))])
+        raw = path.read_bytes()
+        for cut in (len(raw) - 8, 14, 10):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                numeric.load_weights(path)

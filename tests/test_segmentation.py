@@ -79,6 +79,33 @@ class TestUNetForward:
         x = np.random.default_rng(1).normal(size=(1, 1, 32, 32))
         np.testing.assert_array_equal(back.forward(x), model.forward(x))
 
+    def _load_altered(self, tmp_path, alter):
+        model = tiny_model(seed=5)
+        segmentation.save_unet(tmp_path / "m.kowt", tmp_path / "m.json",
+                               model)
+        named = alter([(n, p.copy()) for n, p in model.named_params()])
+        numeric.save_weights(tmp_path / "m.kowt", named)
+        return segmentation.load_unet(tmp_path / "m.kowt",
+                                      tmp_path / "m.json")
+
+    def test_load_rejects_wrong_shape(self, tmp_path):
+        # one (1, 1, 3, 3) filter would broadcast into all four filters
+        def alter(named):
+            named[0] = (named[0][0], named[0][1][:1])
+            return named
+        with pytest.raises(ShapeError, match="layer0.p0"):
+            self._load_altered(tmp_path, alter)
+
+    def test_load_rejects_missing_name(self, tmp_path):
+        with pytest.raises(ShapeError, match="missing.*layer0.p1"):
+            self._load_altered(tmp_path, lambda named: [
+                (n, p) for n, p in named if n != "layer0.p1"])
+
+    def test_load_rejects_extra_name(self, tmp_path):
+        with pytest.raises(ShapeError, match="unexpected.*stray"):
+            self._load_altered(tmp_path, lambda named: named + [
+                ("stray", np.zeros(3))])
+
 
 class FixedRng:
     """Generator stand-in replaying scripted random()/uniform() draws."""

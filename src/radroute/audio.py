@@ -1,7 +1,9 @@
 """Terrain classification from time-frequency images of wheel-terrain audio.
 
 The trained classifier supplies the weak supervisory signal: a 2 Hz stream
-of terrain predictions over 0.5 s audio windows.
+of terrain predictions over 0.5 s audio windows. Feature images are stacked
+as float32, so the CNN trains and classifies in float32 over float64 master
+weights.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +48,7 @@ def standardize(image: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AudioDataset:
-    images: np.ndarray  # (n, 1, channels, frames)
+    images: np.ndarray  # (n, 1, channels, frames) float32
     labels: np.ndarray  # (n,) TerrainClass ints
     representation: str
     skipped_short: int = 0
@@ -85,7 +87,7 @@ def build_dataset(clips_by_terrain: dict, representation: str,
                 labels.append(int(terrain))
     if not images:
         raise ValueError("no usable clips")
-    images = np.stack(images)[:, None, :, :]
+    images = np.stack(images, dtype=np.float32)[:, None, :, :]
     labels = np.array(labels, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     order = rng.permutation(len(labels))
@@ -176,6 +178,13 @@ def train_classifier(dataset: AudioDataset,
     return model, log
 
 
+def _class_probabilities(model: numeric.Sequential,
+                         images: np.ndarray) -> np.ndarray:
+    """float32 network pass; each row renormalised in float64 to sum to 1."""
+    probs = model.forward(images.astype(np.float32)).astype(np.float64)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 def predict(model: numeric.Sequential, clip: AudioClip,
             representation: str, timestamp: float = 0.0) -> TerrainPrediction:
     """Classify a single >= 0.5 s clip (only the first window is used)."""
@@ -183,7 +192,7 @@ def predict(model: numeric.Sequential, clip: AudioClip,
         raise ValueError("clip shorter than 0.5 s")
     window = slice_clip(clip)[0]
     image = extract_features(window, representation)[None, None]
-    probs = model.forward(image)[0]
+    probs = _class_probabilities(model, image)[0]
     return TerrainPrediction(terrain=int(np.argmax(probs)),
                              probabilities=probs, timestamp=timestamp)
 
@@ -199,7 +208,7 @@ def classify_stream(model: numeric.Sequential, clip: AudioClip,
         raise ValueError("stream shorter than one 0.5 s window")
     images = np.stack([extract_features(w, representation)
                        for w in windows])[:, None]
-    probs = model.forward(images)
+    probs = _class_probabilities(model, images)
     out = []
     for i in range(len(windows)):
         out.append(TerrainPrediction(

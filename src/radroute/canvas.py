@@ -13,6 +13,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ShapeError
+from .formats import read_exact
 
 
 class Label(IntEnum):
@@ -225,11 +226,10 @@ def load_polar_scan(path) -> PolarScan:
     with open(path, "rb") as f:
         if f.read(4) != RDS_MAGIC:
             raise ValueError("not an RDS1 scan file")
-        a, r = struct.unpack("<II", f.read(8))
-        (res,) = struct.unpack("<f", f.read(4))
-        (timestamp,) = struct.unpack("<d", f.read(8))
-        pose = np.array(struct.unpack("<3d", f.read(24)))
-        power = np.frombuffer(f.read(4 * a * r), dtype="<f4")
+        a, r, res, timestamp, *pose = struct.unpack(
+            "<IIfd3d", read_exact(f, 44, "scan file header"))
+        power = np.frombuffer(read_exact(f, 4 * a * r, "scan file payload"),
+                              dtype="<f4")
     return PolarScan(power=power.astype(np.float64).reshape(a, r),
                      range_resolution=float(np.float32(res)),
-                     timestamp=timestamp, pose=pose)
+                     timestamp=timestamp, pose=np.array(pose))

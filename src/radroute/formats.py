@@ -74,14 +74,35 @@ def write_wav(path, samples: np.ndarray, sample_rate: float):
 
 
 def read_wav(path):
-    """Returns (samples in [-1, 1] float64, sample_rate)."""
-    with wave.open(str(path), "rb") as w:
+    """Returns (samples in [-1, 1] float64, sample_rate).
+
+    A file cut short in its header or its sample data raises ValueError.
+    """
+    try:
+        w = wave.open(str(path), "rb")
+    except (EOFError, wave.Error) as exc:
+        raise ValueError(f"truncated or malformed WAV header in {path}: "
+                         f"{exc or 'unexpected end of file'}") from exc
+    with w:
         if w.getnchannels() != 1 or w.getsampwidth() != 2:
             raise ValueError("expected mono PCM-16 WAV")
         rate = w.getframerate()
-        raw = w.readframes(w.getnframes())
+        n_frames = w.getnframes()
+        raw = w.readframes(n_frames)
+    if len(raw) != 2 * n_frames:
+        raise ValueError(f"truncated WAV file {path}: header declares "
+                         f"{n_frames} frames, data holds {len(raw) // 2}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return samples, float(rate)
+
+
+def read_exact(f, n: int, what: str) -> bytes:
+    """n bytes from a binary file, or ValueError("truncated <what> ...")."""
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated {what}: wanted {n} bytes at offset "
+                         f"{f.tell() - len(data)}, got {len(data)}")
+    return data
 
 
 def write_csv(path, header: str, rows: np.ndarray, fmt: str = "%.9f"):

@@ -1,9 +1,13 @@
 """Minimal tensor/layer toolkit with explicit forward and backward passes.
 
-Layers operate on float64 numpy arrays shaped (N, C, H, W) for spatial ops
-and (N, F) for dense ops. Every layer exposes forward(x), backward(grad),
-and `params` / `grads` lists of same-shaped arrays. No autodiff: gradients
-are hand-derived and verified against central differences (see gradcheck).
+Layers operate on numpy arrays shaped (N, C, H, W) for spatial ops and
+(N, F) for dense ops. Parameters and their gradient accumulators are
+float64 master copies; every layer computes in the dtype of its input
+(float32 for training, float64 for gradcheck), casting its parameters to
+that dtype on use (mixed-precision training, Micikevicius et al. 2018).
+Every layer exposes forward(x), backward(grad), and `params` / `grads`
+lists of same-shaped arrays. No autodiff: gradients are hand-derived and
+verified against central differences (see gradcheck).
 
 Conv2d keeps the (N, C, H, W) interface but computes channel-last, as one
 GEMM over the patch matrix of a padded (N, H, W, C) array (Chellapilla et
@@ -16,6 +20,7 @@ import struct
 import numpy as np
 
 from .errors import DegenerateBatchError, NumericError, ShapeError
+from .formats import read_exact
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in: int,
@@ -122,14 +127,15 @@ class Conv2d(Layer):
             raise ShapeError(
                 f"conv2d expected (N,{self.in_channels},H,W), got {x.shape}")
         self._xp = pad_nhwc(x.transpose(0, 2, 3, 1), self.padding)
-        out = conv_nhwc(self._xp, conv_matrix(self.weight), self.k,
-                        self.stride)
-        out += self.bias
+        out = conv_nhwc(self._xp, conv_matrix(self.weight).astype(x.dtype),
+                        self.k, self.stride)
+        out += self.bias.astype(x.dtype)
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         k, s, p = self.k, self.stride, self.padding
         n, _, oh, ow = grad.shape
+        weight = self.weight.astype(grad.dtype)
         g = grad.transpose(0, 2, 3, 1)
         gmat = g.reshape(n * oh * ow, self.out_channels)
         # the patch matrix is a temporary, freed before dX needs its own
@@ -140,51 +146,66 @@ class Conv2d(Layer):
         if s == 1:
             # dX is the correlation of the gradient, padded so that the
             # output is exactly H x W, with the spatially flipped kernels
-            wflip = self.weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+            wflip = weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
             dx = conv_nhwc(pad_nhwc(g, k - 1 - p),
                            wflip.reshape(-1, self.in_channels), k)
         else:
             # each kernel tap scatters one GEMM into a strided slice
-            dxp = np.zeros(self._xp.shape)
+            dxp = np.zeros(self._xp.shape, dtype=grad.dtype)
             for u in range(k):
                 for v in range(k):
                     dxp[:, u:u + s * oh:s, v:v + s * ow:s] += (
-                        gmat @ self.weight[:, :, u, v]).reshape(n, oh, ow, -1)
+                        gmat @ weight[:, :, u, v]).reshape(n, oh, ow, -1)
             dx = dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p]
         return dx.transpose(0, 3, 1, 2)
 
 
 class MaxPool2d(Layer):
-    """Max pooling with kernel == stride; trailing rows/cols are dropped."""
+    """Max pooling with kernel == stride; trailing rows/cols are dropped.
+
+    Works on the k*k strided tap views x[:, :, u::k, v::k], with no copy of
+    the input. The winning tap is the one argmax would pick: the first
+    maximum in row-major (u, v) order, or the first NaN. Values move
+    through integer bit masks rather than data-dependent selects, so the
+    output and dX keep every bit of the chosen values (a signed zero keeps
+    its sign).
+    """
 
     def __init__(self, kernel_size: int = 2):
         super().__init__()
         self.k = kernel_size
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+    def _taps(self, x: np.ndarray):
         k = self.k
-        oh, ow = h // k, w // k
-        if oh < 1 or ow < 1:
+        oh, ow = x.shape[2] // k, x.shape[3] // k
+        return [x[:, :, u:oh * k:k, v:ow * k:k]
+                for u in range(k) for v in range(k)]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        k = self.k
+        if x.shape[2] // k < 1 or x.shape[3] // k < 1:
             raise ShapeError(f"input {x.shape} too small for pool k={k}")
-        xr = x[:, :, :oh * k, :ow * k].reshape(n, c, oh, k, ow, k)
-        xr = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, k * k)
-        idx = xr.argmax(axis=-1)
-        out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+        taps = self._taps(x)
+        last = len(taps) - 1
+        out = taps[last].copy(order="K")
+        bits = out.view(f"i{out.itemsize}")
+        idx = np.full_like(out, last, dtype=np.min_scalar_type(last))
+        # last tap to first, so that an earlier tap takes ties
+        for i in range(last - 1, -1, -1):
+            wins = (taps[i] >= out) | np.isnan(taps[i])
+            idx -= wins * (idx - i)
+            bits ^= (bits ^ taps[i].view(bits.dtype)) & -wins.astype(
+                bits.dtype)
         self._cache = (x.shape, idx)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         (n, c, h, w), idx = self._cache
-        k = self.k
-        oh, ow = h // k, w // k
-        dxr = np.zeros((n, c, oh, ow, k * k))
-        np.put_along_axis(dxr, idx[..., None], grad[..., None], axis=-1)
-        dx = np.zeros((n, c, h, w))
-        dx[:, :, :oh * k, :ow * k] = (
-            dxr.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, oh * k, ow * k))
+        dx = np.zeros((n, h, w, c), dtype=grad.dtype).transpose(0, 3, 1, 2)
+        g = grad.view(f"i{grad.itemsize}")
+        for i, tap in enumerate(self._taps(dx)):
+            tap.view(g.dtype)[...] = g & -(idx == i).astype(g.dtype)
         return dx
 
 
@@ -240,12 +261,12 @@ class Dense(Layer):
             raise ShapeError(
                 f"dense expected (N,{self.in_features}), got {x.shape}")
         self._x = x
-        return x @ self.weight + self.bias
+        return x @ self.weight.astype(x.dtype) + self.bias.astype(x.dtype)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         self.d_weight += self._x.T @ grad
         self.d_bias += grad.sum(axis=0)
-        return grad @ self.weight.T
+        return grad @ self.weight.T.astype(grad.dtype)
 
 
 class Flatten(Layer):
@@ -341,7 +362,10 @@ EPS_PROB = 1e-12
 
 
 def cross_entropy(pred_probs: np.ndarray, one_hot: np.ndarray):
-    """Mean NLL over rows. Returns (loss, grad wrt pred_probs)."""
+    """Mean NLL over rows. Returns (loss, grad wrt pred_probs).
+
+    Like every loss here, the gradient comes back in the prediction's dtype.
+    """
     if pred_probs.shape != one_hot.shape:
         raise ShapeError("probability/target shape mismatch")
     n = pred_probs.shape[0]
@@ -350,7 +374,7 @@ def cross_entropy(pred_probs: np.ndarray, one_hot: np.ndarray):
     p = np.clip(pred_probs, EPS_PROB, None)
     loss = -(one_hot * np.log(p)).sum() / n
     grad = -(one_hot / p) / n
-    return loss, grad
+    return loss, grad.astype(pred_probs.dtype, copy=False)
 
 
 def binary_cross_entropy(pred: np.ndarray, target: np.ndarray):
@@ -375,7 +399,32 @@ def masked_binary_cross_entropy(pred: np.ndarray, target: np.ndarray,
     per = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
     loss = float((per * mask).sum() / n)
     grad = np.where(mask, (p - t) / (p * (1.0 - p)) / n, 0.0)
-    return loss, grad
+    return loss, grad.astype(pred.dtype, copy=False)
+
+
+def masked_bce_with_logits(logits: np.ndarray, target: np.ndarray,
+                           mask: np.ndarray):
+    """BCE of sigmoid(logits), fused, over mask==True elements.
+
+    The loss softplus(z) - t*z is evaluated as max(z, 0) - z*t +
+    log1p(exp(-|z|)) and accumulated in float64, so a saturated logit stays
+    finite in any dtype. The gradient is (sigmoid(z) - t) / n on labelled
+    elements, exactly 0 elsewhere, in the logits' dtype. Target values at
+    masked-out elements are never read.
+    """
+    if logits.shape != target.shape or logits.shape != mask.shape:
+        raise ShapeError("logit/target/mask shape mismatch")
+    n = int(mask.sum())
+    if n == 0:
+        raise DegenerateBatchError("no labeled elements contribute to the loss")
+    z = logits.astype(np.float64)
+    t = np.where(mask, target, 0.0)
+    e = np.exp(-np.abs(z))
+    per = np.maximum(z, 0.0) - z * t + np.log1p(e)
+    loss = float(per[mask].sum() / n)
+    p = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+    grad = np.where(mask, (p - t) / n, 0.0)
+    return loss, grad.astype(logits.dtype, copy=False)
 
 
 def masked_cross_entropy(pred_probs: np.ndarray, one_hot: np.ndarray,
@@ -390,7 +439,7 @@ def masked_cross_entropy(pred_probs: np.ndarray, one_hot: np.ndarray,
     t = np.where(labeled[:, None], one_hot, 0.0)
     loss = -(t * np.log(p)).sum() / n
     grad = -(t / p) / n
-    return loss, grad
+    return loss, grad.astype(pred_probs.dtype, copy=False)
 
 
 def sgd_step(params: list, grads: list, lr: float):
@@ -483,11 +532,7 @@ def save_weights(path, named_tensors: list[tuple[str, np.ndarray]]):
 
 
 def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated weights file: wanted {n} bytes at "
-                         f"offset {f.tell() - len(data)}, got {len(data)}")
-    return data
+    return read_exact(f, n, "weights file")
 
 
 def load_weights(path) -> list[tuple[str, np.ndarray]]:

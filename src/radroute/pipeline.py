@@ -83,8 +83,24 @@ DEFAULT_CONFIG = {
 }
 
 
+def _check_type(name: str, default, value):
+    """A value must have its default's type; an int may stand for a float,
+    and a bool never stands for a number."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        ok = isinstance(default, bool) and isinstance(value, bool)
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise ConfigurationError(
+            f"config key {name} must be {type(default).__name__}, got "
+            f"{type(value).__name__} {value!r}")
+
+
 def resolve_config(user: dict | None) -> dict:
-    """Deep-merge user settings over the defaults; unknown keys rejected."""
+    """Deep-merge user settings over the defaults; unknown keys and values
+    of the wrong type are rejected."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if user is None:
         return cfg
@@ -98,8 +114,10 @@ def resolve_config(user: dict | None) -> dict:
                 if sub not in cfg[key]:
                     raise ConfigurationError(
                         f"unknown config key {key}.{sub}")
+                _check_type(f"{key}.{sub}", cfg[key][sub], sub_value)
                 cfg[key][sub] = sub_value
         else:
+            _check_type(key, cfg[key], value)
             cfg[key] = value
     return cfg
 
@@ -452,7 +470,8 @@ def run_train_seg(cfg: dict, out: str, stage: int):
         raise ConfigurationError("stage must be 1 or 2")
     with open(os.path.join(out, f"seg_stage{stage}_log.json"), "w") as f:
         json.dump({"losses": log.losses,
-                   "skipped_batches": log.skipped_batches}, f)
+                   "skipped_batches": log.skipped_batches,
+                   "augment_fallbacks": log.augment_fallbacks}, f)
         f.write("\n")
     return model
 

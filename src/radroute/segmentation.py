@@ -92,6 +92,14 @@ class UNet:
             pool.zero_grad()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Sigmoid path probabilities, computed in the dtype of x."""
+        return self.sigmoid.forward(self.logits(x))
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        return self.backward_logits(self.sigmoid.backward(grad))
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """Pre-sigmoid head output, computed in the dtype of x."""
         if x.ndim != 4:
             raise ShapeError("U-Net input must be (N, C, H, W)")
         if x.shape[2] % (2 ** self.depth) or x.shape[3] % (2 ** self.depth):
@@ -112,11 +120,9 @@ class UNet:
             x = numeric.concat_channels(skip, x)
             for layer in block:
                 x = layer.forward(x)
-        x = self.head.forward(x)
-        return self.sigmoid.forward(x)
+        return self.head.forward(x)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        grad = self.sigmoid.backward(grad)
+    def backward_logits(self, grad: np.ndarray) -> np.ndarray:
         grad = self.head.backward(grad)
         skip_grads = []
         for block, up, c_skip in zip(reversed(self.dec), reversed(self.ups),
@@ -274,6 +280,7 @@ class SegTrainConfig:
 class SegTrainLog:
     losses: list = field(default_factory=list)
     skipped_batches: int = 0
+    augment_fallbacks: int = 0  # stage-1 crops used unaugmented
 
 
 def _mask_to_target(mask: np.ndarray):
@@ -284,17 +291,17 @@ def _mask_to_target(mask: np.ndarray):
 
 
 def _train_batches(model: UNet, batches, lr: float, log: SegTrainLog):
+    """SGD steps computed in float32 over the model's float64 weights."""
     for images, labeled, targets in batches:
         if not labeled.any():
             log.skipped_batches += 1
             continue
-        probs = model.forward(images)
-        loss, grad = numeric.masked_binary_cross_entropy(probs, targets,
-                                                         labeled)
+        logits = model.logits(images.astype(np.float32))
+        loss, grad = numeric.masked_bce_with_logits(logits, targets, labeled)
         if not np.isfinite(loss):
             raise NumericError("training diverged (non-finite loss)")
         model.zero_grad()
-        model.backward(grad)
+        model.backward_logits(grad)
         numeric.sgd_step(model.params, model.grads, lr)
         log.losses.append(loss)
 
@@ -333,6 +340,8 @@ def stage1_train(scan_images: list, masks: list,
                         break
                     except ResampleNeeded:
                         continue
+                else:
+                    log.augment_fallbacks += 1
                 labeled, target = _mask_to_target(sample.mask)
                 ims.append(sample.image)
                 labs.append(labeled)
@@ -564,8 +573,8 @@ class UNetInference:
 def segment_probabilities(model, scan_image: np.ndarray) -> np.ndarray:
     """Full-scan sigmoid probability map.
 
-    A UNet runs its float64 training forward; pass a prebuilt UNetInference
-    for fast float32 inference.
+    A UNet runs its layer-by-layer forward in float64; pass a prebuilt
+    UNetInference for fast float32 inference.
     """
     if isinstance(model, UNetInference):
         return model.probabilities(scan_image)

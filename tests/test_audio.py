@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radroute import audio, simworld
+from radroute import audio, numeric, simworld
 from radroute.audio import (AudioDataset, TrainConfig, build_dataset,
                             build_model, classify_stream, extract_features,
                             predict, slice_clip, train_classifier)
@@ -138,6 +138,34 @@ class TestTraining:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+
+class TestFloat32:
+    def test_dataset_images_are_float32(self):
+        assert two_class_dataset(n=1).images.dtype == np.float32
+
+    def test_float32_pass_stays_float32(self):
+        rng = np.random.default_rng(3)
+        model = build_model((1, 32, 50), rng=rng)
+        x = rng.normal(size=(4, 1, 32, 50)).astype(np.float32)
+        probs = model.forward(x)
+        _, grad = numeric.cross_entropy(probs, audio.one_hot(
+            np.array([0, 1, 2, 0])))
+        assert probs.dtype == np.float32 and grad.dtype == np.float32
+        dx = model.backward(grad)
+        assert dx.dtype == np.float32
+        for layer in model.layers:
+            if isinstance(layer, numeric.Conv2d):
+                assert layer._xp.dtype == np.float32
+        assert all(g.dtype == np.float64 for g in model.grads)
+
+    def test_matches_float64_pass(self):
+        rng = np.random.default_rng(4)
+        model = build_model((1, 32, 50), rng=rng)
+        x = rng.normal(size=(4, 1, 32, 50))
+        p64 = model.forward(x)
+        p32 = model.forward(x.astype(np.float32))
+        assert np.abs(p32 - p64).max() < 1e-5
 
 
 @pytest.fixture(scope="module")

@@ -232,6 +232,23 @@ class TestScanFile:
         assert struct.unpack_from("<3d", raw, 24) == (1.0, -2.0, 0.5)
         assert raw[48:] == struct.pack("<6f", 1, 2, 3, 4, 5, 6)
 
+    @pytest.mark.parametrize("keep", [4, 30, 47])
+    def test_truncated_header_rejected(self, tmp_path, keep):
+        path = tmp_path / "scan.rds"
+        canvas.save_polar_scan(path, polar(np.ones((3, 2)), res=0.25,
+                                           pose=(0.0, 0.0, 0.0), t=1.0))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated scan file header"):
+            canvas.load_polar_scan(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "scan.rds"
+        canvas.save_polar_scan(path, polar(np.ones((3, 2)), res=0.25,
+                                           pose=(0.0, 0.0, 0.0), t=1.0))
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError, match="truncated scan file payload"):
+            canvas.load_polar_scan(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rds"
         path.write_bytes(b"XXXX" + b"\x00" * 60)

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from radroute import canvas, cli, formats, pipeline, simworld
+from radroute import (canvas, cli, formats, pipeline, segmentation,
+                      simworld)
 from radroute.errors import ConfigurationError
 
 
@@ -34,6 +35,61 @@ class TestConfig:
     def test_defaults_not_mutated(self):
         pipeline.resolve_config({"seed": 9})
         assert pipeline.DEFAULT_CONFIG["seed"] == 0
+
+
+class TestConfigTypes:
+    def test_string_for_int_rejected_naming_key(self):
+        with pytest.raises(ConfigurationError,
+                           match="segmentation.stage1_steps"):
+            pipeline.resolve_config({"segmentation": {"stage1_steps": "350"}})
+
+    def test_int_accepted_for_float(self):
+        cfg = pipeline.resolve_config({"segmentation": {"stage1_lr": 1}})
+        assert cfg["segmentation"]["stage1_lr"] == 1
+
+    def test_float_rejected_for_int(self):
+        with pytest.raises(ConfigurationError, match="canvas.image_size"):
+            pipeline.resolve_config({"canvas": {"image_size": 64.0}})
+
+    @pytest.mark.parametrize("user", [{"seed": True},
+                                      {"audio": {"learning_rate": False}},
+                                      {"canvas": {"use_negatives": 1}}])
+    def test_bool_and_number_never_mix(self, user):
+        with pytest.raises(ConfigurationError):
+            pipeline.resolve_config(user)
+
+    def test_top_level_type_checked(self):
+        with pytest.raises(ConfigurationError, match="output_dir"):
+            pipeline.resolve_config({"output_dir": 3})
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"segmentation": {"stage1_steps": "350"}}))
+        rc = cli.main(["--config", str(cfg_path), "--out",
+                       str(tmp_path / "run"), "simulate"])
+        assert rc == cli.EXIT_ERROR
+        assert "segmentation.stage1_steps" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+class TestSegTrainLog:
+    def test_stage1_log_records_fallbacks(self, tmp_path, monkeypatch):
+        def fake_stage1(images, masks, model, cfg, crop, crops_per_scan):
+            return model, segmentation.SegTrainLog(
+                losses=[0.5], skipped_batches=1, augment_fallbacks=3)
+
+        monkeypatch.setattr(pipeline, "_prepared_train_images",
+                            lambda cfg, out: (None, [None], None))
+        monkeypatch.setattr(pipeline, "_load_masks", lambda out, sub: [None])
+        monkeypatch.setattr(segmentation, "stage1_train", fake_stage1)
+        cfg = pipeline.resolve_config(
+            {"segmentation": {"depth": 1, "base_channels": 2}})
+        pipeline.run_train_seg(cfg, str(tmp_path), 1)
+        with open(tmp_path / "seg_stage1_log.json") as f:
+            log = json.load(f)
+        assert log == {"losses": [0.5], "skipped_batches": 1,
+                       "augment_fallbacks": 3}
 
 
 class TestParser:

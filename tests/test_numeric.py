@@ -252,6 +252,104 @@ class TestLosses:
         assert np.all(grad[1] == 0.0)
 
 
+def maxpool_reference(x, grad, k):
+    """Pooling by an argmax over a (..., k*k) copy of the windows."""
+    n, c, h, w = x.shape
+    oh, ow = h // k, w // k
+    xr = x[:, :, :oh * k, :ow * k].reshape(n, c, oh, k, ow, k)
+    xr = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, k * k)
+    idx = xr.argmax(axis=-1)
+    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    dxr = np.zeros((n, c, oh, ow, k * k), dtype=grad.dtype)
+    np.put_along_axis(dxr, idx[..., None], grad[..., None], axis=-1)
+    dx = np.zeros((n, c, h, w), dtype=grad.dtype)
+    dx[:, :, :oh * k, :ow * k] = (
+        dxr.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, oh * k, ow * k))
+    return out, dx
+
+
+def same_bits(a, b):
+    bits = f"i{a.itemsize}"
+    return a.dtype == b.dtype and np.array_equal(
+        np.ascontiguousarray(a).view(bits), np.ascontiguousarray(b).view(bits))
+
+
+class TestMaxPoolParity:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, shape", [(2, (2, 3, 7, 9)),
+                                          (2, (3, 4, 8, 6)),
+                                          (3, (1, 2, 11, 7))])
+    def test_bit_identical_to_argmax_pooling(self, dtype, k, shape):
+        rng = np.random.default_rng(k * 100 + shape[2])
+        # few distinct integer values, so most windows hold ties; zeros of
+        # both signs, as ReLU writes them
+        x = rng.integers(-2, 3, size=shape).astype(dtype)
+        x[rng.random(shape) < 0.2] = -0.0
+        channel_last = np.ascontiguousarray(
+            x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for xin in (x, channel_last):
+            pool = numeric.MaxPool2d(k)
+            out = pool.forward(xin)
+            grad = rng.integers(-3, 4, size=out.shape).astype(dtype)
+            grad[grad == 0] = -0.0
+            dx = pool.backward(grad)
+            want_out, want_dx = maxpool_reference(xin, grad, k)
+            assert same_bits(out, want_out)
+            assert same_bits(dx, want_dx)
+
+    def test_first_nan_wins_as_in_argmax(self):
+        x = np.array([1.0, np.nan, 7.0, np.nan]).reshape(1, 1, 2, 2)
+        pool = numeric.MaxPool2d(2)
+        assert np.isnan(pool.forward(x)).all()
+        dx = pool.backward(np.ones((1, 1, 1, 1)))
+        assert dx.reshape(-1).tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
+class TestLogitLoss:
+    def test_matches_probability_loss(self):
+        rng = np.random.default_rng(11)
+        z = rng.normal(0.0, 3.0, size=(2, 1, 5, 5))
+        target = rng.integers(0, 2, size=z.shape).astype(float)
+        mask = rng.random(z.shape) < 0.6
+        p = numeric.Sigmoid()
+        probs = p.forward(z)
+        want_loss, dprobs = numeric.masked_binary_cross_entropy(
+            probs, target, mask)
+        loss, grad = numeric.masked_bce_with_logits(z, target, mask)
+        assert abs(loss - want_loss) < 1e-10
+        np.testing.assert_allclose(grad, p.backward(dprobs), rtol=1e-8,
+                                   atol=1e-14)
+        assert np.all(grad[~mask] == 0.0)
+
+    def test_saturated_float32_logits_stay_finite(self):
+        z = np.array([40.0, -40.0, 40.0, -40.0], np.float32).reshape(
+            1, 1, 2, 2)
+        mask = np.ones(z.shape, dtype=bool)
+        for t in (np.array([1.0, 0.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0,
+                                                             0.0])):
+            target = t.reshape(z.shape)
+            loss, grad = numeric.masked_bce_with_logits(z, target, mask)
+            assert np.isfinite(loss)
+            assert grad.dtype == np.float32
+            want = (1.0 / (1.0 + np.exp(-z.astype(np.float64))) - target) / 4
+            np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-12)
+        # the same logits through the float32 probability path: sigmoid(40)
+        # rounds to 1.0 and the clip bound 1 - 1e-12 rounds to 1.0 too
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probs = numeric.Sigmoid().forward(z)
+            loss, grad = numeric.masked_binary_cross_entropy(
+                probs, np.array([1.0, 0.0, 0.0, 1.0]).reshape(z.shape), mask)
+        assert np.isnan(loss)
+        assert not np.all(np.isfinite(grad))
+
+    def test_all_unlabeled(self):
+        with pytest.raises(DegenerateBatchError):
+            numeric.masked_bce_with_logits(
+                np.zeros((2, 2)), np.zeros((2, 2)),
+                np.zeros((2, 2), dtype=bool))
+
+
 class TestSgdAndDeterminism:
     def test_zero_lr_keeps_params(self):
         rng = np.random.default_rng(8)

@@ -107,6 +107,113 @@ class TestUNetForward:
                 ("stray", np.zeros(3))])
 
 
+class LogitsOf:
+    """A U-Net's logit path as a layer, for numeric.gradcheck."""
+
+    def __init__(self, model):
+        self.model = model
+        self.params = model.params
+        self.grads = model.grads
+
+    def zero_grad(self):
+        self.model.zero_grad()
+
+    def forward(self, x):
+        return self.model.logits(x)
+
+    def backward(self, grad):
+        return self.model.backward_logits(grad)
+
+
+def step_grads(model, x, target, labeled):
+    """One training step's logits and parameter gradients, in x's dtype."""
+    model.zero_grad()
+    logits = model.logits(x)
+    loss, grad = numeric.masked_bce_with_logits(logits, target, labeled)
+    model.backward_logits(grad)
+    return logits, loss, grad, [g.copy() for g in model.grads]
+
+
+def record_dtypes(model):
+    """Wrap every layer's forward/backward to log (layer, direction, in
+    dtype, out dtype) per call."""
+    seen = []
+    layers = (list(model._blocks()) + model.pools + model.ups
+              + [model.sigmoid])
+    for layer in layers:
+        for direction in ("forward", "backward"):
+            fn = getattr(layer, direction)
+
+            def logged(arr, fn=fn, layer=layer, direction=direction):
+                out = fn(arr)
+                seen.append((type(layer).__name__, direction, arr.dtype,
+                             out.dtype))
+                return out
+
+            setattr(layer, direction, logged)
+    return seen
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_logit_path_gradcheck_float64(self, seed):
+        rng = np.random.default_rng(seed)
+        model = tiny_model(seed=seed, zero_head=False)
+        x = rng.normal(size=(1, 1, 16, 16))
+        target = (rng.random(x.shape) < 0.5).astype(float)
+        labeled = rng.random(x.shape) < 0.7
+
+        def loss_fn(logits):
+            return numeric.masked_bce_with_logits(logits, target, labeled)
+
+        err = numeric.gradcheck(LogitsOf(model), x, loss_fn, eps=1e-6,
+                                rng=rng)
+        assert err < 1e-4
+
+    def test_float32_step_matches_float64_at_stage1_shape(self):
+        # stage-1 shape: a batch of 8 crops of 64x64 through the desk U-Net
+        rng = np.random.default_rng(4)
+        model = UNet(seed=4, zero_head=False)
+        x = rng.normal(size=(8, 1, 64, 64))
+        target = (rng.random(x.shape) < 0.5).astype(float)
+        labeled = rng.random(x.shape) < 0.3
+        z64, loss64, _, g64 = step_grads(model, x, target, labeled)
+        z32, loss32, _, g32 = step_grads(model, x.astype(np.float32),
+                                         target, labeled)
+        assert z32.dtype == np.float32
+        # float32 rounding through the 15 convolutions leaves about 3e-6
+        # of the largest gradient entry and 5e-7 of the largest logit
+        tol = 1e-4
+        assert np.abs(z32 - z64).max() <= tol * np.abs(z64).max()
+        assert abs(loss32 - loss64) <= tol * abs(loss64)
+        for a, b in zip(g32, g64):
+            assert a.dtype == np.float64  # float64 master accumulators
+            assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+    def test_float32_input_stays_float32(self):
+        rng = np.random.default_rng(5)
+        model = UNet(depth=2, base_channels=4, seed=5, zero_head=False)
+        seen = record_dtypes(model)
+        x = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
+        target = (rng.random(x.shape) < 0.5).astype(float)
+        labeled = rng.random(x.shape) < 0.5
+        _, _, grad, _ = step_grads(model, x, target, labeled)
+        assert grad.dtype == np.float32
+        probs = model.forward(x)
+        model.backward(np.ones_like(probs))
+        kinds = {(name, direction) for name, direction, _, _ in seen}
+        assert {("Conv2d", "backward"), ("MaxPool2d", "backward"),
+                ("Upsample2x", "backward"), ("ReLU", "forward"),
+                ("Sigmoid", "backward")} <= kinds
+        assert all(i == np.float32 and o == np.float32
+                   for _, _, i, o in seen), seen
+        for layer in model._blocks():
+            if isinstance(layer, numeric.Conv2d):
+                assert layer._xp.dtype == np.float32
+        assert all(p.dtype == np.float64 for p in model.params)
+        assert all(g.dtype == np.float64 for g in model.grads)
+
+
 class FixedRng:
     """Generator stand-in replaying scripted random()/uniform() draws."""
 
@@ -254,6 +361,28 @@ class TestStage1:
             return b"".join(p.tobytes() for p in model.params)
 
         assert run() == run()
+
+    def test_augment_fallbacks_counted(self, monkeypatch):
+        def always_out_of_frame(sample, cfg, rng):
+            raise ResampleNeeded()
+
+        monkeypatch.setattr(segmentation, "augment", always_out_of_frame)
+        image, mask = stripe_scene()
+        _, log = stage1_train(
+            [image], [mask], model=tiny_model(),
+            cfg=SegTrainConfig(steps=3, batch_size=2),
+            crop=32, crops_per_scan=10)
+        assert log.augment_fallbacks == 6
+        assert len(log.losses) == 3
+
+    def test_no_fallbacks_when_augment_succeeds(self):
+        image, mask = stripe_scene()
+        _, log = stage1_train(
+            [image], [mask], model=tiny_model(),
+            cfg=SegTrainConfig(steps=2, batch_size=2),
+            aug_cfg=AugmentationConfig(enabled=False),
+            crop=32, crops_per_scan=10)
+        assert log.augment_fallbacks == 0
 
     def test_no_labels_rejected(self):
         with pytest.raises(SamplingError):

@@ -230,6 +230,8 @@ def load_polar_scan(path) -> PolarScan:
             "<IIfd3d", read_exact(f, 44, "scan file header"))
         power = np.frombuffer(read_exact(f, 4 * a * r, "scan file payload"),
                               dtype="<f4")
+    if not np.all(np.isfinite(power)):
+        raise ValueError(f"non-finite power in scan file {path}")
     return PolarScan(power=power.astype(np.float64).reshape(a, r),
                      range_resolution=float(np.float32(res)),
                      timestamp=timestamp, pose=np.array(pose))

@@ -9,10 +9,11 @@ Every layer exposes forward(x), backward(grad), and `params` / `grads`
 lists of same-shaped arrays. No autodiff: gradients are hand-derived and
 verified against central differences (see gradcheck).
 
-Conv2d keeps the (N, C, H, W) interface but computes channel-last, as one
-GEMM over the patch matrix of a padded (N, H, W, C) array (Chellapilla et
-al. 2006); UNetInference shares these helpers. Returned arrays may be
-transpose views of channel-last memory.
+Conv2d keeps the (N, C, H, W) interface but computes channel-last, as k
+GEMMs over row views of one kernel-row panel of a padded (N, H, W, C) array
+(Anderson et al. 2017), not the k*k-times-larger im2col matrix; forward,
+dW, dX and UNetInference share it. Returned arrays may be transpose views
+of channel-last memory.
 """
 
 import struct
@@ -58,26 +59,33 @@ def pad_nhwc(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _patches_nhwc(xp: np.ndarray, k: int, stride: int = 1):
-    """Padded (N, H, W, C) -> ((N*oh*ow, k*k*C) patch matrix, oh, ow).
+def _kernel_rows(xp: np.ndarray, k: int, stride: int = 1):
+    """Padded (N, H, W, C) -> (k GEMM operands (N, oh*ow, k*C), oh, ow).
 
-    Columns run over (kernel row, kernel column, channel).
+    Operand u is kernel row u of every output window: a view (a copy at
+    stride > 1) of one kernel-row panel (N, H, ow, k*C), k input copies.
     """
     n, h, w, c = xp.shape
     oh = (h - k) // stride + 1
     ow = (w - k) // stride + 1
     s0, s1, s2, s3 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, oh, ow, k, k, c),
-        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False)
-    return windows.reshape(n * oh * ow, k * k * c), oh, ow
+    panel = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+        xp, shape=(n, h, ow, k, c), strides=(s0, s1, s2 * stride, s2, s3),
+        writeable=False)).reshape(n, h, ow, k * c)
+    return [panel[:, u:u + stride * (oh - 1) + 1:stride].reshape(
+        n, oh * ow, k * c) for u in range(k)], oh, ow
 
 
 def conv_nhwc(xp: np.ndarray, wmat: np.ndarray, k: int,
               stride: int = 1) -> np.ndarray:
-    """Padded (N, H, W, C) times a (k*k*C, O) matrix: (N, oh, ow, O)."""
-    cols, oh, ow = _patches_nhwc(xp, k, stride)
-    return (cols @ wmat).reshape(xp.shape[0], oh, ow, -1)
+    """Padded (N, H, W, C) times a (k*k*C, O) matrix: (N, oh, ow, O),
+    summed over kernel rows of one stacked GEMM each."""
+    rows, oh, ow = _kernel_rows(xp, k, stride)
+    wrows = wmat.reshape(k, -1, wmat.shape[1])
+    out = rows[0] @ wrows[0]
+    for u in range(1, k):
+        out += rows[u] @ wrows[u]
+    return out.reshape(xp.shape[0], oh, ow, -1)
 
 
 def conv_matrix(weight: np.ndarray) -> np.ndarray:
@@ -88,8 +96,8 @@ def conv_matrix(weight: np.ndarray) -> np.ndarray:
 class Conv2d(Layer):
     """2-D convolution (cross-correlation), square kernel, zero padding.
 
-    forward keeps only the padded NHWC input; backward rebuilds the patch
-    matrix from it, since keeping the matrix would hold k*k input copies.
+    forward keeps only the padded NHWC input; backward rebuilds the
+    kernel-row panel from it, since keeping it would hold k input copies.
     The output is a transpose view of NHWC memory, which ReLU preserves.
     """
 
@@ -136,18 +144,20 @@ class Conv2d(Layer):
         k, s, p = self.k, self.stride, self.padding
         n, _, oh, ow = grad.shape
         weight = self.weight.astype(grad.dtype)
-        g = grad.transpose(0, 2, 3, 1)
-        gmat = g.reshape(n * oh * ow, self.out_channels)
-        # the patch matrix is a temporary, freed before dX needs its own
-        dw = _patches_nhwc(self._xp, k, s)[0].T @ gmat
+        g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(
+            n, oh * ow, self.out_channels)
+        # dW per kernel row from a temporary panel, freed before dX needs
+        # its own; stacked GEMMs, as the rows do not flatten without a copy
+        dw = np.stack([(rows.transpose(0, 2, 1) @ g).sum(axis=0)
+                       for rows in _kernel_rows(self._xp, k, s)[0]])
         self.d_weight += dw.reshape(
             k, k, self.in_channels, self.out_channels).transpose(3, 2, 0, 1)
-        self.d_bias += gmat.sum(axis=0)
+        self.d_bias += g.sum(axis=(0, 1))
         if s == 1:
             # dX is the correlation of the gradient, padded so that the
             # output is exactly H x W, with the spatially flipped kernels
             wflip = weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
-            dx = conv_nhwc(pad_nhwc(g, k - 1 - p),
+            dx = conv_nhwc(pad_nhwc(g.reshape(n, oh, ow, -1), k - 1 - p),
                            wflip.reshape(-1, self.in_channels), k)
         else:
             # each kernel tap scatters one GEMM into a strided slice
@@ -155,7 +165,7 @@ class Conv2d(Layer):
             for u in range(k):
                 for v in range(k):
                     dxp[:, u:u + s * oh:s, v:v + s * ow:s] += (
-                        gmat @ weight[:, :, u, v]).reshape(n, oh, ow, -1)
+                        g @ weight[:, :, u, v]).reshape(n, oh, ow, -1)
             dx = dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p]
         return dx.transpose(0, 3, 1, 2)
 

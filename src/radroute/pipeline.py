@@ -16,7 +16,7 @@ import numpy as np
 from . import audio, canvas, dsp, evaluate, formats, fusion, segmentation
 from . import simworld
 from .canvas import Label
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 from .simworld import SimConfig, TerrainClass
 
 DEFAULT_CONFIG = {
@@ -439,12 +439,21 @@ def _load_masks(out: str, subdir: str):
         for f in sorted(os.listdir(mdir)) if f.endswith(".pgm")]
 
 
+def _scan_masks(out: str, subdir: str, n_scans: int):
+    """The masks of subdir, which must hold exactly one per training scan."""
+    masks = _load_masks(out, subdir)
+    if len(masks) != n_scans:
+        raise InputError(f"{subdir} holds {len(masks)} masks for "
+                         f"{n_scans} training scans")
+    return masks
+
+
 def run_train_seg(cfg: dict, out: str, stage: int):
     scfg = cfg["segmentation"]
     seed = cfg["seed"]
     _, images, _ = _prepared_train_images(cfg, out)
     if stage == 1:
-        masks = _load_masks(out, "masks_initial")
+        masks = _scan_masks(out, "masks_initial", len(images))
         model = segmentation.UNet(depth=scfg["depth"],
                                   base_channels=scfg["base_channels"],
                                   seed=derive_seed(seed, 70))
@@ -457,7 +466,7 @@ def run_train_seg(cfg: dict, out: str, stage: int):
         segmentation.save_unet(os.path.join(out, "seg_stage1.kowt"),
                                os.path.join(out, "seg_stage1.json"), model)
     elif stage == 2:
-        masks = _load_masks(out, "masks_propagated")
+        masks = _scan_masks(out, "masks_propagated", len(images))
         model = segmentation.load_unet(os.path.join(out, "seg_stage1.kowt"),
                                        os.path.join(out, "seg_stage1.json"))
         tcfg = segmentation.SegTrainConfig(
@@ -484,7 +493,7 @@ def run_propagate(cfg: dict, out: str):
     model = segmentation.load_unet(os.path.join(out, "seg_stage1.kowt"),
                                    os.path.join(out, "seg_stage1.json"))
     scans, images, max_ranges = _prepared_train_images(cfg, out)
-    masks = _load_masks(out, "masks_initial")
+    masks = _scan_masks(out, "masks_initial", len(scans))
     pcfg = segmentation.PropagationConfig(
         tile_size=scfg["tile_size"], n_rotations=scfg["n_rotations"],
         vote_threshold=scfg["vote_threshold"],
@@ -581,8 +590,8 @@ def run_render(cfg: dict, out: str):
     final segmentation, as red/green tinted PPM overlays."""
     ccfg = cfg["canvas"]
     scans, images, _ = _prepared_train_images(cfg, out)
-    initial = _load_masks(out, "masks_initial")
-    propagated = _load_masks(out, "masks_propagated")
+    initial = _scan_masks(out, "masks_initial", len(scans))
+    propagated = _scan_masks(out, "masks_propagated", len(scans))
     model = segmentation.load_unet(os.path.join(out, "seg_stage2.kowt"),
                                    os.path.join(out, "seg_stage2.json"))
     render_dir = _ensure_dir(os.path.join(out, "render"))

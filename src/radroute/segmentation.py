@@ -481,6 +481,12 @@ def _conv3(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pool2(x: np.ndarray) -> np.ndarray:
+    """2x2 max pool of channel-last x over its four strided tap views."""
+    return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+                      np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
+
+
 def _parity_mats(weight: np.ndarray) -> list:
     """Per-parity 2x2 kernels equivalent to 3x3 conv after 2x upsampling."""
     out = []
@@ -544,8 +550,7 @@ class UNetInference:
             xt = _conv3(xt, m2, b2)
             np.maximum(xt, 0.0, out=xt)
             skips.append(xt)
-            n, h, w, c = xt.shape
-            xt = xt.reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
+            xt = _pool2(xt)
         for m, b in self.bottleneck:
             xt = _conv3(xt, m, b)
             np.maximum(xt, 0.0, out=xt)

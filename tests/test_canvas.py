@@ -249,6 +249,17 @@ class TestScanFile:
         with pytest.raises(ValueError, match="truncated scan file payload"):
             canvas.load_polar_scan(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, tmp_path, bad):
+        path = tmp_path / "scan.rds"
+        canvas.save_polar_scan(path, polar(np.ones((3, 2)), res=0.25,
+                                           pose=(0.0, 0.0, 0.0), t=1.0))
+        raw = bytearray(path.read_bytes())
+        raw[48 + 4 * 2:48 + 4 * 3] = struct.pack("<f", bad)  # power[1, 0]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="non-finite power.*scan.rds"):
+            canvas.load_polar_scan(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rds"
         path.write_bytes(b"XXXX" + b"\x00" * 60)

@@ -193,6 +193,81 @@ class TestEvalSeg:
         assert rc == cli.EXIT_GATE_FAILED
 
 
+SMALL_TRAIN = {"simworld": {"grid_size": 64, "scatterer_density": 0.0},
+               "canvas": {"image_size": 64},
+               "segmentation": {"depth": 1, "base_channels": 2,
+                                "stage1_steps": 2, "crop": 32,
+                                "crops_per_scan": 2, "n_rotations": 1}}
+
+
+def write_train_fixture(out, cfg, n_masks):
+    """A training world with two scans, a stage-1 model and n_masks
+    all-unlabeled initial masks."""
+    sc = pipeline.sim_config(cfg)
+    seed = pipeline.derive_seed(cfg["seed"], pipeline.WORLD_TAGS["train"])
+    world = simworld.generate_world(seed, sc)
+    os.makedirs(out)
+    simworld.save_world(world, os.path.join(out, "world_train.json"),
+                        os.path.join(out, "world_train.pgm"))
+    for sub in ("scans_train", "masks_initial"):
+        os.makedirs(os.path.join(out, sub))
+    for i in range(2):
+        pose = (world.extent_m / 2, world.extent_m / 2, 0.3 * i)
+        canvas.save_polar_scan(
+            os.path.join(out, "scans_train", f"scan_{i:03d}.rds"),
+            simworld.synth_radar(world, pose, sc, seed + i))
+    size = cfg["canvas"]["image_size"]
+    for i in range(n_masks):
+        formats.write_pgm(
+            os.path.join(out, "masks_initial", f"mask_{i:03d}.pgm"),
+            canvas.mask_to_pgm_values(np.zeros((size, size), np.uint8)))
+    scfg = cfg["segmentation"]
+    segmentation.save_unet(
+        os.path.join(out, "seg_stage1.kowt"),
+        os.path.join(out, "seg_stage1.json"),
+        segmentation.UNet(depth=scfg["depth"],
+                          base_channels=scfg["base_channels"]))
+
+
+class TestMaskCount:
+    @pytest.mark.parametrize("command", [["train-seg", "--stage", "1"],
+                                         ["propagate"]])
+    @pytest.mark.parametrize("n_masks", [0, 1])
+    def test_fewer_masks_than_scans_fails(self, tmp_path, capsys, command,
+                                          n_masks):
+        # zip() over scans and masks would drop the scans without a mask
+        out = str(tmp_path / "run")
+        write_train_fixture(out, pipeline.resolve_config(SMALL_TRAIN),
+                            n_masks)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_TRAIN))
+        rc = cli.main(["--config", str(cfg_path), "--out", out] + command)
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"masks_initial holds {n_masks} masks for 2 " in err
+        assert not os.path.exists(os.path.join(out, "masks_propagated"))
+        assert not os.path.exists(os.path.join(out, "seg_stage1_log.json"))
+
+
+class TestNonFiniteScan:
+    def test_segment_rejects_nan_scan(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        write_train_fixture(out, pipeline.resolve_config(SMALL_TRAIN), 2)
+        path = os.path.join(out, "scans_train", "scan_001.rds")
+        scan = canvas.load_polar_scan(path)
+        scan.power[3, 5] = np.nan
+        canvas.save_polar_scan(path, scan)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_TRAIN))
+        rc = cli.main(["--config", str(cfg_path), "--out", out, "segment",
+                       "--scans", "scans_train", "--model", "seg_stage1"])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "non-finite power" in err and "scan_001.rds" in err
+        pred_dir = os.path.join(out, "pred_scans_train")
+        assert not os.path.exists(pred_dir) or not os.listdir(pred_dir)
+
+
 class TestReproduce:
     def test_unreachable_gate_fails_run(self, tmp_path, capsys):
         # gate 9's reduced sizes; no pixel accuracy can exceed 1

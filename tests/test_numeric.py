@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radroute import numeric
+from radroute import numeric, segmentation
 from radroute.errors import (DegenerateBatchError, NumericError, ShapeError)
 
 
@@ -143,6 +143,72 @@ class TestConv2dOracle:
         got += conv.bias.astype(np.float32)
         assert got.dtype == np.float32
         assert np.abs(got.transpose(0, 3, 1, 2) - want).max() <= 1e-5
+
+
+# (kernel, padding, stride, batch, channels): every kernel size of the
+# kernel-row sum, one and several images (the stacked GEMMs of dW and the
+# forward pass), a single input channel, and stride 2 (copied panel rows)
+PANEL_CONFIGS = [(k, p, s, n, c)
+                 for k, p in ((1, 0), (2, 1), (3, 1)) for s in (1, 2)
+                 for n in (1, 3) for c in (1, 2)]
+
+
+class TestKernelRowPanel:
+    @pytest.mark.parametrize("k,p,s,n,c", PANEL_CONFIGS)
+    def test_forward_dw_dx_match_loops(self, k, p, s, n, c):
+        rng = np.random.default_rng(100 * k + 10 * s + n + c)
+        conv = numeric.Conv2d(c, 3, k, stride=s, padding=p, rng=rng)
+        conv.bias[...] = rng.normal(size=3)
+        x = rng.normal(size=(n, c, 7, 6))
+        out = conv.forward(x)
+        want = conv_oracle(x, conv.weight, conv.bias, stride=s, padding=p)
+        assert out.shape == want.shape
+        assert np.abs(out - want).max() <= 1e-12
+        grad = rng.normal(size=out.shape)
+        dx = conv.backward(grad)
+        dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, s, p)
+        assert np.abs(conv.d_weight - dw).max() <= 1e-12
+        assert np.abs(conv.d_bias - db).max() <= 1e-12
+        assert dx.shape == x.shape
+        assert np.abs(dx - dx_want).max() <= 1e-12
+        # the float32 training path of the same layer
+        conv.zero_grad()
+        out32 = conv.forward(x.astype(np.float32))
+        dx32 = conv.backward(grad.astype(np.float32))
+        assert out32.dtype == dx32.dtype == np.float32
+        for got, ref in ((out32, want), (dx32, dx_want),
+                         (conv.d_weight, dw), (conv.d_bias, db)):
+            assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape", [(1, 1, 256, 256), (16, 1, 64, 64)])
+    def test_inference_matches_float64_unet(self, shape):
+        # a full scan, and a batch of propagation tiles
+        rng = np.random.default_rng(shape[0])
+        model = segmentation.UNet(depth=3, base_channels=8, seed=3,
+                                 zero_head=False)
+        for p in model.params:
+            if p.ndim == 1:  # biases: nonzero, so no bias path goes untested
+                p[...] = rng.normal(scale=0.1, size=p.shape)
+        # a larger head spreads the probabilities over about (0.01, 0.99)
+        # rather than within 0.05 of 0.5, so that errors are not squashed
+        model.head.weight *= 30.0
+        x = rng.normal(size=shape)
+        want = model.forward(x)
+        got = segmentation.UNetInference(model).forward(x)
+        assert got.dtype == np.float32
+        assert want.min() < 0.2 and want.max() > 0.8
+        assert np.abs(got - want).max() <= 1e-5
+
+    def test_inference_pool_bit_identical_to_reshape_max(self):
+        # ReLU outputs: non-negative, with ties, and one NaN
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 4, size=(3, 8, 6, 5)).astype(np.float32)
+        x[1, 3, 2, 4] = np.nan
+        want = x.reshape(3, 4, 2, 3, 2, 5).max(axis=(2, 4))
+        got = segmentation._pool2(x)
+        assert np.isnan(got[1, 1, 1, 4])
+        np.testing.assert_array_equal(got.view(np.int32),
+                                      want.view(np.int32))
 
 
 class TestSimpleLayers:

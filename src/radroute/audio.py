@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsp, numeric
+from . import dsp, formats, numeric
 from .dsp import AudioClip, StftConfig
 from .errors import NumericError
 from .simworld import TerrainClass
@@ -241,17 +241,13 @@ def _named_params(model: numeric.Sequential):
 
 def save_model(weights_path, header_path, model: numeric.Sequential,
                representation: str, input_shape, class_order=None):
-    import json
-
     numeric.save_weights(weights_path, _named_params(model))
     header = {
         "representation": representation,
         "input_shape": list(input_shape),
         "class_order": class_order or [t.name.lower() for t in TerrainClass],
     }
-    with open(header_path, "w") as f:
-        json.dump(header, f, indent=2, sort_keys=True)
-        f.write("\n")
+    formats.write_json(header_path, header)
 
 
 def load_model_weights(weights_path, model: numeric.Sequential):

@@ -1,6 +1,7 @@
 """Small binary/text format helpers: PGM, PPM, WAV, CSV streams."""
 
 import json
+import re
 import wave
 
 import numpy as np
@@ -20,16 +21,21 @@ def write_pgm(path, image: np.ndarray):
 
 
 def read_pgm(path) -> np.ndarray:
+    """8-bit binary PGM (P5, no comments): exactly W·H pixel bytes follow
+    the single whitespace byte after maxval."""
     with open(path, "rb") as f:
         data = f.read()
-    if not data.startswith(b"P5"):
-        raise ValueError("not a binary PGM file")
-    # header: three whitespace-separated tokens after magic (no comments)
-    parts = data.split(maxsplit=4)
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
+    header = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
+    if header is None:
+        raise ValueError(f"truncated or malformed PGM header in {path}")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise ValueError("only 8-bit PGM supported")
-    pixels = data[len(data) - w * h:]
+    pixels = data[header.end():]
+    if len(pixels) != w * h:
+        what = "truncated" if len(pixels) < w * h else "overlong"
+        raise ValueError(f"{what} PGM file {path}: header declares {w}x{h} "
+                         f"pixels, data holds {len(pixels)} bytes")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
 
 
@@ -56,10 +62,15 @@ def db_image_to_pgm(path, values: np.ndarray, sidecar_path=None):
     gray = np.round((values - lo) / span * 255.0).astype(np.uint8)
     write_pgm(path, gray)
     if sidecar_path is not None:
-        with open(sidecar_path, "w") as f:
-            json.dump({"db_min": lo, "db_max": hi, "rows": "channels",
-                       "cols": "frames"}, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(sidecar_path, {"db_min": lo, "db_max": hi,
+                                  "rows": "channels", "cols": "frames"})
+
+
+def write_json(path, obj):
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: float):

@@ -1,15 +1,19 @@
 """File-based pipeline stages and the end-to-end reproduction run.
 
 Every stage reads and writes files under a single output directory so the
-pipeline is inspectable and resumable; `reproduce` chains all stages and
-writes a manifest of output hashes. All randomness derives from the global
-seed, so two runs with the same (config, seed) are byte-identical.
+pipeline is inspectable and resumable. `STAGES` declares each stage's run
+function, inputs and report for the CLI; `reproduce` runs the `REPRODUCE`
+steps through the same input checks and writes a manifest of output
+hashes. All randomness derives from the global seed, so two runs with the
+same (config, seed) are byte-identical.
 """
 
 import copy
 import hashlib
 import json
 import os
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,10 +167,22 @@ def _ensure_dir(path):
 WORLD_TAGS = {"train": 11, "eval_short": 12, "eval_long": 13}
 
 
+def write_resolved_config(cfg: dict, out: str):
+    """Record the fully-resolved settings next to the outputs.
+
+    The output directory itself is omitted so identical runs into
+    different directories produce byte-identical files.
+    """
+    recorded = {k: v for k, v in cfg.items() if k != "output_dir"}
+    formats.write_json(os.path.join(out, "config.json"), recorded)
+
+
 def run_simulate(cfg: dict, out: str):
-    """Worlds, traverse, sensor streams, and radar scans with ground truth."""
+    """The resolved config, worlds, traverse, sensor streams, and radar
+    scans with ground truth."""
     seed = cfg["seed"]
     _ensure_dir(out)
+    write_resolved_config(cfg, out)
     worlds = {}
     for name, tag in WORLD_TAGS.items():
         profile = "long" if name == "eval_long" else "short"
@@ -266,18 +282,14 @@ def _load_class_clips(out: str, sample_rate: float) -> dict:
 
 def _split_dataset(dataset: audio.AudioDataset, train_fraction: float,
                    seed: int):
+    """(train, test) datasets from a seeded permutation."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5011]))
-    n = len(dataset)
-    order = rng.permutation(n)
-    n_train = int(round(train_fraction * n))
-    tr, te = order[:n_train], order[n_train:]
-    train = audio.AudioDataset(images=dataset.images[tr],
-                               labels=dataset.labels[tr],
-                               representation=dataset.representation)
-    test = audio.AudioDataset(images=dataset.images[te],
-                              labels=dataset.labels[te],
-                              representation=dataset.representation)
-    return train, test
+    order = rng.permutation(len(dataset))
+    n_train = int(round(train_fraction * len(dataset)))
+    return tuple(audio.AudioDataset(images=dataset.images[idx],
+                                    labels=dataset.labels[idx],
+                                    representation=dataset.representation)
+                 for idx in (order[:n_train], order[n_train:]))
 
 
 def run_train_audio(cfg: dict, out: str):
@@ -315,9 +327,7 @@ def run_train_audio(cfg: dict, out: str):
     report = {rep: {"accuracies": accuracies[rep],
                     "mean": float(np.mean(accuracies[rep]))}
               for rep in audio.REPRESENTATIONS}
-    with open(os.path.join(out, "audio_report.json"), "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    formats.write_json(os.path.join(out, "audio_report.json"), report)
     audio.save_model(os.path.join(out, "audio_model.kowt"),
                      os.path.join(out, "audio_model.json"),
                      final_model, acfg["representation"], final_shape)
@@ -347,9 +357,7 @@ def run_eval_audio(cfg: dict, out: str):
         correct += int(p.terrain == int(truth.terrain_at_pose[k]))
     accuracy = correct / len(predictions)
     report = {"stream_accuracy": accuracy, "n_predictions": len(predictions)}
-    with open(os.path.join(out, "stream_report.json"), "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    formats.write_json(os.path.join(out, "stream_report.json"), report)
     return report
 
 
@@ -463,8 +471,6 @@ def run_train_seg(cfg: dict, out: str, stage: int):
         model, log = segmentation.stage1_train(
             images, masks, model=model, cfg=tcfg, crop=scfg["crop"],
             crops_per_scan=scfg["crops_per_scan"])
-        segmentation.save_unet(os.path.join(out, "seg_stage1.kowt"),
-                               os.path.join(out, "seg_stage1.json"), model)
     elif stage == 2:
         masks = _scan_masks(out, "masks_propagated", len(images))
         model = segmentation.load_unet(os.path.join(out, "seg_stage1.kowt"),
@@ -473,10 +479,10 @@ def run_train_seg(cfg: dict, out: str, stage: int):
             learning_rate=scfg["stage2_lr"], batch_size=1,
             steps=scfg["stage2_steps"], seed=derive_seed(seed, 72))
         model, log = segmentation.stage2_finetune(model, images, masks, tcfg)
-        segmentation.save_unet(os.path.join(out, "seg_stage2.kowt"),
-                               os.path.join(out, "seg_stage2.json"), model)
     else:
         raise ConfigurationError("stage must be 1 or 2")
+    segmentation.save_unet(os.path.join(out, f"seg_stage{stage}.kowt"),
+                           os.path.join(out, f"seg_stage{stage}.json"), model)
     with open(os.path.join(out, f"seg_stage{stage}_log.json"), "w") as f:
         json.dump({"losses": log.losses,
                    "skipped_batches": log.skipped_batches,
@@ -530,9 +536,7 @@ def run_propagate(cfg: dict, out: str):
         "grass_false_positive_rate":
             grass_fp / grass_total if grass_total else 0.0,
     }
-    with open(os.path.join(out, "propagation_report.json"), "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    formats.write_json(os.path.join(out, "propagation_report.json"), report)
     return report
 
 
@@ -555,7 +559,7 @@ def run_segment(cfg: dict, out: str, scans_subdir: str = "scans_eval_short",
 
 def run_eval_seg(cfg: dict, out: str) -> dict:
     """Score predictions on both held-out worlds; exit gate data returned."""
-    ccfg = cfg["canvas"]
+    size, mpp = cfg["canvas"]["image_size"], cfg["canvas"]["metres_per_pixel"]
     results = {}
     for name in ("eval_short", "eval_long"):
         world = simworld.load_world(os.path.join(out, f"world_{name}.json"))
@@ -563,25 +567,13 @@ def run_eval_seg(cfg: dict, out: str) -> dict:
         pred_dir = os.path.join(out, f"pred_scans_{name}")
         preds, gts, ignores = [], [], []
         for i, scan in enumerate(scans):
-            pred = formats.read_pgm(
-                os.path.join(pred_dir, f"pred_{i:03d}.pgm")) > 127
-            gt = simworld.ground_truth_mask(world, scan.pose,
-                                            ccfg["image_size"],
-                                            ccfg["metres_per_pixel"])
-            ignore = canvas.range_ignore_mask(ccfg["image_size"],
-                                              ccfg["metres_per_pixel"],
-                                              scan.max_range)
-            preds.append(pred)
-            gts.append(gt)
-            ignores.append(ignore)
-        pred = np.stack(preds)
-        gt = np.stack(gts)
-        ignore = np.stack(ignores)
-        s = evaluate.scores(pred, gt, ignore)
+            preds.append(formats.read_pgm(
+                os.path.join(pred_dir, f"pred_{i:03d}.pgm")) > 127)
+            gts.append(simworld.ground_truth_mask(world, scan.pose, size, mpp))
+            ignores.append(canvas.range_ignore_mask(size, mpp, scan.max_range))
+        s = evaluate.scores(np.stack(preds), np.stack(gts), np.stack(ignores))
         results[name] = {"pixel_accuracy": s.pixel_accuracy, "iou": s.iou}
-    with open(os.path.join(out, "seg_scores.json"), "w") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
-        f.write("\n")
+    formats.write_json(os.path.join(out, "seg_scores.json"), results)
     return results
 
 
@@ -633,39 +625,120 @@ def write_manifest(out: str):
             with open(path, "rb") as f:
                 digest = hashlib.sha256(f.read()).hexdigest()
             entries[rel.replace(os.sep, "/")] = digest
-    with open(os.path.join(out, "manifest.json"), "w") as f:
-        json.dump(entries, f, indent=2, sort_keys=True)
-        f.write("\n")
+    formats.write_json(os.path.join(out, "manifest.json"), entries)
     return entries
-
-
-def write_resolved_config(cfg: dict, out: str):
-    """Record the fully-resolved settings next to the outputs.
-
-    The output directory itself is omitted so identical runs into
-    different directories produce byte-identical files.
-    """
-    recorded = {k: v for k, v in cfg.items() if k != "output_dir"}
-    with open(os.path.join(out, "config.json"), "w") as f:
-        json.dump(recorded, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def run_reproduce(cfg: dict, out: str):
     """The full pipeline, end to end, into one output directory."""
-    _ensure_dir(out)
-    write_resolved_config(cfg, out)
-    run_simulate(cfg, out)
-    run_train_audio(cfg, out)
-    run_eval_audio(cfg, out)
-    run_fuse(cfg, out)
-    run_paint(cfg, out)
-    run_train_seg(cfg, out, stage=1)
-    run_propagate(cfg, out)
-    run_train_seg(cfg, out, stage=2)
-    run_segment(cfg, out, "scans_eval_short")
-    run_segment(cfg, out, "scans_eval_long")
-    results = run_eval_seg(cfg, out)
-    run_render(cfg, out)
+    results = {name: run_stage(name, cfg, out, **params)
+               for name, params in REPRODUCE}
     write_manifest(out)
-    return results
+    return results["eval-seg"]
+
+
+# ------------------------------------------------------------------ stages
+
+
+def seg_score_lines(results: dict) -> str:
+    return "\n".join(f"{name}: pixel_accuracy={r['pixel_accuracy']:.4f} "
+                     f"iou={r['iou']:.4f}"
+                     for name, r in sorted(results.items()))
+
+
+def seg_gates_pass(results: dict, cfg: dict) -> bool:
+    """Every held-out score meets eval.min_pixel_accuracy and eval.min_iou."""
+    e = cfg["eval"]
+    return all(r["pixel_accuracy"] >= e["min_pixel_accuracy"]
+               and r["iou"] >= e["min_iou"] for r in results.values())
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A pipeline stage as the CLI and `reproduce` see it.
+
+    run(cfg, out, **params) does the work, inputs(**params) names what it
+    reads under out, and summary(result, **params) is its stdout report.
+    options are the CLI flags that set params, as (flag, argparse
+    keywords); gate(result, cfg) is False when the result misses a gate.
+    """
+    name: str
+    run: Callable
+    inputs: Callable
+    summary: Callable | None = None
+    options: tuple = ()
+    gate: Callable | None = None
+
+
+STAGES = {s.name: s for s in (
+    Stage("simulate", run_simulate, lambda: ()),
+    Stage("train-audio", run_train_audio, lambda: ("audio",),
+          lambda report: "\n".join(
+              f"{rep}: mean held-out accuracy {r['mean']:.4f}"
+              for rep, r in sorted(report.items()))),
+    Stage("eval-audio", run_eval_audio,
+          lambda: ("audio_model.kowt", "audio_model.json",
+                   "traverse_audio.wav", "poses_train.csv"),
+          lambda report: f"stream accuracy {report['stream_accuracy']:.4f} "
+                         f"over {report['n_predictions']} predictions"),
+    Stage("fuse", run_fuse, lambda: ("vo.csv", "gps.csv", "poses_train.csv"),
+          lambda fused: f"fused {len(fused)} poses"),
+    Stage("paint", run_paint,
+          lambda: ("fused.csv", "predictions.csv", "scans_train"),
+          lambda lt: f"labeled trajectory: {len(lt.poses)} entries"),
+    Stage("train-seg", run_train_seg,
+          lambda stage: ("scans_train",) + (
+              ("masks_initial",) if stage == 1 else
+              ("masks_propagated", "seg_stage1.kowt", "seg_stage1.json")),
+          lambda model, stage: f"stage {stage} model saved",
+          options=(("--stage", {"type": int, "choices": (1, 2),
+                                "required": True}),)),
+    Stage("propagate", run_propagate,
+          lambda: ("seg_stage1.kowt", "seg_stage1.json", "scans_train",
+                   "masks_initial", "world_train.json", "world_train.pgm"),
+          lambda report: f"side path recall "
+                         f"{report['side_path_recall']:.3f}, grass false "
+                         f"positive rate "
+                         f"{report['grass_false_positive_rate']:.3f}"),
+    Stage("segment",
+          lambda cfg, out, scans, model: run_segment(cfg, out, scans, model),
+          lambda scans, model: (f"{model}.kowt", f"{model}.json", scans),
+          lambda _, scans, model: f"segmented {scans}",
+          options=(("--scans", {"default": "scans_eval_short",
+                                "help": "scan subdirectory under the "
+                                        "output dir"}),
+                   ("--model", {"default": "seg_stage2"}))),
+    Stage("eval-seg", run_eval_seg,
+          lambda: ("world_eval_short.json", "world_eval_short.pgm",
+                   "world_eval_long.json", "world_eval_long.pgm",
+                   "scans_eval_short", "scans_eval_long",
+                   "pred_scans_eval_short", "pred_scans_eval_long"),
+          seg_score_lines, gate=seg_gates_pass),
+    Stage("render", run_render,
+          lambda: ("scans_train", "masks_initial", "masks_propagated",
+                   "seg_stage2.kowt", "seg_stage2.json"),
+          lambda _: "renders written"),
+    Stage("reproduce", run_reproduce, lambda: (), seg_score_lines,
+          gate=seg_gates_pass),
+)}
+
+# The paper's chain of stages, in order, each with its parameters.
+REPRODUCE = (
+    ("simulate", {}), ("train-audio", {}), ("eval-audio", {}), ("fuse", {}),
+    ("paint", {}), ("train-seg", {"stage": 1}), ("propagate", {}),
+    ("train-seg", {"stage": 2}),
+    ("segment", {"scans": "scans_eval_short", "model": "seg_stage2"}),
+    ("segment", {"scans": "scans_eval_long", "model": "seg_stage2"}),
+    ("eval-seg", {}), ("render", {}),
+)
+
+
+def run_stage(name: str, cfg: dict, out: str, **params):
+    """Check that every input the stage declares exists under out (else
+    FileNotFoundError), then run it and return its result."""
+    stage = STAGES[name]
+    for rel in stage.inputs(**params):
+        path = os.path.join(out, rel)
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"missing input for {name}: {path}")
+    return stage.run(cfg, out, **params)

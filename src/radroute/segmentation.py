@@ -5,12 +5,13 @@ masked loss. A rotation-ensemble pass then propagates labels to unlabeled
 regions, and stage 2 fine-tunes on full scans with the densified masks.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from . import numeric
+from . import formats, numeric
 from .canvas import Label
 from .errors import NumericError, SamplingError, ShapeError
 
@@ -151,20 +152,14 @@ class UNet:
 
 
 def save_unet(weights_path, header_path, model: UNet, thresholds=None):
-    import json
-
     numeric.save_weights(weights_path, model.named_params())
     header = {"depth": model.depth, "base_channels": model.base_channels,
               "in_channels": model.in_channels,
               "thresholds": thresholds or {"probability": 0.5}}
-    with open(header_path, "w") as f:
-        json.dump(header, f, indent=2, sort_keys=True)
-        f.write("\n")
+    formats.write_json(header_path, header)
 
 
 def load_unet(weights_path, header_path) -> UNet:
-    import json
-
     with open(header_path) as f:
         header = json.load(f)
     model = UNet(depth=header["depth"], base_channels=header["base_channels"],

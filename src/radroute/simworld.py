@@ -7,6 +7,7 @@ pure functions of (inputs, seed).
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .dsp import AudioClip
+from .formats import read_pgm, write_json, write_pgm
 
 
 class TerrainClass(IntEnum):
@@ -458,10 +460,6 @@ def untraversed_region_mask(terrain_map: TerrainMap, pose, image_size: int,
 
 def save_world(terrain_map: TerrainMap, json_path, pgm_path):
     """World as JSON metadata plus a PGM class grid."""
-    from .formats import write_pgm
-
-    import os
-
     meta = {
         "grid_height": terrain_map.grid.shape[0],
         "grid_width": terrain_map.grid.shape[1],
@@ -476,17 +474,11 @@ def save_world(terrain_map: TerrainMap, json_path, pgm_path):
             for poly in terrain_map.path_polylines
         ],
     }
-    with open(json_path, "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(json_path, meta)
     write_pgm(pgm_path, terrain_map.grid.astype(np.uint8))
 
 
 def load_world(json_path) -> TerrainMap:
-    import os
-
-    from .formats import read_pgm
-
     with open(json_path) as f:
         meta = json.load(f)
     pgm = os.path.join(os.path.dirname(str(json_path)), meta["grid_pgm"])

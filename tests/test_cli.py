@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import radroute
 from radroute import (canvas, cli, formats, pipeline, segmentation,
                       simworld)
 from radroute.errors import ConfigurationError
@@ -319,3 +323,71 @@ class TestRenderOverlay:
         r, g, b = rgb[1, 1]
         assert g > r and g > b  # not-path tinted green
         assert (rgb[2, 2] == rgb[2, 2][0]).all()  # unlabeled stays gray
+
+
+
+def stage_argv(name, params):
+    """The CLI words of a reproduce step: the stage name and its flags."""
+    return [name] + [word for key, value in params.items()
+                     for word in (f"--{key}", str(value))]
+
+
+INPUT_STEPS = [(name, params) for name, params in pipeline.REPRODUCE
+               if pipeline.STAGES[name].inputs(**params)]
+
+
+class TestStageTable:
+    def test_reproduce_runs_every_stage(self):
+        assert ({name for name, _ in pipeline.REPRODUCE}
+                == set(pipeline.STAGES) - {"reproduce"})
+
+    @pytest.mark.parametrize(
+        "name, params", INPUT_STEPS,
+        ids=[" ".join(stage_argv(*step)) for step in INPUT_STEPS])
+    def test_empty_out_is_missing_input(self, tmp_path, capsys, name,
+                                        params):
+        out = tmp_path / "run"
+        out.mkdir()
+        rc = cli.main(["--out", str(out)] + stage_argv(name, params))
+        assert rc == cli.EXIT_MISSING_INPUT
+        assert f"missing input for {name}: " in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_missing_sidecar_is_missing_input(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        write_train_fixture(out, pipeline.resolve_config(SMALL_TRAIN), 2)
+        os.remove(os.path.join(out, "seg_stage1.json"))
+        rc = cli.main(["--out", out, "propagate"])
+        assert rc == cli.EXIT_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert "missing input for propagate: " in err
+        assert "seg_stage1.json" in err
+        assert not os.path.exists(os.path.join(out, "masks_propagated"))
+
+
+class TestThreads:
+    def test_threads_reach_environment_before_numpy(self, tmp_path):
+        # records OPENBLAS_NUM_THREADS when numpy is first imported
+        script = textwrap.dedent("""
+            import importlib.abc, json, os, sys
+            seen = []
+            class Spy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            sys.meta_path.insert(0, Spy())
+            from radroute import cli
+            rc = cli.main(["--threads", "3", "--out", sys.argv[1], "fuse"])
+            print(json.dumps([rc, seen]))
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if not k.endswith("_NUM_THREADS")}
+        src = os.path.dirname(os.path.dirname(radroute.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "empty")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            cli.EXIT_MISSING_INPUT, ["3"]]

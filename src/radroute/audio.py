@@ -1,8 +1,12 @@
 """Terrain classification from time-frequency images of wheel-terrain audio.
 
 The trained classifier supplies the weak supervisory signal: a 2 Hz stream
-of terrain predictions over 0.5 s audio windows. Feature images are stacked
-as float32, so the CNN trains and classifies in float32 over float64 master
+of terrain predictions over 0.5 s audio windows. Every feature image comes
+from `window_features`: equal-length windows are framed each on their own,
+one batched STFT per block of `WINDOW_BLOCK` windows serves all three
+representations, the mel and gammatone weights are built once per call,
+and each window's image is standardized on its own. Dataset images are
+float32, so the CNN trains and classifies in float32 over float64 master
 weights.
 """
 
@@ -21,22 +25,69 @@ REPRESENTATIONS = ("spectrogram", "mel", "gammatone")
 N_MEL_CHANNELS = 64
 N_GAMMATONE_CHANNELS = 32
 
+# Windows per batched STFT. It bounds the transient arrays (frames,
+# spectrum, power: about 25 MB at the default framing) whatever the
+# recording length.
+WINDOW_BLOCK = 64
+
+
+def _filter_weights(representation: str, sample_rate: float,
+                    cfg: StftConfig):
+    """(channels x bins weights on STFT power, divisor of the weighted
+    sum), or None for the spectrogram."""
+    if representation == "spectrogram":
+        return None
+    if representation == "mel":
+        return dsp.mel_filterbank(N_MEL_CHANNELS, cfg.fft_size // 2 + 1,
+                                  sample_rate, cfg.fft_size)[0], 1.0
+    if representation != "gammatone":
+        raise ValueError(f"unknown representation {representation!r}")
+    fb = dsp.GammatoneFilterbank.design(N_GAMMATONE_CHANNELS, sample_rate)
+    weights = dsp.gammatone_weights(fb, sample_rate, cfg.fft_size)
+    # dsp.gammatonegram_fast's doubling of the non-DC/non-Nyquist power
+    # bins, moved onto the weights: doubling is exact in floating point
+    weights[:, 1:-1 if cfg.fft_size % 2 == 0 else None] *= 2.0
+    return weights, cfg.fft_size
+
+
+def window_features(windows, sample_rate: float,
+                    representations=REPRESENTATIONS,
+                    cfg: StftConfig | None = None,
+                    dtype=np.float64) -> dict:
+    """Standardized dB images of equal-length windows, per representation.
+
+    windows is an (n, samples) array or a sequence of equal-length 1-D
+    arrays. Returns {representation: (n, channels, frames) array of dtype},
+    each image equal to standardize() of the per-clip dsp function's.
+    """
+    cfg = cfg or StftConfig()
+    banks = {rep: _filter_weights(rep, sample_rate, cfg)
+             for rep in representations}
+    out = {}
+    for start in range(0, len(windows), WINDOW_BLOCK):
+        block = np.asarray(windows[start:start + WINDOW_BLOCK],
+                           dtype=np.float64)
+        mag = np.abs(dsp.stft_windows(block, cfg))  # (b, frames, bins)
+        power = mag ** 2
+        for rep, bank in banks.items():
+            if bank is None:
+                db = dsp.log_power(mag)
+            else:
+                weights, divisor = bank
+                db = dsp.power_db((power @ weights.T) / divisor)
+            if rep not in out:
+                out[rep] = np.empty((len(windows), db.shape[2], db.shape[1]),
+                                    dtype=dtype)
+            for i, image in enumerate(db.transpose(0, 2, 1)):
+                out[rep][start + i] = standardize(image)
+    return out
+
 
 def extract_features(clip: AudioClip, representation: str,
                      cfg: StftConfig | None = None) -> np.ndarray:
-    """Standardized (zero-mean, unit-variance) dB image for one clip."""
-    cfg = cfg or StftConfig()
-    if representation == "spectrogram":
-        image = dsp.spectrogram(clip, cfg).values
-    elif representation == "mel":
-        image = dsp.mel_spectrogram(clip, cfg, N_MEL_CHANNELS).values
-    elif representation == "gammatone":
-        fb = dsp.GammatoneFilterbank.design(N_GAMMATONE_CHANNELS,
-                                            clip.sample_rate)
-        image = dsp.gammatonegram_fast(clip, fb, cfg).values
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
-    return standardize(image)
+    """Standardized (zero-mean, unit-variance) dB image of a whole clip."""
+    return window_features(clip.samples[None], clip.sample_rate,
+                           (representation,), cfg)[representation][0]
 
 
 def standardize(image: np.ndarray) -> np.ndarray:
@@ -65,16 +116,18 @@ def slice_clip(clip: AudioClip, clip_len_s: float = CLIP_LEN_S):
             for i in range(count)]
 
 
-def build_dataset(clips_by_terrain: dict, representation: str,
-                  seed: int = 0) -> AudioDataset:
+def build_datasets(clips_by_terrain: dict, representations=REPRESENTATIONS,
+                   seed: int = 0, cfg: StftConfig | None = None) -> dict:
     """Slice per-terrain recordings to 0.5 s windows and extract features.
 
     clips_by_terrain maps TerrainClass -> list of AudioClip (one per
-    microphone/recording). Too-short clips are skipped and counted.
+    microphone/recording), all at one sample rate. One pass over the
+    windows gives {representation: AudioDataset}, every dataset in the
+    same seeded order. Too-short clips are skipped and counted.
     """
     if len(clips_by_terrain) < 2:
         raise ValueError("need clips from at least 2 terrain classes")
-    images, labels = [], []
+    windows, labels, rates = [], [], set()
     skipped = 0
     for terrain in sorted(clips_by_terrain, key=int):
         for clip in clips_by_terrain[terrain]:
@@ -82,17 +135,29 @@ def build_dataset(clips_by_terrain: dict, representation: str,
             if not pieces:
                 skipped += 1
                 continue
-            for piece in pieces:
-                images.append(extract_features(piece, representation))
-                labels.append(int(terrain))
-    if not images:
+            windows += [piece.samples for piece in pieces]
+            labels += [int(terrain)] * len(pieces)
+            rates.add(clip.sample_rate)
+    if not windows:
         raise ValueError("no usable clips")
-    images = np.stack(images, dtype=np.float32)[:, None, :, :]
+    if len(rates) > 1:
+        raise ValueError(f"recordings at several sample rates {sorted(rates)}")
+    images = window_features(windows, rates.pop(), representations, cfg,
+                             dtype=np.float32)
     labels = np.array(labels, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     order = rng.permutation(len(labels))
-    return AudioDataset(images=images[order], labels=labels[order],
-                        representation=representation, skipped_short=skipped)
+    return {rep: AudioDataset(images=images[rep][order, None],
+                              labels=labels[order], representation=rep,
+                              skipped_short=skipped)
+            for rep in representations}
+
+
+def build_dataset(clips_by_terrain: dict, representation: str,
+                  seed: int = 0) -> AudioDataset:
+    """build_datasets for one representation at the default framing."""
+    return build_datasets(clips_by_terrain, (representation,),
+                          seed)[representation]
 
 
 @dataclass
@@ -168,7 +233,7 @@ def train_classifier(dataset: AudioDataset,
             if not np.isfinite(loss):
                 raise NumericError("training diverged (non-finite loss)")
             model.zero_grad()
-            model.backward(grad)
+            model.backward(grad, input_grad=False)
             numeric.sgd_step(model.params, model.grads, cfg.learning_rate)
             losses.append(loss)
             correct += int((probs.argmax(axis=1)
@@ -198,17 +263,18 @@ def predict(model: numeric.Sequential, clip: AudioClip,
 
 
 def classify_stream(model: numeric.Sequential, clip: AudioClip,
-                    representation: str, start_time: float = 0.0):
+                    representation: str, start_time: float = 0.0,
+                    cfg: StftConfig | None = None):
     """2 Hz predictions over consecutive 0.5 s windows of a long recording.
 
     Prediction i is stamped at the center of window i.
     """
-    windows = slice_clip(clip)
+    windows = [w.samples for w in slice_clip(clip)]
     if not windows:
         raise ValueError("stream shorter than one 0.5 s window")
-    images = np.stack([extract_features(w, representation)
-                       for w in windows])[:, None]
-    probs = _class_probabilities(model, images)
+    images = window_features(windows, clip.sample_rate, (representation,),
+                             cfg, dtype=np.float32)[representation]
+    probs = _class_probabilities(model, images[:, None])
     out = []
     for i in range(len(windows)):
         out.append(TerrainPrediction(

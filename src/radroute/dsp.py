@@ -3,6 +3,8 @@
 All three representations share the same framing so that, for a given
 (clip, frame length, hop), they produce images with identical frame counts.
 Images are stored in dB with a hard floor so that silent cells stay finite.
+The per-clip functions here are the reference images for the batched
+feature path in `audio`, which shares `stft_windows` with `stft`.
 """
 
 from dataclasses import dataclass, field
@@ -95,17 +97,22 @@ def frame_count(n_samples: int, frame_len: int, hop: int) -> int:
     return (n_samples - frame_len) // hop + 1
 
 
+def stft_windows(windows: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """STFTs of the rows of (n, samples), each row framed on its own:
+    (n, frames, fft_size//2 + 1), from one batched real FFT."""
+    m, hop = cfg.frame_len, cfg.hop
+    if windows.shape[-1] < m:
+        raise ValueError("clip shorter than one frame")
+    n_frames = frame_count(windows.shape[-1], m, hop)
+    idx = np.arange(m)[None, :] + hop * np.arange(n_frames)[:, None]
+    frames = windows[:, idx]
+    frames *= _window(cfg)
+    return np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
+
+
 def stft(clip: AudioClip, cfg: StftConfig) -> np.ndarray:
     """Short-time Fourier transform, (fft_size//2 + 1) rows x frames columns."""
-    x = clip.samples
-    m, hop, n = cfg.frame_len, cfg.hop, cfg.fft_size
-    if len(x) < m:
-        raise ValueError("clip shorter than one frame")
-    n_frames = frame_count(len(x), m, hop)
-    w = _window(cfg)
-    idx = np.arange(m)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[idx] * w[None, :]
-    return np.fft.rfft(frames, n=n, axis=1).T
+    return stft_windows(clip.samples[None], cfg)[0].T
 
 
 def stft_freqs(cfg: StftConfig, sample_rate: float) -> np.ndarray:
@@ -302,19 +309,6 @@ def gammatone_weights(filterbank: GammatoneFilterbank, sample_rate: float,
     return weights
 
 
-_WEIGHTS_CACHE: dict = {}
-
-
-def cached_gammatone_weights(filterbank: GammatoneFilterbank,
-                             sample_rate: float, fft_size: int) -> np.ndarray:
-    key = (tuple(filterbank.center_freqs), filterbank.order, sample_rate,
-           fft_size)
-    if key not in _WEIGHTS_CACHE:
-        _WEIGHTS_CACHE[key] = gammatone_weights(filterbank, sample_rate,
-                                                fft_size)
-    return _WEIGHTS_CACHE[key]
-
-
 def gammatonegram_fast(clip: AudioClip, filterbank: GammatoneFilterbank,
                        cfg: StftConfig | None = None,
                        floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
@@ -329,8 +323,7 @@ def gammatonegram_fast(clip: AudioClip, filterbank: GammatoneFilterbank,
     # double the non-DC/non-Nyquist bins: rfft keeps half the spectrum
     full = power.copy()
     full[1:-1 if cfg.fft_size % 2 == 0 else None] *= 2.0
-    weights = cached_gammatone_weights(filterbank, clip.sample_rate,
-                                       cfg.fft_size)
+    weights = gammatone_weights(filterbank, clip.sample_rate, cfg.fft_size)
     energy = (weights @ full) / cfg.fft_size
     return TimeFrequencyImage(
         values=power_db(energy, floor_db),

@@ -5,8 +5,9 @@ Layers operate on numpy arrays shaped (N, C, H, W) for spatial ops and
 float64 master copies; every layer computes in the dtype of its input
 (float32 for training, float64 for gradcheck), casting its parameters to
 that dtype on use (mixed-precision training, Micikevicius et al. 2018).
-Every layer exposes forward(x), backward(grad), and `params` / `grads`
-lists of same-shaped arrays. No autodiff: gradients are hand-derived and
+Every layer exposes forward(x), backward(grad), backward_params(grad) (the
+parameter gradients without dX), and `params` / `grads` lists of
+same-shaped arrays. No autodiff: gradients are hand-derived and
 verified against central differences (see gradcheck).
 
 Conv2d keeps the (N, C, H, W) interface but computes channel-last, as k
@@ -45,6 +46,11 @@ class Layer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Accumulate the parameter gradients without returning dX; a
+        layer whose dX costs work of its own overrides this to skip it."""
+        self.backward(grad)
 
     def zero_grad(self):
         for g in self.grads:
@@ -98,7 +104,9 @@ class Conv2d(Layer):
 
     forward keeps only the padded NHWC input; backward rebuilds the
     kernel-row panel from it, since keeping it would hold k input copies.
-    The output is a transpose view of NHWC memory, which ReLU preserves.
+    backward_params computes dW and d_bias alone, for a network's first
+    layer, whose dX no step reads. The output is a transpose view of NHWC
+    memory, which ReLU preserves.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -140,10 +148,10 @@ class Conv2d(Layer):
         out += self.bias.astype(x.dtype)
         return out.transpose(0, 3, 1, 2)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        k, s, p = self.k, self.stride, self.padding
+    def _accumulate(self, grad: np.ndarray) -> np.ndarray:
+        """Add dW and d_bias; returns grad channel-last, (N, oh*ow, O)."""
+        k, s = self.k, self.stride
         n, _, oh, ow = grad.shape
-        weight = self.weight.astype(grad.dtype)
         g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(
             n, oh * ow, self.out_channels)
         # dW per kernel row from a temporary panel, freed before dX needs
@@ -153,6 +161,16 @@ class Conv2d(Layer):
         self.d_weight += dw.reshape(
             k, k, self.in_channels, self.out_channels).transpose(3, 2, 0, 1)
         self.d_bias += g.sum(axis=(0, 1))
+        return g
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        self._accumulate(grad)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        k, s, p = self.k, self.stride, self.padding
+        n, _, oh, ow = grad.shape
+        weight = self.weight.astype(grad.dtype)
+        g = self._accumulate(grad)
         if s == 1:
             # dX is the correlation of the gradient, padded so that the
             # output is exactly H x W, with the spatially flipped kernels
@@ -358,10 +376,16 @@ class Sequential(Layer):
             x = layer.forward(x)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray, input_grad: bool = True):
+        """dX of the input, or None with input_grad=False, which leaves
+        out the first layer's dX (a training step reads none)."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
-        return grad
+        if input_grad:
+            return first.backward(grad)
+        first.backward_params(grad)
+        return None
 
     def zero_grad(self):
         for layer in self.layers:

@@ -123,6 +123,10 @@ def resolve_config(user: dict | None) -> dict:
         else:
             _check_type(key, cfg[key], value)
             cfg[key] = value
+    try:
+        stft_config(cfg)
+    except ValueError as exc:
+        raise ConfigurationError(f"config section dsp: {exc}") from None
     return cfg
 
 
@@ -267,7 +271,7 @@ def run_simulate(cfg: dict, out: str):
 # ------------------------------------------------------------------- audio
 
 
-def _load_class_clips(out: str, sample_rate: float) -> dict:
+def _load_class_clips(out: str) -> dict:
     audio_dir = os.path.join(out, "audio")
     clips = {t: [] for t in TerrainClass}
     for terrain in TerrainClass:
@@ -297,12 +301,14 @@ def run_train_audio(cfg: dict, out: str):
     and save the final (gammatone by default) model."""
     acfg = cfg["audio"]
     seed = cfg["seed"]
-    clips = _load_class_clips(out, cfg["simworld"]["sample_rate"])
+    datasets = audio.build_datasets(_load_class_clips(out),
+                                    seed=derive_seed(seed, 60),
+                                    cfg=stft_config(cfg))
     accuracies = {rep: [] for rep in audio.REPRESENTATIONS}
     final_model = None
     final_shape = None
     for rep in audio.REPRESENTATIONS:
-        dataset = audio.build_dataset(clips, rep, seed=derive_seed(seed, 60))
+        dataset = datasets.pop(rep)
         for trial in range(acfg["trials"]):
             train, test = _split_dataset(dataset, acfg["train_fraction"],
                                          derive_seed(seed, 61, trial))
@@ -334,7 +340,7 @@ def run_train_audio(cfg: dict, out: str):
     return report
 
 
-def _load_audio_model(cfg: dict, out: str):
+def _load_audio_model(out: str):
     with open(os.path.join(out, "audio_model.json")) as f:
         header = json.load(f)
     model = audio.build_model(tuple(header["input_shape"]))
@@ -344,10 +350,11 @@ def _load_audio_model(cfg: dict, out: str):
 
 def run_eval_audio(cfg: dict, out: str):
     """Classify the traverse stream and score it against ground truth."""
-    model, rep = _load_audio_model(cfg, out)
+    model, rep = _load_audio_model(out)
     samples, rate = formats.read_wav(os.path.join(out, "traverse_audio.wav"))
     stream = dsp.AudioClip(samples, rate)
-    predictions = audio.classify_stream(model, stream, rep)
+    predictions = audio.classify_stream(model, stream, rep,
+                                        cfg=stft_config(cfg))
     audio.predictions_csv(os.path.join(out, "predictions.csv"), predictions)
 
     truth = simworld.load_poses_csv(os.path.join(out, "poses_train.csv"))

@@ -123,7 +123,10 @@ class UNet:
                 x = layer.forward(x)
         return self.head.forward(x)
 
-    def backward_logits(self, grad: np.ndarray) -> np.ndarray:
+    def backward_logits(self, grad: np.ndarray, input_grad: bool = True):
+        """dX of the input, or None with input_grad=False, which leaves
+        out the first conv's dX (a training step reads none)."""
+        first = self.enc[0][0]
         grad = self.head.backward(grad)
         skip_grads = []
         for block, up, c_skip in zip(reversed(self.dec), reversed(self.ups),
@@ -140,6 +143,9 @@ class UNet:
                                        reversed(skip_grads)):
             grad = pool.backward(grad) + g_skip
             for layer in reversed(block):
+                if layer is first and not input_grad:
+                    first.backward_params(grad)
+                    return None
                 grad = layer.backward(grad)
         return grad
 
@@ -296,7 +302,7 @@ def _train_batches(model: UNet, batches, lr: float, log: SegTrainLog):
         if not np.isfinite(loss):
             raise NumericError("training diverged (non-finite loss)")
         model.zero_grad()
-        model.backward_logits(grad)
+        model.backward_logits(grad, input_grad=False)
         numeric.sgd_step(model.params, model.grads, lr)
         log.losses.append(loss)
 

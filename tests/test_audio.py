@@ -1,11 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
-from radroute import audio, numeric, simworld
+from radroute import audio, dsp, formats, numeric, pipeline, simworld
 from radroute.audio import (AudioDataset, TrainConfig, build_dataset,
                             build_model, classify_stream, extract_features,
                             predict, slice_clip, train_classifier)
-from radroute.dsp import AudioClip
+from radroute.dsp import AudioClip, GammatoneFilterbank, StftConfig
 from radroute.errors import NumericError
 from radroute.simworld import TerrainClass, synth_audio
 
@@ -97,6 +99,95 @@ class TestFeatures:
         assert extract_features(clip, "spectrogram").shape == (221, 50)
         assert extract_features(clip, "mel").shape == (64, 50)
         assert extract_features(clip, "gammatone").shape == (32, 50)
+
+
+def oracle_image(clip, representation, cfg):
+    """standardize() of the per-clip dsp function's image."""
+    if representation == "spectrogram":
+        image = dsp.spectrogram(clip, cfg)
+    elif representation == "mel":
+        image = dsp.mel_spectrogram(clip, cfg, audio.N_MEL_CHANNELS)
+    else:
+        fb = GammatoneFilterbank.design(audio.N_GAMMATONE_CHANNELS,
+                                        clip.sample_rate)
+        image = dsp.gammatonegram_fast(clip, fb, cfg)
+    return audio.standardize(image.values)
+
+
+class TestBatchedFeatures:
+    # 33.3 s: 66 windows, a block edge at 64, and a trailing partial window
+    @pytest.fixture(scope="class")
+    def recording(self):
+        return synth_audio(TerrainClass.GRAVEL, 33.3, 44100.0, 7)
+
+    @pytest.mark.parametrize("cfg", [
+        StftConfig(), StftConfig(frame_len=441, hop=220, fft_size=512)],
+        ids=["default", "hop220-fft512"])
+    def test_matches_per_clip_oracles(self, recording, cfg):
+        windows = slice_clip(recording)
+        assert len(windows) == 66 > audio.WINDOW_BLOCK
+        images = audio.window_features([w.samples for w in windows],
+                                       recording.sample_rate,
+                                       audio.REPRESENTATIONS, cfg)
+        for rep in audio.REPRESENTATIONS:
+            assert images[rep].shape[0] == len(windows)
+            assert images[rep].dtype == np.float64
+            worst = max(np.abs(images[rep][i]
+                               - oracle_image(w, rep, cfg)).max()
+                        for i, w in enumerate(windows))
+            assert worst <= 1e-12, rep
+
+    def test_whole_clip_matches_oracle(self):
+        clip = synth_audio(TerrainClass.ASPHALT, 1.3, 44100.0, 2)
+        cfg = StftConfig(frame_len=441, hop=220, fft_size=512)
+        for rep in audio.REPRESENTATIONS:
+            got = extract_features(clip, rep, cfg)
+            assert np.abs(got - oracle_image(clip, rep, cfg)).max() <= 1e-12
+
+    def test_all_representations_match_single(self):
+        data = {TerrainClass.GRASS: clips(TerrainClass.GRASS, 2),
+                TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2, seed0=9)}
+        shared = audio.build_datasets(data, seed=5)
+        for rep in audio.REPRESENTATIONS:
+            single = build_dataset(data, rep, seed=5)
+            np.testing.assert_array_equal(shared[rep].images, single.images)
+            np.testing.assert_array_equal(shared[rep].labels, single.labels)
+
+    def test_short_clip_skipped_in_every_dataset(self):
+        short = AudioClip(np.zeros(1000), 44100.0)
+        datasets = audio.build_datasets(
+            {TerrainClass.GRASS: clips(TerrainClass.GRASS, 2) + [short],
+             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2)})
+        for ds in datasets.values():
+            assert ds.skipped_short == 1
+            assert len(ds) == 4
+
+    def test_mixed_sample_rates_rejected(self):
+        with pytest.raises(ValueError, match="sample rates"):
+            audio.build_datasets(
+                {TerrainClass.GRASS: clips(TerrainClass.GRASS, 1),
+                 TerrainClass.GRAVEL: [AudioClip(np.ones(8000), 8000.0)]})
+
+    def test_filterbanks_built_once_per_train_audio(self, tmp_path,
+                                                    monkeypatch):
+        os.makedirs(tmp_path / "audio")
+        for terrain in TerrainClass:
+            for i, clip in enumerate(clips(terrain, 2, seed0=10 * terrain,
+                                           duration=2.0)):
+                formats.write_wav(
+                    tmp_path / "audio" / f"{terrain.name.lower()}_{i}.wav",
+                    clip.samples, clip.sample_rate)
+        calls = {"mel_filterbank": 0, "gammatone_weights": 0}
+        for name in calls:
+            original = getattr(dsp, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(dsp, name, counted)
+        cfg = pipeline.resolve_config({"audio": {"epochs": 1, "trials": 1}})
+        pipeline.run_train_audio(cfg, str(tmp_path))
+        assert calls == {"mel_filterbank": 1, "gammatone_weights": 1}
 
 
 class TestTraining:

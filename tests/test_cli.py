@@ -77,6 +77,42 @@ class TestConfigTypes:
         assert not (tmp_path / "run").exists()
 
 
+class TestDspSection:
+    # gate 9's reduced sizes (tests/test_acceptance.py)
+    GATE9 = {"seed": 7,
+             "simworld": {"grid_size": 96, "scatterer_density": 300.0},
+             "audio": {"clips_per_class": 40, "recordings_per_class": 2,
+                       "epochs": 1, "trials": 1},
+             "canvas": {"image_size": 96}}
+
+    def test_invalid_framing_rejected_naming_section(self):
+        with pytest.raises(ConfigurationError, match="dsp"):
+            pipeline.resolve_config({"dsp": {"hop": 500}})
+
+    def test_invalid_framing_exits_before_simulate(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dsp": {"hop": 500}}))
+        out = tmp_path / "run"
+        out.mkdir()
+        rc = cli.main(["--config", str(cfg_path), "--out", str(out),
+                       "simulate"])
+        assert rc == cli.EXIT_ERROR
+        assert "dsp" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_audio_stages_follow_hop(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.GATE9, "dsp": {"hop": 220}}))
+        out = tmp_path / "run"
+        for stage in ("simulate", "train-audio", "eval-audio"):
+            rc = cli.main(["--config", str(cfg_path), "--out", str(out),
+                           stage])
+            assert rc == cli.EXIT_OK, stage
+        header = json.loads((out / "audio_model.json").read_text())
+        assert header["input_shape"] == [1, 32, 99]
+        assert (out / "stream_report.json").exists()
+
+
 class TestSegTrainLog:
     def test_stage1_log_records_fallbacks(self, tmp_path, monkeypatch):
         def fake_stage1(images, masks, model, cfg, crop, crops_per_scan):
@@ -309,6 +345,34 @@ class TestFeatures:
         image = formats.read_pgm(pgm)
         assert image.shape == (64, 50)
         assert f"wrote {pgm}" in capsys.readouterr().out
+
+    @staticmethod
+    def half_second_wav(tmp_path):
+        clip = simworld.synth_audio(simworld.TerrainClass.GRASS, 0.5,
+                                    44100.0, 1)
+        wav = tmp_path / "clip.wav"
+        formats.write_wav(wav, clip.samples, clip.sample_rate)
+        return str(wav)
+
+    # mel: test_wav_to_pgm
+    @pytest.mark.parametrize("representation,shape", [
+        ("spectrogram", (221, 50)), ("gammatone", (32, 50))])
+    def test_other_representations(self, tmp_path, representation, shape):
+        pgm = tmp_path / "image.pgm"
+        rc = cli.main(["features", self.half_second_wav(tmp_path), str(pgm),
+                       "--representation", representation])
+        assert rc == cli.EXIT_OK
+        assert formats.read_pgm(pgm).shape == shape
+
+    def test_dsp_section_sets_frames(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dsp": {"hop": 220}}))
+        pgm = tmp_path / "image.pgm"
+        rc = cli.main(["--config", str(cfg_path), "features",
+                       self.half_second_wav(tmp_path), str(pgm),
+                       "--representation", "mel"])
+        assert rc == cli.EXIT_OK
+        assert formats.read_pgm(pgm).shape == (64, 99)
 
 
 class TestRenderOverlay:

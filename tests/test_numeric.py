@@ -473,6 +473,76 @@ class TestSgdAndDeterminism:
         assert loss < 1e-3
 
 
+class TestInputGradSkip:
+    """input_grad=False leaves out the first layer's dX and nothing else."""
+
+    @staticmethod
+    def grads_of(model, step):
+        model.zero_grad()
+        returned = step(model)
+        return returned, [g.copy() for g in model.grads]
+
+    def test_sequential_step(self):
+        rng = np.random.default_rng(21)
+        model = numeric.Sequential([
+            numeric.Conv2d(1, 4, 3, padding=1, rng=rng), numeric.ReLU(),
+            numeric.MaxPool2d(2), numeric.Conv2d(4, 8, 3, padding=1, rng=rng),
+            numeric.ReLU(), numeric.MaxPool2d(2), numeric.Flatten(),
+            numeric.Dense(8 * 5 * 3, 3, rng=rng), numeric.Softmax()])
+        x = rng.normal(size=(4, 1, 21, 13)).astype(np.float32)
+        t = np.eye(3)[[0, 1, 2, 1]]
+
+        def step(input_grad):
+            def run(m):
+                _, grad = numeric.cross_entropy(m.forward(x), t)
+                return m.backward(grad, input_grad=input_grad)
+            return run
+
+        dx, full = self.grads_of(model, step(True))
+        skipped, partial = self.grads_of(model, step(False))
+        assert dx.shape == x.shape and skipped is None
+        for a, b in zip(full, partial):
+            assert same_bits(a, b)
+
+    def test_dense_first_layer_falls_back_to_backward(self):
+        rng = np.random.default_rng(22)
+        model = numeric.Sequential([numeric.Dense(5, 4, rng=rng),
+                                    numeric.ReLU(),
+                                    numeric.Dense(4, 3, rng=rng),
+                                    numeric.Softmax()])
+        x = rng.normal(size=(6, 5))
+        t = np.eye(3)[rng.integers(0, 3, size=6)]
+
+        def run(m, input_grad):
+            _, grad = numeric.cross_entropy(m.forward(x), t)
+            return m.backward(grad, input_grad=input_grad)
+
+        _, full = self.grads_of(model, lambda m: run(m, True))
+        skipped, partial = self.grads_of(model, lambda m: run(m, False))
+        assert skipped is None
+        for a, b in zip(full, partial):
+            assert same_bits(a, b)
+
+    def test_unet_step(self):
+        model = segmentation.UNet(depth=2, base_channels=4, seed=3,
+                                  zero_head=False)
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
+        target = (rng.random(x.shape) < 0.5).astype(float)
+        labeled = rng.random(x.shape) < 0.7
+
+        def run(m, input_grad):
+            _, grad = numeric.masked_bce_with_logits(m.logits(x), target,
+                                                     labeled)
+            return m.backward_logits(grad, input_grad=input_grad)
+
+        dx, full = self.grads_of(model, lambda m: run(m, True))
+        skipped, partial = self.grads_of(model, lambda m: run(m, False))
+        assert dx.shape == x.shape and skipped is None
+        for a, b in zip(full, partial):
+            assert same_bits(a, b)
+
+
 def ce_loss(t):
     return lambda out: numeric.cross_entropy(out, t)
 

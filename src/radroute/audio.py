@@ -153,13 +153,6 @@ def build_datasets(clips_by_terrain: dict, representations=REPRESENTATIONS,
             for rep in representations}
 
 
-def build_dataset(clips_by_terrain: dict, representation: str,
-                  seed: int = 0) -> AudioDataset:
-    """build_datasets for one representation at the default framing."""
-    return build_datasets(clips_by_terrain, (representation,),
-                          seed)[representation]
-
-
 @dataclass
 class TerrainPrediction:
     terrain: int
@@ -250,18 +243,6 @@ def _class_probabilities(model: numeric.Sequential,
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def predict(model: numeric.Sequential, clip: AudioClip,
-            representation: str, timestamp: float = 0.0) -> TerrainPrediction:
-    """Classify a single >= 0.5 s clip (only the first window is used)."""
-    if clip.duration_s < CLIP_LEN_S - 1e-9:
-        raise ValueError("clip shorter than 0.5 s")
-    window = slice_clip(clip)[0]
-    image = extract_features(window, representation)[None, None]
-    probs = _class_probabilities(model, image)[0]
-    return TerrainPrediction(terrain=int(np.argmax(probs)),
-                             probabilities=probs, timestamp=timestamp)
-
-
 def classify_stream(model: numeric.Sequential, clip: AudioClip,
                     representation: str, start_time: float = 0.0,
                     cfg: StftConfig | None = None):
@@ -300,24 +281,22 @@ def evaluate(model: numeric.Sequential, dataset: AudioDataset,
     return {"accuracy": accuracy, "confusion": confusion}
 
 
-def _named_params(model: numeric.Sequential):
-    return [(f"layer{i}.p{j}", p) for i, layer in enumerate(model.layers)
-            for j, p in enumerate(layer.params)]
-
-
 def save_model(weights_path, header_path, model: numeric.Sequential,
-               representation: str, input_shape, class_order=None):
-    numeric.save_weights(weights_path, _named_params(model))
+               representation: str, input_shape, cfg: StftConfig):
+    """Weights, plus a header with the STFT framing the features used."""
+    numeric.save_weights(weights_path, numeric.named_params(model.layers))
     header = {
         "representation": representation,
         "input_shape": list(input_shape),
-        "class_order": class_order or [t.name.lower() for t in TerrainClass],
+        "class_order": [t.name.lower() for t in TerrainClass],
+        "dsp": {"frame_len": cfg.frame_len, "hop": cfg.hop,
+                "fft_size": cfg.fft_size},
     }
     formats.write_json(header_path, header)
 
 
 def load_model_weights(weights_path, model: numeric.Sequential):
-    numeric.load_params(weights_path, _named_params(model))
+    numeric.load_params(weights_path, numeric.named_params(model.layers))
     return model
 
 

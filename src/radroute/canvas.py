@@ -181,18 +181,6 @@ def paint_labels(scan: CartesianScan, labeled_trajectory,
     return mask
 
 
-def mask_stats(mask: np.ndarray) -> dict:
-    """Fractions of labeled pixels and of path among labeled pixels."""
-    total = mask.size
-    labeled = int((mask != int(Label.UNLABELED)).sum())
-    path = int((mask == int(Label.PATH)).sum())
-    return {
-        "labeled_fraction": labeled / total if total else 0.0,
-        "path_fraction": path / labeled if labeled else 0.0,
-        "empty": labeled == 0,
-    }
-
-
 def mask_to_pgm_values(mask: np.ndarray) -> np.ndarray:
     out = np.zeros_like(mask, dtype=np.uint8)
     for label, gray in LABEL_TO_GRAY.items():

@@ -45,21 +45,9 @@ def confusion_2x2(pred: np.ndarray, truth: np.ndarray,
     return np.array([[tn, fp], [fn, tp]], dtype=np.int64)
 
 
-def pixel_accuracy(pred, truth, ignore_mask=None) -> float:
-    c = confusion_2x2(pred, truth, ignore_mask)
-    return float(np.trace(c)) / float(c.sum())
-
-
-def iou(pred, truth, ignore_mask=None) -> float:
-    """Intersection over union of the positive class, TP/(TP+FP+FN)."""
-    c = confusion_2x2(pred, truth, ignore_mask)
-    denom = c[1, 1] + c[0, 1] + c[1, 0]
-    if denom == 0:
-        return 1.0  # both empty: perfect agreement
-    return float(c[1, 1]) / float(denom)
-
-
 def scores(pred, truth, ignore_mask=None) -> SegScores:
+    """Pixel accuracy and positive-class IoU, TP/(TP+FP+FN), over the
+    pixels not ignored; IoU is 1 when both masks are empty."""
     c = confusion_2x2(pred, truth, ignore_mask)
     denom = c[1, 1] + c[0, 1] + c[1, 0]
     return SegScores(
@@ -67,14 +55,6 @@ def scores(pred, truth, ignore_mask=None) -> SegScores:
         iou=1.0 if denom == 0 else float(c[1, 1]) / float(denom),
         confusion=c,
     )
-
-
-def region_report(pred, truth, region_mask) -> SegScores:
-    """Scores restricted to a named region (e.g. the untraversed side path)."""
-    region_mask = np.asarray(region_mask, dtype=bool)
-    if not region_mask.any():
-        raise UndefinedMetricError("empty region")
-    return scores(pred, truth, ignore_mask=~region_mask)
 
 
 def compare_table(column_names: list, rows: list,

@@ -50,20 +50,14 @@ def write_ppm(path, image: np.ndarray):
         f.write(image.tobytes())
 
 
-def db_image_to_pgm(path, values: np.ndarray, sidecar_path=None):
-    """TimeFrequencyImage values (dB) to PGM with an affine dB->gray mapping.
-
-    The mapping gray = round((db - lo) / (hi - lo) * 255) is recorded in a
-    JSON sidecar so the dB scale can be recovered.
-    """
+def db_image_to_pgm(path, values: np.ndarray):
+    """TimeFrequencyImage values (dB) to PGM with an affine dB->gray mapping,
+    gray = round((db - lo) / (hi - lo) * 255)."""
     lo = float(values.min())
     hi = float(values.max())
     span = hi - lo if hi > lo else 1.0
     gray = np.round((values - lo) / span * 255.0).astype(np.uint8)
     write_pgm(path, gray)
-    if sidecar_path is not None:
-        write_json(sidecar_path, {"db_min": lo, "db_max": hi,
-                                  "rows": "channels", "cols": "frames"})
 
 
 def write_json(path, obj):

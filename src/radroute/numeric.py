@@ -411,12 +411,6 @@ def cross_entropy(pred_probs: np.ndarray, one_hot: np.ndarray):
     return loss, grad.astype(pred_probs.dtype, copy=False)
 
 
-def binary_cross_entropy(pred: np.ndarray, target: np.ndarray):
-    """Elementwise BCE on probabilities, averaged over all elements."""
-    mask = np.ones(pred.shape, dtype=bool)
-    return masked_binary_cross_entropy(pred, target, mask)
-
-
 def masked_binary_cross_entropy(pred: np.ndarray, target: np.ndarray,
                                 mask: np.ndarray):
     """BCE averaged over mask==True elements; gradient is exactly 0 elsewhere.
@@ -459,21 +453,6 @@ def masked_bce_with_logits(logits: np.ndarray, target: np.ndarray,
     p = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
     grad = np.where(mask, (p - t) / n, 0.0)
     return loss, grad.astype(logits.dtype, copy=False)
-
-
-def masked_cross_entropy(pred_probs: np.ndarray, one_hot: np.ndarray,
-                         labeled: np.ndarray):
-    """Cross entropy over rows flagged labeled; unlabeled rows contribute 0."""
-    if pred_probs.shape != one_hot.shape:
-        raise ShapeError("probability/target shape mismatch")
-    n = int(labeled.sum())
-    if n == 0:
-        raise DegenerateBatchError("no labeled rows")
-    p = np.clip(pred_probs, EPS_PROB, None)
-    t = np.where(labeled[:, None], one_hot, 0.0)
-    loss = -(t * np.log(p)).sum() / n
-    grad = -(t / p) / n
-    return loss, grad.astype(pred_probs.dtype, copy=False)
 
 
 def sgd_step(params: list, grads: list, lr: float):
@@ -549,6 +528,12 @@ def gradcheck(model: Layer, x: np.ndarray, loss_fn, eps: float = 1e-4,
 
 WEIGHTS_MAGIC = b"KOWT"
 WEIGHTS_VERSION = 1
+
+
+def named_params(layers) -> list[tuple[str, np.ndarray]]:
+    """`.kowt` tensor names: parameter j of the i-th layer is layer{i}.p{j}."""
+    return [(f"layer{i}.p{j}", p) for i, layer in enumerate(layers)
+            for j, p in enumerate(layer.params)]
 
 
 def save_weights(path, named_tensors: list[tuple[str, np.ndarray]]):

@@ -336,13 +336,23 @@ def run_train_audio(cfg: dict, out: str):
     formats.write_json(os.path.join(out, "audio_report.json"), report)
     audio.save_model(os.path.join(out, "audio_model.kowt"),
                      os.path.join(out, "audio_model.json"),
-                     final_model, acfg["representation"], final_shape)
+                     final_model, acfg["representation"], final_shape,
+                     stft_config(cfg))
     return report
 
 
-def _load_audio_model(out: str):
+def _load_audio_model(cfg: dict, out: str):
+    """The saved classifier and its representation; ConfigurationError if
+    it was trained on a framing other than the config's dsp section."""
     with open(os.path.join(out, "audio_model.json")) as f:
         header = json.load(f)
+    framing = stft_config(cfg)
+    expected = {"frame_len": framing.frame_len, "hop": framing.hop,
+                "fft_size": framing.fft_size}
+    if header.get("dsp") != expected:
+        raise ConfigurationError(
+            f"config section dsp {expected} does not match the framing "
+            f"{header.get('dsp')} the audio model was trained with")
     model = audio.build_model(tuple(header["input_shape"]))
     audio.load_model_weights(os.path.join(out, "audio_model.kowt"), model)
     return model, header["representation"]
@@ -350,7 +360,7 @@ def _load_audio_model(out: str):
 
 def run_eval_audio(cfg: dict, out: str):
     """Classify the traverse stream and score it against ground truth."""
-    model, rep = _load_audio_model(out)
+    model, rep = _load_audio_model(cfg, out)
     samples, rate = formats.read_wav(os.path.join(out, "traverse_audio.wav"))
     stream = dsp.AudioClip(samples, rate)
     predictions = audio.classify_stream(model, stream, rep,

@@ -150,18 +150,13 @@ class UNet:
         return grad
 
     def named_params(self):
-        out = []
-        for i, layer in enumerate(self._blocks()):
-            for j, p in enumerate(layer.params):
-                out.append((f"layer{i}.p{j}", p))
-        return out
+        return numeric.named_params(self._blocks())
 
 
-def save_unet(weights_path, header_path, model: UNet, thresholds=None):
+def save_unet(weights_path, header_path, model: UNet):
     numeric.save_weights(weights_path, model.named_params())
     header = {"depth": model.depth, "base_channels": model.base_channels,
-              "in_channels": model.in_channels,
-              "thresholds": thresholds or {"probability": 0.5}}
+              "in_channels": model.in_channels}
     formats.write_json(header_path, header)
 
 
@@ -572,23 +567,14 @@ class UNetInference:
         probs = self._sigmoid.forward(logits.reshape(n, h, w, 1))
         return probs.transpose(0, 3, 1, 2)
 
-    def probabilities(self, scan_image: np.ndarray) -> np.ndarray:
-        return self.forward(scan_image[None, None])[0, 0].astype(np.float64)
 
+def segment(model, scan_image: np.ndarray) -> np.ndarray:
+    """Binary path mask of a full scan: float32 probability above 0.5.
 
-def segment_probabilities(model, scan_image: np.ndarray) -> np.ndarray:
-    """Full-scan sigmoid probability map.
-
-    A UNet runs its layer-by-layer forward in float64; pass a prebuilt
-    UNetInference for fast float32 inference.
+    A UNet is compiled to a UNetInference first; pass a prebuilt one to
+    segment many scans.
     """
-    if isinstance(model, UNetInference):
-        return model.probabilities(scan_image)
-    return model.forward(scan_image[None, None].astype(np.float64))[0, 0]
-
-
-def segment(model: UNet, scan_image: np.ndarray,
-            threshold: float = 0.5) -> np.ndarray:
-    """Binary path mask: probability strictly above the threshold."""
-    probs = segment_probabilities(model, scan_image)
-    return (probs > threshold).astype(np.uint8)
+    if not isinstance(model, UNetInference):
+        model = UNetInference(model)
+    probs = model.forward(scan_image[None, None])[0, 0]
+    return (probs > 0.5).astype(np.uint8)

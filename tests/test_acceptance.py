@@ -485,6 +485,27 @@ def test_gate_10_inference_throughput(capsys, full_run):
            f"{rate:.1f} scans/s")
 
 
+def test_render_draws_segment_mask(full_run):
+    # render's segmentation panel comes from the same float32 inference path
+    # as segment: its overlay is exactly that of segment()'s mask
+    cfg, out = full_run["cfg"], full_run["out"]
+    _, images, _ = pipeline._prepared_train_images(cfg, out)
+    image = images[len(images) // 2]
+    model = segmentation.load_unet(os.path.join(out, "seg_stage2.kowt"),
+                                   os.path.join(out, "seg_stage2.json"))
+    path = segmentation.segment(model, image) > 0
+    assert path.any()
+    mask = np.where(path, int(canvas.Label.PATH), int(canvas.Label.NOT_PATH))
+    h, w = image.shape
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    with open(os.path.join(out, "render", "segmentation.ppm"), "rb") as f:
+        raw = f.read()
+    assert raw[:len(header)] == header
+    rgb = np.frombuffer(raw[len(header):], np.uint8).reshape(h, w, 3)
+    np.testing.assert_array_equal(rgb,
+                                  pipeline.render_overlay(image, mask))
+
+
 # ---------------------------------------------------------------------------
 # gate 11: end-to-end wall time
 

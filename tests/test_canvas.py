@@ -172,28 +172,6 @@ class TestPaintLabels:
         assert mask.shape == (64, 64) and not mask.any()
 
 
-class TestMaskStats:
-    def test_empty(self):
-        s = canvas.mask_stats(np.zeros((8, 8), dtype=np.uint8))
-        assert s == {"labeled_fraction": 0.0, "path_fraction": 0.0,
-                     "empty": True}
-
-    def test_full_path(self):
-        mask = np.full((8, 8), int(Label.PATH), dtype=np.uint8)
-        s = canvas.mask_stats(mask)
-        assert s["labeled_fraction"] == 1.0
-        assert s["path_fraction"] == 1.0
-        assert not s["empty"]
-
-    def test_mixed(self):
-        mask = np.zeros((2, 2), dtype=np.uint8)
-        mask[0, 0] = int(Label.PATH)
-        mask[0, 1] = int(Label.NOT_PATH)
-        s = canvas.mask_stats(mask)
-        assert s["labeled_fraction"] == 0.5
-        assert s["path_fraction"] == 0.5
-
-
 class TestMaskPgm:
     def test_roundtrip(self):
         rng = np.random.default_rng(1)

@@ -100,7 +100,7 @@ class TestDspSection:
         assert "dsp" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    def test_audio_stages_follow_hop(self, tmp_path):
+    def test_audio_stages_follow_hop(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**self.GATE9, "dsp": {"hop": 220}}))
         out = tmp_path / "run"
@@ -110,7 +110,29 @@ class TestDspSection:
             assert rc == cli.EXIT_OK, stage
         header = json.loads((out / "audio_model.json").read_text())
         assert header["input_shape"] == [1, 32, 99]
+        assert header["dsp"] == {"frame_len": 441, "hop": 220,
+                                 "fft_size": 441}
         assert (out / "stream_report.json").exists()
+
+        # eval-audio at the default framing refuses the hop-220 model
+        capsys.readouterr()
+        default_path = tmp_path / "default.json"
+        default_path.write_text(json.dumps(self.GATE9))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        rc = cli.main(["--config", str(default_path), "--out", str(out),
+                       "eval-audio"])
+        assert rc == cli.EXIT_ERROR
+        assert "dsp" in capsys.readouterr().err
+        after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+
+        # so does a model whose header predates the recorded framing
+        del header["dsp"]
+        (out / "audio_model.json").write_text(json.dumps(header))
+        rc = cli.main(["--config", str(cfg_path), "--out", str(out),
+                       "eval-audio"])
+        assert rc == cli.EXIT_ERROR
+        assert "dsp" in capsys.readouterr().err
 
 
 class TestSegTrainLog:

@@ -4,8 +4,7 @@ import pytest
 from radroute import evaluate
 from radroute.errors import ShapeError
 from radroute.evaluate import (UndefinedMetricError, compare_csv,
-                               compare_table, confusion_2x2, iou,
-                               pixel_accuracy, region_report, scores)
+                               compare_table, confusion_2x2, scores)
 
 
 def block_mask(shape, rows, cols):
@@ -17,23 +16,25 @@ def block_mask(shape, rows, cols):
 class TestMetrics:
     def test_perfect_prediction(self):
         truth = block_mask((8, 8), slice(2, 5), slice(1, 7))
-        assert iou(truth, truth) == 1.0
-        assert pixel_accuracy(truth, truth) == 1.0
+        s = scores(truth, truth)
+        assert s.iou == 1.0
+        assert s.pixel_accuracy == 1.0
 
     def test_disjoint_iou_zero(self):
         pred = block_mask((8, 8), slice(0, 2), slice(0, 8))
         truth = block_mask((8, 8), slice(6, 8), slice(0, 8))
-        assert iou(pred, truth) == 0.0
+        assert scores(pred, truth).iou == 0.0
 
     def test_half_coverage_no_false_positives(self):
         truth = block_mask((8, 8), slice(0, 4), slice(0, 8))
         pred = block_mask((8, 8), slice(0, 2), slice(0, 8))
-        assert iou(pred, truth) == 0.5
+        assert scores(pred, truth).iou == 0.5
 
     def test_both_empty_iou_one(self):
         empty = np.zeros((4, 4), dtype=np.uint8)
-        assert iou(empty, empty) == 1.0
-        assert pixel_accuracy(empty, empty) == 1.0
+        s = scores(empty, empty)
+        assert s.iou == 1.0
+        assert s.pixel_accuracy == 1.0
 
     def test_confusion_counts(self):
         pred = np.array([[1, 1], [0, 0]], dtype=np.uint8)
@@ -48,26 +49,26 @@ class TestMetrics:
         ignore = np.array([[False, True], [True, False]])
         c = confusion_2x2(pred, truth, ignore)
         assert c.sum() == 2
-        assert pixel_accuracy(pred, truth, ignore) == 1.0
+        assert scores(pred, truth, ignore).pixel_accuracy == 1.0
 
     def test_all_ignored_undefined(self):
         pred = np.zeros((3, 3), dtype=np.uint8)
         with pytest.raises(UndefinedMetricError):
-            iou(pred, pred, np.ones((3, 3), dtype=bool))
+            scores(pred, pred, np.ones((3, 3), dtype=bool))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            iou(np.zeros((2, 2)), np.zeros((3, 3)))
+            scores(np.zeros((2, 2)), np.zeros((3, 3)))
         with pytest.raises(ShapeError):
-            iou(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 3)))
+            scores(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 3)))
 
     def test_relabel_symmetry(self):
         # swapping positive/negative in both pred and truth keeps accuracy
         rng = np.random.default_rng(0)
         pred = (rng.random((16, 16)) < 0.4).astype(np.uint8)
         truth = (rng.random((16, 16)) < 0.4).astype(np.uint8)
-        assert pixel_accuracy(pred, truth) == pixel_accuracy(1 - pred,
-                                                             1 - truth)
+        assert (scores(pred, truth).pixel_accuracy
+                == scores(1 - pred, 1 - truth).pixel_accuracy)
 
     def test_scores_bundle(self):
         truth = block_mask((8, 8), slice(0, 4), slice(0, 8))
@@ -79,11 +80,13 @@ class TestMetrics:
 
 
 class TestRegionReport:
+    """Scores restricted to a region: the ignore mask is its complement."""
+
     def test_whole_image_equals_global(self):
         rng = np.random.default_rng(1)
         pred = (rng.random((10, 10)) < 0.5).astype(np.uint8)
         truth = (rng.random((10, 10)) < 0.5).astype(np.uint8)
-        whole = region_report(pred, truth, np.ones((10, 10), dtype=bool))
+        whole = scores(pred, truth, np.zeros((10, 10), dtype=bool))
         direct = scores(pred, truth)
         assert whole.iou == direct.iou
         assert whole.pixel_accuracy == direct.pixel_accuracy
@@ -92,14 +95,14 @@ class TestRegionReport:
         pred = block_mask((4, 4), 1, 1)
         region = np.zeros((4, 4), dtype=bool)
         region[1, 1] = True
-        s = region_report(pred, pred, region)
+        s = scores(pred, pred, ~region)
         assert s.pixel_accuracy == 1.0
         assert s.confusion.sum() == 1
 
     def test_empty_region_rejected(self):
         pred = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(UndefinedMetricError):
-            region_report(pred, pred, np.zeros((4, 4), dtype=bool))
+            scores(pred, pred, np.ones((4, 4), dtype=bool))
 
 
 class TestCompareTable:

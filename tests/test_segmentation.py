@@ -8,8 +8,7 @@ from radroute.segmentation import (AugmentationConfig, CropSample,
                                    PropagationConfig, ResampleNeeded,
                                    SegTrainConfig, UNet, UNetInference,
                                    augment, propagate_labels, sample_crops,
-                                   segment, segment_probabilities,
-                                   stage1_train, stage2_finetune)
+                                   segment, stage1_train, stage2_finetune)
 
 U, N, P = int(Label.UNLABELED), int(Label.NOT_PATH), int(Label.PATH)
 
@@ -484,9 +483,8 @@ class TestPropagate:
 
 class TestStage2:
     def test_full_scan_forward_shape(self, stripe_model):
-        probs = segment_probabilities(UNetInference(stripe_model),
-                                      np.zeros((256, 256)))
-        assert probs.shape == (256, 256)
+        mask = segment(stripe_model, np.zeros((256, 256)))
+        assert mask.shape == (256, 256)
 
     def test_finetune_deterministic(self):
         image, mask = stripe_scene()
@@ -535,6 +533,9 @@ class TestInferenceEngine:
         a = segment(stripe_model, image)
         b = segment(stripe_model, image)
         np.testing.assert_array_equal(a, b)
+        # a UNet is compiled to the same engine a caller can prebuild
+        c = segment(UNetInference(stripe_model), image)
+        np.testing.assert_array_equal(a, c)
         assert set(np.unique(a)) <= {0, 1}
 
     def test_prepare_scan_image(self):

@@ -6,6 +6,7 @@ metres; the scan center sits at the image center. Azimuth index a of a
 polar scan looks along scan-frame angle 2*pi*a/A.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -96,6 +97,32 @@ def world_to_scan_frame(wx, wy, pose):
     return c * dx + s * dy, -s * dx + c * dy
 
 
+@functools.lru_cache(maxsize=2)
+def _polar_plan(image_size: int, metres_per_pixel: float, n_azimuths: int,
+                n_bins: int, range_resolution: float):
+    """polar_to_cartesian's gather and blend for one geometry, read-only:
+    flat power indices (4, W, W) int32 of the corners (a0, r0), (a0, r1),
+    (a1, r0), (a1, r1); the azimuth and range fractions; and the pixels
+    beyond max range. Every scan of a run shares one geometry."""
+    xs, ys = pixel_grid_scan_frame(image_size, metres_per_pixel)
+    rng = np.hypot(xs, ys)
+    ang = np.arctan2(ys, xs) % (2.0 * np.pi)
+    az = ang / (2.0 * np.pi) * n_azimuths  # fractional azimuth index
+    rb = rng / range_resolution - 0.5  # fractional bin index
+    a0 = np.floor(az).astype(np.int64) % n_azimuths
+    a1 = (a0 + 1) % n_azimuths
+    fa = az - np.floor(az)
+    r0 = np.clip(np.floor(rb), 0, n_bins - 1).astype(np.int64)
+    r1 = np.clip(r0 + 1, 0, n_bins - 1)
+    fr = np.clip(rb - r0, 0.0, 1.0)
+    corners = np.stack([a0 * n_bins + r0, a0 * n_bins + r1,
+                        a1 * n_bins + r0, a1 * n_bins + r1]).astype(np.int32)
+    plan = (corners, fa, fr, rng > n_bins * range_resolution)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
 def polar_to_cartesian(scan: PolarScan, image_size: int,
                        metres_per_pixel: float) -> CartesianScan:
     """Resample by bilinear interpolation over the polar grid.
@@ -105,22 +132,13 @@ def polar_to_cartesian(scan: PolarScan, image_size: int,
     """
     if image_size < 32:
         raise ValueError("image size must be >= 32")
-    xs, ys = pixel_grid_scan_frame(image_size, metres_per_pixel)
-    rng = np.hypot(xs, ys)
-    ang = np.arctan2(ys, xs) % (2.0 * np.pi)
-    a = scan.n_azimuths
-    az = ang / (2.0 * np.pi) * a  # fractional azimuth index
-    rb = rng / scan.range_resolution - 0.5  # fractional bin index
-    a0 = np.floor(az).astype(np.int64) % a
-    a1 = (a0 + 1) % a
-    fa = az - np.floor(az)
-    r0 = np.clip(np.floor(rb), 0, scan.n_bins - 1).astype(np.int64)
-    r1 = np.clip(r0 + 1, 0, scan.n_bins - 1)
-    fr = np.clip(rb - r0, 0.0, 1.0)
-    p = scan.power
-    image = ((1 - fa) * ((1 - fr) * p[a0, r0] + fr * p[a0, r1])
-             + fa * ((1 - fr) * p[a1, r0] + fr * p[a1, r1]))
-    image[rng > scan.max_range] = 0.0
+    corners, fa, fr, beyond = _polar_plan(
+        image_size, metres_per_pixel, scan.n_azimuths, scan.n_bins,
+        scan.range_resolution)
+    p00, p01, p10, p11 = scan.power.ravel()[corners]
+    image = ((1 - fa) * ((1 - fr) * p00 + fr * p01)
+             + fa * ((1 - fr) * p10 + fr * p11))
+    image[beyond] = 0.0
     return CartesianScan(image=image, metres_per_pixel=metres_per_pixel,
                          timestamp=scan.timestamp, pose=scan.pose.copy(),
                          max_range=scan.max_range)

@@ -15,6 +15,13 @@ GEMMs over row views of one kernel-row panel of a padded (N, H, W, C) array
 (Anderson et al. 2017), not the k*k-times-larger im2col matrix; forward,
 dW, dX and UNetInference share it. Returned arrays may be transpose views
 of channel-last memory.
+
+UpsampleConcatConv2d is a U-Net decoder's entry: the 3x3 convolution of a
+skip map concatenated with a 2x nearest-upsampled coarse map. It convolves
+the upsampled half on the coarse grid as four 2x2 parity kernels
+(parity_kernels), the sub-pixel view of resize-convolution (Shi et al.
+2016; Odena et al. 2016), in training as in UNetInference. Upsample2x with
+Conv2d stays as its oracle.
 """
 
 import struct
@@ -150,17 +157,12 @@ class Conv2d(Layer):
 
     def _accumulate(self, grad: np.ndarray) -> np.ndarray:
         """Add dW and d_bias; returns grad channel-last, (N, oh*ow, O)."""
-        k, s = self.k, self.stride
         n, _, oh, ow = grad.shape
         g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(
             n, oh * ow, self.out_channels)
-        # dW per kernel row from a temporary panel, freed before dX needs
-        # its own; stacked GEMMs, as the rows do not flatten without a copy
-        dw = np.stack([(rows.transpose(0, 2, 1) @ g).sum(axis=0)
-                       for rows in _kernel_rows(self._xp, k, s)[0]])
-        self.d_weight += dw.reshape(
-            k, k, self.in_channels, self.out_channels).transpose(3, 2, 0, 1)
-        self.d_bias += g.sum(axis=(0, 1))
+        self.d_weight += _weight_grad(self._xp, g, self.k,
+                                      self.stride).transpose(3, 2, 0, 1)
+        self.d_bias += _bias_grad(g)
         return g
 
     def backward_params(self, grad: np.ndarray) -> None:
@@ -172,11 +174,7 @@ class Conv2d(Layer):
         weight = self.weight.astype(grad.dtype)
         g = self._accumulate(grad)
         if s == 1:
-            # dX is the correlation of the gradient, padded so that the
-            # output is exactly H x W, with the spatially flipped kernels
-            wflip = weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
-            dx = conv_nhwc(pad_nhwc(g.reshape(n, oh, ow, -1), k - 1 - p),
-                           wflip.reshape(-1, self.in_channels), k)
+            dx = _input_grad(g.reshape(n, oh, ow, -1), weight, p)
         else:
             # each kernel tap scatters one GEMM into a strided slice
             dxp = np.zeros(self._xp.shape, dtype=grad.dtype)
@@ -186,6 +184,140 @@ class Conv2d(Layer):
                         g @ weight[:, :, u, v]).reshape(n, oh, ow, -1)
             dx = dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p]
         return dx.transpose(0, 3, 1, 2)
+
+
+def _weight_grad(xp: np.ndarray, g: np.ndarray, k: int,
+                 stride: int = 1) -> np.ndarray:
+    """dW of conv_nhwc as (k, k, C, O), from its padded input and its
+    channel-last gradient (N, oh*ow, O)."""
+    # per kernel row from a temporary panel, freed before dX needs its
+    # own; stacked GEMMs, as the rows do not flatten without a copy
+    dw = np.stack([(rows.transpose(0, 2, 1) @ g).sum(axis=0)
+                   for rows in _kernel_rows(xp, k, stride)[0]])
+    return dw.reshape(k, k, xp.shape[3], g.shape[2])
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """d_bias from a channel-last gradient (..., O): its sum over every
+    other axis, as a GEMV with a ones vector; numpy's column-sum reduction
+    of the same array is about 20x slower at U-Net shapes."""
+    g = g.reshape(-1, g.shape[-1])
+    return np.ones(g.shape[0], dtype=g.dtype) @ g
+
+
+def _input_grad(g: np.ndarray, weight: np.ndarray, p: int) -> np.ndarray:
+    """dX (N, H, W, C) of a stride-1 convolution with (O, C, k, k) kernels
+    and padding p: the gradient (N, oh, ow, O), padded so that the output
+    is exactly H x W, correlated with the spatially flipped kernels."""
+    k = weight.shape[2]
+    wflip = weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+    return conv_nhwc(pad_nhwc(g, k - 1 - p),
+                     wflip.reshape(-1, weight.shape[1]), k)
+
+
+# A 3x3 kernel over a 2x nearest-neighbour upsampled image, folded onto the
+# coarse grid: for output-pixel parity a, fine-grid kernel row u reads
+# coarse row r of the window where _UPSAMPLE_TAPS[a, r, u] is 1, because
+# adjacent fine pixels share a coarse source pixel; columns likewise.
+_UPSAMPLE_TAPS = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+                           [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+# the fold as one (a, b, r, s) x (u, v) matrix
+_PARITY_FOLD = np.einsum("aru,bsv->abrsuv", _UPSAMPLE_TAPS,
+                         _UPSAMPLE_TAPS).reshape(16, 9)
+
+
+def parity_kernels(weight: np.ndarray) -> np.ndarray:
+    """(O, C, 3, 3) kernels over a 2x nearest-upsampled input as the
+    (2, 2, 2, 2, C, O) coarse-grid kernels [a, b, r, s, c, o]: [a, b] is
+    the 2x2 conv_nhwc operand of output parity (a, b)."""
+    o, c = weight.shape[:2]
+    folded = _PARITY_FOLD @ weight.reshape(o * c, 9).T
+    return np.ascontiguousarray(
+        folded.reshape(2, 2, 2, 2, o, c).transpose(0, 1, 2, 3, 5, 4))
+
+
+def upsampled_conv_nhwc(zp: np.ndarray, kernels: np.ndarray,
+                        out: np.ndarray) -> None:
+    """Add to out (N, 2h, 2w, O) the 3x3 same convolution of the 2x
+    nearest-upsampled (N, h, w, C) input, given padded by one as zp: per
+    output parity, a 2x2 convolution of zp on the coarse grid, with the
+    parity_kernels, 4/9 of the multiply-adds and no upsampled copy."""
+    h, w = zp.shape[1] - 2, zp.shape[2] - 2
+    for a in (0, 1):
+        for b in (0, 1):
+            out[:, a::2, b::2] += conv_nhwc(
+                zp[:, a:a + h + 1, b:b + w + 1],
+                kernels[a, b].reshape(-1, out.shape[3]), 2)
+
+
+class UpsampleConcatConv2d(Layer):
+    """A U-Net decoder's entry: the 3x3 same convolution of
+    concat(skip, Upsample2x(coarse)) over channels, with neither copy.
+
+    It owns that Conv2d's (O, C_skip + C_up, 3, 3) weight and its bias.
+    The skip half is an ordinary 3x3 convolution; the upsampled half runs
+    on the coarse grid (upsampled_conv_nhwc). The fold is linear, so that
+    half's dW is the parity kernels' dW folded back through the same taps,
+    and d_coarse is the sum of the four transposed parity convolutions.
+    forward(skip, coarse) returns the output; backward(grad) returns
+    (d_skip, d_coarse). Outputs are transpose views of NHWC memory.
+    """
+
+    def __init__(self, skip_channels: int, up_channels: int,
+                 out_channels: int, rng: np.random.Generator | None = None):
+        super().__init__()
+        self.skip_channels = skip_channels
+        self.up_channels = up_channels
+        self.out_channels = out_channels
+        conv = Conv2d(skip_channels + up_channels, out_channels, 3,
+                      padding=1, rng=rng)
+        self.params, self.grads = conv.params, conv.grads
+        self.weight, self.bias = conv.params
+        self.d_weight, self.d_bias = conv.grads
+        self._skip = self._coarse = None
+
+    def forward(self, skip: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+        cs, cu = self.skip_channels, self.up_channels
+        if skip.ndim != 4 or skip.shape[1] != cs:
+            raise ShapeError(f"decoder entry expected skip (N,{cs},2h,2w), "
+                             f"got {skip.shape}")
+        n, _, h, w = skip.shape
+        if h % 2 or w % 2 or coarse.shape != (n, cu, h // 2, w // 2):
+            raise ShapeError(f"decoder entry expected coarse (N,{cu},h,w) "
+                             f"for skip {skip.shape}, got {coarse.shape}")
+        self._skip = pad_nhwc(skip.transpose(0, 2, 3, 1), 1)
+        self._coarse = pad_nhwc(coarse.transpose(0, 2, 3, 1), 1)
+        out = conv_nhwc(self._skip,
+                        conv_matrix(self.weight[:, :cs]).astype(skip.dtype),
+                        3)
+        out += self.bias.astype(skip.dtype)
+        upsampled_conv_nhwc(self._coarse, parity_kernels(
+            self.weight[:, cs:]).astype(skip.dtype), out)
+        return out.transpose(0, 3, 1, 2)
+
+    def backward(self, grad: np.ndarray):
+        cs, o = self.skip_channels, self.out_channels
+        n, _, h, w = grad.shape
+        ch, cw = h // 2, w // 2
+        g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1))
+        self.d_bias += _bias_grad(g)
+        self.d_weight[:, :cs] += _weight_grad(
+            self._skip, g.reshape(n, h * w, o), 3).transpose(3, 2, 0, 1)
+        kernels = parity_kernels(self.weight[:, cs:]).astype(grad.dtype)
+        dk = np.empty(kernels.shape, dtype=grad.dtype)
+        dzp = np.zeros(self._coarse.shape, dtype=grad.dtype)
+        for a in (0, 1):
+            for b in (0, 1):
+                gab = np.ascontiguousarray(g[:, a::2, b::2])
+                window = self._coarse[:, a:a + ch + 1, b:b + cw + 1]
+                dk[a, b] = _weight_grad(window, gab.reshape(n, ch * cw, o), 2)
+                dzp[:, a:a + ch + 1, b:b + cw + 1] += _input_grad(
+                    gab, kernels[a, b].transpose(3, 2, 0, 1), 0)
+        self.d_weight[:, cs:] += (dk.reshape(16, -1).T @ _PARITY_FOLD).reshape(
+            self.up_channels, o, 3, 3).transpose(1, 0, 2, 3)
+        d_skip = _input_grad(g, self.weight[:, :cs].astype(grad.dtype), 1)
+        return (d_skip.transpose(0, 3, 1, 2),
+                dzp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2))
 
 
 class MaxPool2d(Layer):
@@ -338,16 +470,6 @@ class Upsample2x(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         n, c, h, w = grad.shape
         return grad.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
-
-
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"cannot concat {a.shape} with {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
-def split_channels(grad: np.ndarray, c_first: int):
-    return grad[:, :c_first], grad[:, c_first:]
 
 
 class Sequential(Layer):

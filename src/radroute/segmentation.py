@@ -5,6 +5,7 @@ masked loss. A rotation-ensemble pass then propagates labels to unlabeled
 regions, and stage 2 fine-tunes on full scans with the densified masks.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -55,20 +56,18 @@ class UNet:
                            numeric.ReLU(),
                            conv(c_mid, c_mid, 3, padding=1, rng=rng),
                            numeric.ReLU()]
-        self.ups = [numeric.Upsample2x() for _ in range(depth)]
         self.dec = []
         c_up = c_mid
         for d in reversed(range(depth)):
             c_skip = base_channels * (2 ** d)
-            self.dec.append([conv(c_up + c_skip, c_skip, 3, padding=1,
-                                  rng=rng),
+            self.dec.append([numeric.UpsampleConcatConv2d(c_skip, c_up, c_skip,
+                                                          rng=rng),
                              numeric.ReLU(),
                              conv(c_skip, c_skip, 3, padding=1, rng=rng),
                              numeric.ReLU()])
             c_up = c_skip
         self.head = conv(base_channels, 1, 1, zero_init=zero_head, rng=rng)
         self.sigmoid = numeric.Sigmoid()
-        self._skip_channels = None
 
     def _blocks(self):
         for block in self.enc:
@@ -114,12 +113,9 @@ class UNet:
             x = pool.forward(x)
         for layer in self.bottleneck:
             x = layer.forward(x)
-        self._skip_channels = []
-        for up, block, skip in zip(self.ups, self.dec, reversed(skips)):
-            x = up.forward(x)
-            self._skip_channels.append(skip.shape[1])
-            x = numeric.concat_channels(skip, x)
-            for layer in block:
+        for (entry, *rest), skip in zip(self.dec, reversed(skips)):
+            x = entry.forward(skip, x)
+            for layer in rest:
                 x = layer.forward(x)
         return self.head.forward(x)
 
@@ -129,13 +125,11 @@ class UNet:
         first = self.enc[0][0]
         grad = self.head.backward(grad)
         skip_grads = []
-        for block, up, c_skip in zip(reversed(self.dec), reversed(self.ups),
-                                     reversed(self._skip_channels)):
-            for layer in reversed(block):
+        for entry, *rest in reversed(self.dec):
+            for layer in reversed(rest):
                 grad = layer.backward(grad)
-            g_skip, g_up = numeric.split_channels(grad, c_skip)
+            g_skip, grad = entry.backward(grad)
             skip_grads.append(g_skip)
-            grad = up.backward(g_up)
         for layer in reversed(self.bottleneck):
             grad = layer.backward(grad)
         for block, pool, g_skip in zip(reversed(self.enc),
@@ -393,6 +387,19 @@ def _rotate_image(image: np.ndarray, angle_deg: float, order: int,
                           mode="constant", cval=cval, prefilter=False)
 
 
+@functools.lru_cache(maxsize=16)
+def _rotation_validity(shape: tuple, angle_deg: float) -> np.ndarray:
+    """Read-only mask of the pixels of a shape-sized image that a rotation
+    by angle_deg and back keeps inside the frame, as order-0 rotations of
+    an all-ones image. It depends on no scan, and propagation reuses each
+    angle for every scan of a run."""
+    ones = np.ones(shape)
+    valid = _rotate_image(_rotate_image(ones, angle_deg, order=0),
+                          -angle_deg, order=0) > 0.5
+    valid.setflags(write=False)
+    return valid
+
+
 def propagate_labels(model: UNet, scan_image: np.ndarray,
                      original_mask: np.ndarray, cfg: PropagationConfig,
                      valid_region: np.ndarray | None = None,
@@ -418,13 +425,11 @@ def propagate_labels(model: UNet, scan_image: np.ndarray,
     h, w = scan_image.shape
     path_votes = np.zeros((h, w), dtype=np.int64)
     valid_votes = np.zeros((h, w), dtype=np.int64)
-    ones = np.ones((h, w))
     for angle in angles:
         img_r = _rotate_image(scan_image, angle, order=1)
-        valid_r = _rotate_image(ones, angle, order=0)
         prob_r = _tiled_inference(model, img_r, cfg.tile_size)
         prob = _rotate_image(prob_r, -angle, order=1)
-        valid = _rotate_image(valid_r, -angle, order=0) > 0.5
+        valid = _rotation_validity((h, w), float(angle))
         path_votes += ((prob > cfg.probability_threshold) & valid)
         valid_votes += valid
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -458,13 +463,6 @@ def stage2_finetune(model: UNet, scan_images: list, masks: list,
     return model, log
 
 
-# Collapsing a 3x3 kernel over a 2x nearest-neighbour upsampled image onto
-# the coarse grid: for each output-pixel parity the three kernel taps fold
-# into two, because adjacent fine pixels share a coarse source pixel.
-_UPSAMPLE_TAPS = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
-                  np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-
-
 def _conv_mat(weight: np.ndarray) -> np.ndarray:
     """(O, C, k, k) kernel as a float32 conv_nhwc operand."""
     return np.ascontiguousarray(numeric.conv_matrix(weight), np.float32)
@@ -483,26 +481,14 @@ def _pool2(x: np.ndarray) -> np.ndarray:
                       np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
 
 
-def _parity_mats(weight: np.ndarray) -> list:
-    """Per-parity 2x2 kernels equivalent to 3x3 conv after 2x upsampling."""
-    out = []
-    for ta in _UPSAMPLE_TAPS:
-        row = []
-        for tb in _UPSAMPLE_TAPS:
-            k2 = np.einsum("ru,sv,ocuv->rsco", ta, tb, weight)
-            row.append(np.ascontiguousarray(
-                k2.reshape(-1, weight.shape[0]).astype(np.float32)))
-        out.append(row)
-    return out
-
-
 class UNetInference:
     """Single-threaded float32 forward pass precompiled from a U-Net.
 
     It runs the channel-last numeric convolution, as training does, but in
-    float32, with activations kept channel-last throughout, and each decoder
-    stage convolves the upsampled branch directly on the coarse grid (see
-    _parity_mats), which also removes the channel concatenation copy.
+    float32, with activations kept channel-last throughout. Each decoder
+    entry computes as numeric.UpsampleConcatConv2d does in training: the
+    skip branch as a 3x3 convolution, the upsampled branch on the coarse
+    grid with the same parity_kernels and upsampled_conv_nhwc.
     """
 
     def __init__(self, model: UNet):
@@ -517,13 +503,13 @@ class UNetInference:
         self.enc = [pair(block) for block in model.enc]
         self.bottleneck = pair(model.bottleneck)
         self.dec = []
-        for block in model.dec:
-            conv1, conv2 = block[0], block[2]
-            c_skip = conv1.out_channels
+        for entry, _, conv2, _ in model.dec:
+            c_skip = entry.skip_channels
             self.dec.append({
-                "skip": (_conv_mat(conv1.weight[:, :c_skip]),
-                         conv1.bias.astype(np.float32)),
-                "up": _parity_mats(conv1.weight[:, c_skip:]),
+                "skip": (_conv_mat(entry.weight[:, :c_skip]),
+                         entry.bias.astype(np.float32)),
+                "up": numeric.parity_kernels(
+                    entry.weight[:, c_skip:]).astype(np.float32),
                 "conv2": (_conv_mat(conv2.weight),
                           conv2.bias.astype(np.float32)),
             })
@@ -552,13 +538,8 @@ class UNetInference:
             np.maximum(xt, 0.0, out=xt)
         for stage, skip in zip(self.dec, reversed(skips)):
             out = _conv3(skip, *stage["skip"])
-            _, ch, cw, _ = xt.shape
-            zp = numeric.pad_nhwc(xt, 1)
-            for a in (0, 1):
-                for b in (0, 1):
-                    out[:, a::2, b::2, :] += numeric.conv_nhwc(
-                        zp[:, a:a + ch + 1, b:b + cw + 1],
-                        stage["up"][a][b], 2)
+            numeric.upsampled_conv_nhwc(numeric.pad_nhwc(xt, 1),
+                                        stage["up"], out)
             np.maximum(out, 0.0, out=out)
             xt = _conv3(out, *stage["conv2"])
             np.maximum(xt, 0.0, out=xt)

@@ -98,6 +98,8 @@ class TerrainMap:
     grid: np.ndarray  # (H, W) of TerrainClass values, row-major y then x
     cell_size: float
     path_polylines: list
+    _untraversed: np.ndarray | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     @property
     def extent_m(self) -> float:
@@ -120,13 +122,18 @@ class TerrainMap:
         return 0.0 <= x < self.extent_m and 0.0 <= y < self.extent_m
 
     def untraversed_mask(self) -> np.ndarray:
-        """Grid cells under the untraversed path polyline(s)."""
-        mask = np.zeros(self.grid.shape, dtype=bool)
-        for poly in self.path_polylines:
-            if poly.untraversed:
-                mask |= _rasterize_polyline(self.grid.shape, self.cell_size,
-                                            poly.vertices, poly.width)
-        return mask
+        """Grid cells under the untraversed path polyline(s), read-only;
+        rasterized on the first call, as a world's paths do not change."""
+        if self._untraversed is None:
+            mask = np.zeros(self.grid.shape, dtype=bool)
+            for poly in self.path_polylines:
+                if poly.untraversed:
+                    mask |= _rasterize_polyline(self.grid.shape,
+                                                self.cell_size,
+                                                poly.vertices, poly.width)
+            mask.setflags(write=False)
+            self._untraversed = mask
+        return self._untraversed
 
 
 @dataclass

@@ -31,6 +31,27 @@ def traj(points, terrain):
         confidence=np.ones(n))
 
 
+def polar_to_cartesian_inline(scan, image_size, metres_per_pixel):
+    """The per-scan resampling formula, rebuilt in full on every call."""
+    xs, ys = canvas.pixel_grid_scan_frame(image_size, metres_per_pixel)
+    rng = np.hypot(xs, ys)
+    ang = np.arctan2(ys, xs) % (2.0 * np.pi)
+    a = scan.n_azimuths
+    az = ang / (2.0 * np.pi) * a
+    rb = rng / scan.range_resolution - 0.5
+    a0 = np.floor(az).astype(np.int64) % a
+    a1 = (a0 + 1) % a
+    fa = az - np.floor(az)
+    r0 = np.clip(np.floor(rb), 0, scan.n_bins - 1).astype(np.int64)
+    r1 = np.clip(r0 + 1, 0, scan.n_bins - 1)
+    fr = np.clip(rb - r0, 0.0, 1.0)
+    p = scan.power
+    image = ((1 - fa) * ((1 - fr) * p[a0, r0] + fr * p[a0, r1])
+             + fa * ((1 - fr) * p[a1, r0] + fr * p[a1, r1]))
+    image[rng > scan.max_range] = 0.0
+    return image
+
+
 class TestPolarToCartesian:
     def test_zero_in_zero_out(self):
         scan = polar(np.zeros((400, 50)))
@@ -63,6 +84,28 @@ class TestPolarToCartesian:
         ignore = canvas.range_ignore_mask(64, 0.4, scan.max_range)
         assert not out.image[ignore].any()
         assert out.image[~ignore].all()
+
+    @pytest.mark.parametrize("geometry", [(400, 150, 0.25, 256, 0.35),
+                                          (36, 50, 0.2, 64, 0.4)])
+    def test_cached_plan_is_byte_identical_to_inline_formula(self, geometry):
+        n_az, n_bins, res, size, mpp = geometry
+        rng = np.random.default_rng(n_az)
+        for _ in range(3):  # the first call builds the plan; the rest reuse it
+            scan = polar(rng.exponential(1.0, size=(n_az, n_bins)), res=res)
+            got = polar_to_cartesian(scan, size, mpp).image
+            want = polar_to_cartesian_inline(scan, size, mpp)
+            assert got.tobytes() == want.tobytes()
+
+    def test_returned_image_is_the_callers_own(self):
+        scan = polar(np.random.default_rng(2).exponential(size=(400, 50)))
+        first = polar_to_cartesian(scan, 64, 0.4).image
+        want = first.copy()
+        first[...] = -1.0
+        again = polar_to_cartesian(scan, 64, 0.4).image
+        assert again.tobytes() == want.tobytes()
+        plan = canvas._polar_plan(64, 0.4, 400, 50, 0.2)
+        assert not any(arr.flags.writeable for arr in plan)
+        assert plan[0].dtype == np.int32
 
     def test_small_image_rejected(self):
         with pytest.raises(ValueError):

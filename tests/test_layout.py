@@ -23,6 +23,8 @@ TEST_ORACLES = {
     "fusion.load_labeled_trajectory_csv": "round-trip oracle for "
                                           "save_labeled_trajectory_csv",
     "numeric.gradcheck": "gate 3's central-difference gradient check",
+    "numeric.Upsample2x": "gradchecked by gate 3; with channel concatenation "
+                          "and Conv2d, the oracle of UpsampleConcatConv2d",
     "numeric.masked_binary_cross_entropy": "reference for "
                                            "masked_bce_with_logits; the loss "
                                            "gate 3 gradchecks UNet.forward "

@@ -252,18 +252,83 @@ class TestSimpleLayers:
                          [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float)
         np.testing.assert_array_equal(up.forward(x)[0, 0], want)
 
-    def test_concat_split_roundtrip(self):
-        a = np.random.default_rng(5).normal(size=(1, 2, 4, 4))
-        b = np.random.default_rng(6).normal(size=(1, 3, 4, 4))
-        cat = numeric.concat_channels(a, b)
-        ga, gb = numeric.split_channels(cat, 2)
-        np.testing.assert_array_equal(ga, a)
-        np.testing.assert_array_equal(gb, b)
 
-    def test_concat_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            numeric.concat_channels(np.zeros((1, 2, 4, 4)),
-                                    np.zeros((1, 2, 5, 5)))
+# (skip, upsampled, out channels, batch, coarse height, coarse width): the
+# three decoder entries of the desk U-Net (depth 3, base 8), then channel
+# counts with no U-Net ratio, at one and several images and non-square maps
+DECODER_CONFIGS = [(32, 64, 32, 2, 2, 3), (16, 32, 16, 3, 4, 2),
+                   (8, 16, 8, 2, 5, 4), (3, 5, 2, 1, 3, 1), (1, 2, 4, 4, 2, 2)]
+
+
+def decoder_entry_oracle(layer, skip, coarse, grad):
+    """Output, d_weight, d_bias, d_skip, d_coarse of Upsample2x, channel
+    concatenation and a 3x3 same Conv2d holding the layer's parameters."""
+    conv = numeric.Conv2d(layer.skip_channels + layer.up_channels,
+                          layer.out_channels, 3, padding=1)
+    conv.weight[...] = layer.weight
+    conv.bias[...] = layer.bias
+    up = numeric.Upsample2x()
+    out = conv.forward(np.concatenate([skip, up.forward(coarse)], axis=1))
+    dx = conv.backward(grad)
+    cs = layer.skip_channels
+    return (out, conv.d_weight, conv.d_bias, dx[:, :cs],
+            up.backward(dx[:, cs:]))
+
+
+class TestUpsampleConcatConv2d:
+    @staticmethod
+    def case(config, dtype=np.float64):
+        cs, cu, o, n, h, w = config
+        rng = np.random.default_rng(sum(config))
+        layer = numeric.UpsampleConcatConv2d(cs, cu, o, rng=rng)
+        layer.bias[...] = rng.normal(size=o)
+        skip = rng.normal(size=(n, cs, 2 * h, 2 * w))
+        coarse = rng.normal(size=(n, cu, h, w))
+        grad = rng.normal(size=(n, o, 2 * h, 2 * w))
+        want = decoder_entry_oracle(layer, skip, coarse, grad)
+        out = layer.forward(skip.astype(dtype), coarse.astype(dtype))
+        d_skip, d_coarse = layer.backward(grad.astype(dtype))
+        got = (out, layer.d_weight, layer.d_bias, d_skip, d_coarse)
+        return got, want
+
+    @pytest.mark.parametrize("config", DECODER_CONFIGS)
+    def test_matches_upsample_concat_conv_float64(self, config):
+        got, want = self.case(config)
+        for name, a, b in zip(("out", "dW", "d_bias", "d_skip", "d_coarse"),
+                              got, want):
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("config", DECODER_CONFIGS[:3])
+    def test_float32_matches_oracle(self, config):
+        got, want = self.case(config, np.float32)
+        out, d_weight, d_bias, d_skip, d_coarse = got
+        assert out.dtype == d_skip.dtype == d_coarse.dtype == np.float32
+        assert d_weight.dtype == d_bias.dtype == np.float64
+        # the float32 tolerance of TestFloat32Training
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-4 * np.abs(b).max()
+
+    def test_parity_kernels_fold_the_upsampled_conv(self):
+        rng = np.random.default_rng(31)
+        weight = rng.normal(size=(3, 2, 3, 3))
+        coarse = rng.normal(size=(2, 4, 5, 2))
+        up = numeric.Upsample2x().forward(coarse.transpose(0, 3, 1, 2))
+        want = conv_oracle(up, weight, np.zeros(3), padding=1)
+        out = np.zeros((2, 8, 10, 3))
+        numeric.upsampled_conv_nhwc(numeric.pad_nhwc(coarse, 1),
+                                    numeric.parity_kernels(weight), out)
+        assert np.abs(out.transpose(0, 3, 1, 2) - want).max() <= 1e-12
+
+    def test_shape_mismatch(self):
+        layer = numeric.UpsampleConcatConv2d(2, 3, 4)
+        for skip, coarse in (((1, 2, 8, 8), (1, 3, 5, 5)),
+                             ((1, 2, 8, 8), (2, 3, 4, 4)),
+                             ((1, 3, 8, 8), (1, 3, 4, 4)),
+                             ((1, 2, 7, 8), (1, 3, 3, 4)),
+                             ((2, 8, 8), (3, 4, 4))):
+            with pytest.raises(ShapeError):
+                layer.forward(np.zeros(skip), np.zeros(coarse))
 
 
 class TestLosses:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radroute import numeric, segmentation
+from radroute import formats, numeric, segmentation
 from radroute.canvas import Label
 from radroute.errors import SamplingError, ShapeError
 from radroute.segmentation import (AugmentationConfig, CropSample,
@@ -26,6 +26,55 @@ def stripe_scene(size=64, seed=0):
     mask[8:56, 30:34] = P
     mask[8:56, 8:12] = N
     return image, mask
+
+
+def concat_layout_tensors(depth, base, rng):
+    """`.kowt` tensors of a U-Net in the upsample-then-concat layout: layer
+    i counts every conv and ReLU of encoder, bottleneck and decoder in
+    order, then the 1x1 head; a decoder's first conv reads the skip
+    channels, then the upsampled ones."""
+    shapes, c_in = [], 1
+    for d in range(depth + 1):  # the last is the bottleneck
+        c = base * 2 ** d
+        shapes += [(c, c_in, 3, 3), None, (c, c, 3, 3), None]
+        c_in = c
+    for d in reversed(range(depth)):
+        c = base * 2 ** d
+        shapes += [(c, c_in + c, 3, 3), None, (c, c, 3, 3), None]
+        c_in = c
+    shapes.append((1, base, 1, 1))
+    named = []
+    for i, shape in enumerate(shapes):
+        if shape is not None:
+            fan_in = np.prod(shape[1:])
+            named += [(f"layer{i}.p0",
+                       rng.normal(scale=np.sqrt(2.0 / fan_in), size=shape)),
+                      (f"layer{i}.p1", rng.normal(scale=0.1, size=shape[0]))]
+    return named
+
+
+def concat_layout_probabilities(named, depth, x):
+    """The oracle U-Net: Upsample2x, np.concatenate and Conv2d layer by
+    layer over the tensors of concat_layout_tensors."""
+    params = iter(named)
+
+    def conv_relu(x, relu=True):
+        (_, w), (_, b) = next(params), next(params)
+        conv = numeric.Conv2d(w.shape[1], w.shape[0], w.shape[2],
+                              padding=w.shape[2] // 2)
+        conv.weight[...], conv.bias[...] = w, b
+        y = conv.forward(x)
+        return np.maximum(y, 0.0) if relu else y
+
+    skips = []
+    for _ in range(depth):
+        skips.append(conv_relu(conv_relu(x)))
+        x = numeric.MaxPool2d(2).forward(skips[-1])
+    x = conv_relu(conv_relu(x))
+    for skip in reversed(skips):
+        up = numeric.Upsample2x().forward(x)
+        x = conv_relu(conv_relu(np.concatenate([skip, up], axis=1)))
+    return 1.0 / (1.0 + np.exp(-conv_relu(x, relu=False)))
 
 
 class TestUNetForward:
@@ -77,6 +126,27 @@ class TestUNetForward:
                                       tmp_path / "m.json")
         x = np.random.default_rng(1).normal(size=(1, 1, 32, 32))
         np.testing.assert_array_equal(back.forward(x), model.forward(x))
+
+    def test_loads_concat_layout_weights(self, tmp_path):
+        # a model saved before the decoder entry folded the upsample: same
+        # tensor names, shapes and order, and the same function
+        rng = np.random.default_rng(12)
+        named = concat_layout_tensors(3, 8, rng)
+        # a larger head spreads the probabilities, so errors are not squashed
+        named[-2] = (named[-2][0], 4.0 * named[-2][1])
+        numeric.save_weights(tmp_path / "m.kowt", named)
+        formats.write_json(tmp_path / "m.json", {
+            "depth": 3, "base_channels": 8, "in_channels": 1})
+        model = segmentation.load_unet(tmp_path / "m.kowt",
+                                       tmp_path / "m.json")
+        assert [n for n, _ in model.named_params()] == [n for n, _ in named]
+        x = rng.normal(size=(2, 1, 32, 48))
+        want = concat_layout_probabilities(named, 3, x)
+        assert want.min() < 0.2 and want.max() > 0.8
+        got = model.forward(x)
+        assert np.abs(got - want).max() <= 1e-12
+        fast = UNetInference(model).forward(x)
+        assert np.abs(fast - got).max() <= 1e-5
 
     def _load_altered(self, tmp_path, alter):
         model = tiny_model(seed=5)
@@ -134,19 +204,21 @@ def step_grads(model, x, target, labeled):
 
 
 def record_dtypes(model):
-    """Wrap every layer's forward/backward to log (layer, direction, in
-    dtype, out dtype) per call."""
+    """Wrap every layer's forward/backward to log (layer, direction, input
+    dtypes, output dtypes) per call; a decoder entry takes two arrays
+    forward and returns two backward."""
     seen = []
-    layers = (list(model._blocks()) + model.pools + model.ups
-              + [model.sigmoid])
+    layers = list(model._blocks()) + model.pools + [model.sigmoid]
     for layer in layers:
         for direction in ("forward", "backward"):
             fn = getattr(layer, direction)
 
-            def logged(arr, fn=fn, layer=layer, direction=direction):
-                out = fn(arr)
-                seen.append((type(layer).__name__, direction, arr.dtype,
-                             out.dtype))
+            def logged(*arrs, fn=fn, layer=layer, direction=direction):
+                out = fn(*arrs)
+                outs = out if isinstance(out, tuple) else (out,)
+                seen.append((type(layer).__name__, direction,
+                             tuple(a.dtype for a in arrs),
+                             tuple(o.dtype for o in outs)))
                 return out
 
             setattr(layer, direction, logged)
@@ -217,13 +289,15 @@ class TestFloat32Training:
         model.backward(np.ones_like(probs))
         kinds = {(name, direction) for name, direction, _, _ in seen}
         assert {("Conv2d", "backward"), ("MaxPool2d", "backward"),
-                ("Upsample2x", "backward"), ("ReLU", "forward"),
+                ("UpsampleConcatConv2d", "forward"),
+                ("UpsampleConcatConv2d", "backward"), ("ReLU", "forward"),
                 ("Sigmoid", "backward")} <= kinds
-        assert all(i == np.float32 and o == np.float32
-                   for _, _, i, o in seen), seen
+        assert all(d == np.float32 for _, _, i, o in seen for d in i + o), seen
         for layer in model._blocks():
             if isinstance(layer, numeric.Conv2d):
                 assert layer._xp.dtype == np.float32
+            if isinstance(layer, numeric.UpsampleConcatConv2d):
+                assert layer._skip.dtype == layer._coarse.dtype == np.float32
         assert all(p.dtype == np.float64 for p in model.params)
         assert all(g.dtype == np.float64 for g in model.grads)
 
@@ -432,6 +506,17 @@ class TestPropagate:
                          N).astype(np.uint8)
         want = np.where(mask != U, mask, plain)
         np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (40, 56)])
+    def test_cached_validity_equals_two_rotations(self, shape):
+        ones = np.ones(shape)
+        for angle in (0.0, 15.0, 137.5, 283.0, 15.0):
+            want = segmentation._rotate_image(
+                segmentation._rotate_image(ones, angle, order=0),
+                -angle, order=0) > 0.5
+            got = segmentation._rotation_validity(shape, angle)
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
 
     def test_rotation_list_permutation_invariant(self, stripe_model):
         image, mask = stripe_scene()

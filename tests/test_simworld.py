@@ -70,6 +70,16 @@ class TestGenerateWorld:
         assert flags.count(False) >= 1
         assert world.untraversed_mask().any()
 
+    def test_untraversed_mask_rasterized_once(self):
+        world = generate_world(0, small_config())
+        mask = world.untraversed_mask()
+        assert world.untraversed_mask() is mask
+        assert not mask.flags.writeable
+        branch = [p for p in world.path_polylines if p.untraversed][0]
+        want = simworld._rasterize_polyline(world.grid.shape, world.cell_size,
+                                            branch.vertices, branch.width)
+        np.testing.assert_array_equal(mask, want)
+
     def test_tiny_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             SimConfig(grid_size=32)

@@ -1,10 +1,13 @@
 """Small binary/text format helpers: PGM, PPM, WAV, CSV streams."""
 
 import json
+import os
 import re
 import wave
 
 import numpy as np
+
+WAV_CHUNK = 1 << 16  # samples quantized and written per write_wav step
 
 
 def write_pgm(path, image: np.ndarray):
@@ -67,15 +70,28 @@ def write_json(path, obj):
         f.write("\n")
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: float):
-    """Mono PCM-16 WAV."""
-    pcm = np.clip(np.asarray(samples), -1.0, 1.0)
-    pcm = np.round(pcm * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(int(round(sample_rate)))
-        w.writeframes(pcm.tobytes())
+def write_wav(path, samples, sample_rate: float):
+    """Mono PCM-16 WAV from an array or an iterable of arrays (each
+    flattened), quantized and written WAV_CHUNK samples at a time. A
+    non-finite sample raises ValueError naming the file, and removes it."""
+    blocks = [samples] if isinstance(samples, np.ndarray) else samples
+    try:
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(int(round(sample_rate)))
+            for block in blocks:
+                flat = np.ravel(block)
+                for start in range(0, len(flat), WAV_CHUNK):
+                    chunk = flat[start:start + WAV_CHUNK]
+                    if not np.isfinite(chunk).all():
+                        raise ValueError(f"non-finite sample in WAV data "
+                                         f"for {path}")
+                    pcm = np.round(np.clip(chunk, -1.0, 1.0) * 32767.0)
+                    w.writeframesraw(pcm.astype("<i2").tobytes())
+    except ValueError:
+        os.remove(path)
+        raise
 
 
 def read_wav(path):

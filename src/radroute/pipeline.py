@@ -86,6 +86,10 @@ DEFAULT_CONFIG = {
     },
 }
 
+# keys whose value must be a finite number > 0
+POSITIVE_KEYS = ("simworld.scan_interval_s", "simworld.speed",
+                 "simworld.vo_dt", "simworld.sample_rate", "simworld.gps_rate")
+
 
 def _check_type(name: str, default, value):
     """A value must have its default's type; an int may stand for a float,
@@ -123,6 +127,11 @@ def resolve_config(user: dict | None) -> dict:
         else:
             _check_type(key, cfg[key], value)
             cfg[key] = value
+    for name in POSITIVE_KEYS:
+        section, key = name.split(".")
+        if not 0 < cfg[section][key] < float("inf"):
+            raise ConfigurationError(f"config key {name} must be > 0, got "
+                                     f"{cfg[section][key]!r}")
     try:
         stft_config(cfg)
     except ValueError as exc:
@@ -183,23 +192,32 @@ def write_resolved_config(cfg: dict, out: str):
 
 def run_simulate(cfg: dict, out: str):
     """The resolved config, worlds, traverse, sensor streams, and radar
-    scans with ground truth."""
+    scans with ground truth; nothing is written if no training scan fits."""
     seed = cfg["seed"]
-    _ensure_dir(out)
-    write_resolved_config(cfg, out)
     worlds = {}
     for name, tag in WORLD_TAGS.items():
         profile = "long" if name == "eval_long" else "short"
         sc = sim_config(cfg, profile)
         world_seed = derive_seed(seed, tag)
-        world = simworld.generate_world(world_seed, sc)
-        simworld.save_world(world, os.path.join(out, f"world_{name}.json"),
-                            os.path.join(out, f"world_{name}.pgm"))
-        worlds[name] = (world, sc, world_seed)
-
-    # training traverse + sensors
+        worlds[name] = (simworld.generate_world(world_seed, sc), sc,
+                        world_seed)
     world, sc, world_seed = worlds["train"]
     truth = simworld.plan_traverse(world, derive_seed(seed, 21), sc)
+    interval = cfg["simworld"]["scan_interval_s"]
+    scan_times = np.arange(truth.timestamps[0] + interval,
+                           truth.timestamps[-1], interval)
+    if len(scan_times) == 0:
+        raise ConfigurationError(f"config key simworld.scan_interval_s "
+                                 f"{interval!r} leaves no training scan")
+
+    _ensure_dir(out)
+    write_resolved_config(cfg, out)
+    for name, (terrain_map, _, _) in worlds.items():
+        simworld.save_world(terrain_map,
+                            os.path.join(out, f"world_{name}.json"),
+                            os.path.join(out, f"world_{name}.pgm"))
+
+    # training traverse + sensors
     simworld.save_poses_csv(os.path.join(out, "poses_train.csv"), truth)
     vo = simworld.synth_vo(truth, sc, derive_seed(seed, 22))
     gps = simworld.synth_gps(truth, sc, derive_seed(seed, 23))
@@ -210,9 +228,6 @@ def run_simulate(cfg: dict, out: str):
     # radar scans along the traverse
     scan_dir = _ensure_dir(os.path.join(out, "scans_train"))
     scatterers = simworld.scene_scatterers(world, sc, world_seed)
-    interval = cfg["simworld"]["scan_interval_s"]
-    scan_times = np.arange(truth.timestamps[0] + interval,
-                           truth.timestamps[-1], interval)
     for i, t in enumerate(scan_times):
         k = int(np.argmin(np.abs(truth.timestamps - t)))
         scan = simworld.synth_radar(world, truth.poses[k], sc,
@@ -222,19 +237,17 @@ def run_simulate(cfg: dict, out: str):
         canvas.save_polar_scan(
             os.path.join(scan_dir, f"scan_{i:03d}.rds"), scan)
 
-    # traverse audio stream: one synthetic 0.5 s window per audio period
+    # traverse audio stream: one synthetic 0.5 s window per audio period,
+    # streamed from synthesis to the WAV in blocks
     sr = sc.sample_rate
     n_windows = int(truth.timestamps[-1] / audio.CLIP_LEN_S)
-    pieces = []
-    for i in range(n_windows):
-        t_mid = (i + 0.5) * audio.CLIP_LEN_S
-        k = int(np.argmin(np.abs(truth.timestamps - t_mid)))
-        terrain = TerrainClass(int(truth.terrain_at_pose[k]))
-        clip = simworld.synth_audio(terrain, audio.CLIP_LEN_S, sr,
-                                    derive_seed(seed, 40, i))
-        pieces.append(clip.samples)
+    terrains = [int(truth.terrain_at_pose[np.argmin(np.abs(
+        truth.timestamps - (i + 0.5) * audio.CLIP_LEN_S))])
+        for i in range(n_windows)]
+    seeds = [derive_seed(seed, 40, i) for i in range(n_windows)]
     formats.write_wav(os.path.join(out, "traverse_audio.wav"),
-                      np.concatenate(pieces), sr)
+                      simworld.synth_audio_blocks(terrains, audio.CLIP_LEN_S,
+                                                  sr, seeds), sr)
 
     # per-terrain recordings for classifier training
     audio_dir = _ensure_dir(os.path.join(out, "audio"))

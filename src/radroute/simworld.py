@@ -4,6 +4,10 @@ A world is a flat terrain grid (grass / gravel / asphalt) with gravel path
 polylines, one of which is deliberately never traversed so that downstream
 generalisation can be scored on exactly that region. All generators are
 pure functions of (inputs, seed).
+
+Audio clips are synthesized with one batched rfft/irfft per block of at
+most SYNTH_BLOCK_SAMPLES samples, in bounded memory; each clip keeps its
+own seed, gain and peak, and its samples equal a one-clip call bit for bit.
 """
 
 import json
@@ -36,6 +40,7 @@ TERRAIN_AUDIO_BANDS = {
     TerrainClass.GRAVEL: (10000.0, 16000.0),
 }
 AUDIO_BAND_BOOST = 31.622776601683793  # +30 dB amplitude in-band
+SYNTH_BLOCK_SAMPLES = 1 << 19  # per synth_audio_blocks block: 4 MB arrays
 
 DEFAULT_REFLECTIVITY = {
     TerrainClass.GRASS: 1.0,
@@ -154,14 +159,19 @@ def _segment_distance(px, py, ax, ay, bx, by):
 
 
 def _rasterize_polyline(shape, cell_size, vertices, width) -> np.ndarray:
+    """Cells whose centre lies within width/2 of the polyline, each segment
+    evaluated only over its bounding box padded by width/2 plus one cell."""
     h, w = shape
     ys = (np.arange(h) + 0.5) * cell_size
     xs = (np.arange(w) + 0.5) * cell_size
-    px, py = np.meshgrid(xs, ys)
     mask = np.zeros(shape, dtype=bool)
     half = width / 2.0
     for a, b in zip(vertices[:-1], vertices[1:]):
-        mask |= _segment_distance(px, py, a[0], a[1], b[0], b[1]) <= half
+        lo = np.floor((np.minimum(a, b) - half) / cell_size) - 1
+        hi = np.ceil((np.maximum(a, b) + half) / cell_size) + 1
+        (c0, r0), (c1, r1) = np.clip([lo, hi], 0, (w, h)).astype(int)
+        px, py = np.meshgrid(xs[c0:c1], ys[r0:r1])
+        mask[r0:r1, c0:c1] |= _segment_distance(px, py, *a, *b) <= half
     return mask
 
 
@@ -302,24 +312,44 @@ def plan_traverse(terrain_map: TerrainMap, seed: int,
                        terrain_at_pose=terrain)
 
 
-def synth_audio(terrain: TerrainClass, duration_s: float, sample_rate: float,
-                seed: int) -> AudioClip:
-    """Band-shaped noise with a class-specific spectral emphasis band."""
-    terrain = TerrainClass(terrain)
+def synth_audio_blocks(terrains, duration_s: float, sample_rate: float,
+                       seeds):
+    """Band-shaped noise clips, one per (terrain, seed), as (k, n) blocks of
+    consecutive clips, k as large as SYNTH_BLOCK_SAMPLES allows (at least
+    1). Each clip draws its own noise, takes its terrain's band gain and is
+    peak-normalised to 0.9 on its own."""
+    terrains = [int(TerrainClass(t)) for t in terrains]
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration_s * sample_rate))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, int(terrain),
-                                                        0xA0D10]))
-    noise = rng.standard_normal(n)
-    spec = np.fft.rfft(noise)
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    lo, hi = TERRAIN_AUDIO_BANDS[terrain]
-    gain = np.ones_like(freqs)
-    gain[(freqs >= lo) & (freqs <= hi)] = AUDIO_BAND_BOOST
-    shaped = np.fft.irfft(spec * gain, n=n)
-    shaped *= 0.9 / max(np.max(np.abs(shaped)), 1e-12)
-    return AudioClip(samples=shaped, sample_rate=sample_rate)
+    gains = np.ones((len(TerrainClass), len(freqs)))
+    for terrain, (lo, hi) in TERRAIN_AUDIO_BANDS.items():
+        gains[terrain, (freqs >= lo) & (freqs <= hi)] = AUDIO_BAND_BOOST
+    per_block = max(1, SYNTH_BLOCK_SAMPLES // n)
+    for start in range(0, len(terrains), per_block):
+        block = terrains[start:start + per_block]
+        noise = np.empty((len(block), n))
+        for row, terrain, seed in zip(noise, block, seeds[start:]):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, terrain, 0xA0D10]))
+            rng.standard_normal(out=row)
+        spec = np.fft.rfft(noise)
+        del noise
+        spec *= gains[block]
+        shaped = np.fft.irfft(spec, n=n)
+        del spec
+        shaped *= (0.9 / np.maximum(np.abs(shaped).max(axis=1),
+                                    1e-12))[:, None]
+        yield shaped
+
+
+def synth_audio(terrain: TerrainClass, duration_s: float, sample_rate: float,
+                seed: int) -> AudioClip:
+    """Band-shaped noise with a class-specific spectral emphasis band: the
+    one-clip case of synth_audio_blocks."""
+    (block,) = synth_audio_blocks([terrain], duration_s, sample_rate, [seed])
+    return AudioClip(samples=block[0], sample_rate=sample_rate)
 
 
 def scene_scatterers(terrain_map: TerrainMap, config: SimConfig,
@@ -358,13 +388,19 @@ def synth_radar(terrain_map: TerrainMap, pose, config: SimConfig, seed: int,
     ranges = (np.arange(n_bins) + 0.5) * res
     px = x0 + np.cos(angles)[:, None] * ranges[None, :]
     py = y0 + np.sin(angles)[:, None] * ranges[None, :]
-    terrain = terrain_map.terrain_at(px, py)
-    refl = np.zeros(terrain.shape)
+    # one gather from a reflectivity raster padded by one grass cell, at floor
+    # indices clipped onto the pad (terrain_at's grass off the grid)
+    h, w = terrain_map.grid.shape
+    values = np.zeros(len(TerrainClass))
     for cls, value in config.terrain_reflectivity.items():
-        refl[terrain == int(cls)] = value
-    inside = ((px >= 0) & (px < terrain_map.extent_m)
-              & (py >= 0) & (py < terrain_map.extent_m))
-    refl[~inside] = 0.0
+        values[int(cls)] = value
+    raster = values[np.pad(terrain_map.grid, 1,
+                           constant_values=int(TerrainClass.GRASS))]
+    col = np.clip(np.floor(px / terrain_map.cell_size), -1, w) + 1
+    row = np.clip(np.floor(py / terrain_map.cell_size), -1, h) + 1
+    refl = raster.take((row * (w + 2) + col).astype(np.intp))
+    extent = terrain_map.extent_m  # and zero beyond extent_m
+    refl[(px < 0) | (px >= extent) | (py < 0) | (py >= extent)] = 0.0
 
     if len(scatterers):
         sx, sy = scatterers[:, 0] - x0, scatterers[:, 1] - y0
@@ -385,7 +421,8 @@ def synth_radar(terrain_map: TerrainMap, pose, config: SimConfig, seed: int,
 
     if config.speckle_on:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4ADA]))
-        power = refl * rng.exponential(1.0, size=refl.shape)
+        power = rng.exponential(1.0, size=refl.shape)
+        power *= refl
     else:
         power = refl
     return PolarScan(power=power, range_resolution=res, timestamp=timestamp,

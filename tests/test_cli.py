@@ -77,6 +77,27 @@ class TestConfigTypes:
         assert not (tmp_path / "run").exists()
 
 
+class TestPositiveRates:
+    KEYS = ("scan_interval_s", "speed", "vo_dt", "sample_rate", "gps_rate")
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("value", [0, -5.0, float("nan"),
+                                       float("inf")])
+    def test_rejected_naming_key(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"simworld.{key}"):
+            pipeline.resolve_config({"simworld": {key: value}})
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_cli_exits_1_writing_nothing(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"simworld": {key: 0}}))
+        rc = cli.main(["--config", str(cfg_path), "--out",
+                       str(tmp_path / "run"), "simulate"])
+        assert rc == cli.EXIT_ERROR
+        assert f"simworld.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestDspSection:
     # gate 9's reduced sizes (tests/test_acceptance.py)
     GATE9 = {"seed": 7,

@@ -1,5 +1,6 @@
 import json
 import os
+import wave
 
 import numpy as np
 import pytest
@@ -36,6 +37,64 @@ class TestReadWav:
         path.write_bytes(wav_bytes(tmp_path)[:-drop])
         with pytest.raises(ValueError, match="truncated WAV file"):
             formats.read_wav(path)
+
+
+def write_wav_oracle(path, samples, sample_rate):
+    """The one-shot writer: quantize everything, write once."""
+    pcm = np.clip(np.asarray(samples), -1.0, 1.0)
+    pcm = np.round(pcm * 32767.0).astype("<i2")
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(int(round(sample_rate)))
+        w.writeframes(pcm.tobytes())
+    return path.read_bytes()
+
+
+class TestStreamedWriteWav:
+    CHUNK = formats.WAV_CHUNK
+
+    @staticmethod
+    def samples(n):
+        # beyond [-1, 1] too, so clipping is exercised
+        return np.random.default_rng(n).normal(0.0, 0.6, n)
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 17])
+    def test_array_matches_one_shot_writer(self, tmp_path, n):
+        x = self.samples(n)
+        path = tmp_path / "a.wav"
+        formats.write_wav(path, x, 44100.0)
+        assert path.read_bytes() == write_wav_oracle(tmp_path / "b.wav", x,
+                                                     44100.0)
+
+    def test_iterable_of_blocks_matches_one_shot_writer(self, tmp_path):
+        x = self.samples(3 * self.CHUNK + 5)
+        cuts = [0, 3, 3, self.CHUNK - 2, self.CHUNK + 9, 2 * self.CHUNK,
+                len(x)]
+        blocks = (x[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+        path = tmp_path / "a.wav"
+        formats.write_wav(path, blocks, 22050.0)
+        assert path.read_bytes() == write_wav_oracle(tmp_path / "b.wav", x,
+                                                     22050.0)
+
+    def test_two_dimensional_blocks_are_flattened_row_major(self, tmp_path):
+        x = self.samples(6 * 1000)
+        path = tmp_path / "a.wav"
+        formats.write_wav(path, iter([x[:4000].reshape(4, 1000),
+                                      x[4000:].reshape(2, 1000)]), 8000.0)
+        assert path.read_bytes() == write_wav_oracle(tmp_path / "b.wav", x,
+                                                     8000.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, CHUNK + 3])
+    def test_non_finite_sample_rejected(self, tmp_path, bad, where):
+        x = self.samples(2 * self.CHUNK)
+        x[where] = bad
+        path = tmp_path / "bad.wav"
+        with pytest.raises(ValueError, match="non-finite.*bad.wav"):
+            formats.write_wav(path, iter([x[:5], x[5:]]), 8000.0)
+        assert not path.exists()
 
 
 class TestReadExact:

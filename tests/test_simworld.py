@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from radroute import simworld
+from radroute import pipeline, simworld
 from radroute.errors import ConfigurationError
 from radroute.simworld import (SimConfig, TerrainClass, generate_world,
                                plan_traverse, synth_audio, synth_gps,
@@ -85,6 +87,46 @@ class TestGenerateWorld:
             SimConfig(grid_size=32)
 
 
+def rasterize_oracle(shape, cell_size, vertices, width):
+    """Every segment's distance evaluated over the full grid."""
+    h, w = shape
+    px, py = np.meshgrid((np.arange(w) + 0.5) * cell_size,
+                         (np.arange(h) + 0.5) * cell_size)
+    mask = np.zeros(shape, dtype=bool)
+    for a, b in zip(vertices[:-1], vertices[1:]):
+        mask |= simworld._segment_distance(px, py, a[0], a[1], b[0],
+                                           b[1]) <= width / 2.0
+    return mask
+
+
+class TestRasterizeBoundingBox:
+    @pytest.mark.parametrize("vertices", [
+        [[-5.0, 3.0], [10.0, 12.0], [30.0, -4.0]],    # leaves bottom edge
+        [[20.0, 10.0], [27.0, 10.0], [40.0, 30.0]],   # leaves right, top
+        [[-3.0, -3.0], [-3.0, -3.0], [5.0, 5.0]],     # zero-length, outside
+        [[12.0, 12.0], [12.0, 12.0]],                 # zero-length, inside
+        [[12.3, 8.1], [12.3, 8.1], [12.3, 8.1], [0.2, 25.0]],
+        [[-9.0, -9.0], [-2.0, 40.0]],                 # wholly off the grid
+        [[0.0, 0.0], [25.6, 25.6]],                   # corner to corner
+    ])
+    @pytest.mark.parametrize("width", [0.0, 1.0, 3.0, 7.3])
+    def test_matches_full_grid_oracle(self, vertices, width):
+        vertices = np.array(vertices)
+        got = simworld._rasterize_polyline((48, 64), 0.4, vertices, width)
+        want = rasterize_oracle((48, 64), 0.4, vertices, width)
+        assert np.array_equal(got, want)
+
+    def test_generated_world_paths(self):
+        world = generate_world(11, small_config(cell_size=0.37))
+        for poly in world.path_polylines:
+            got = simworld._rasterize_polyline(world.grid.shape,
+                                               world.cell_size,
+                                               poly.vertices, poly.width)
+            want = rasterize_oracle(world.grid.shape, world.cell_size,
+                                    poly.vertices, poly.width)
+            assert got.any() and np.array_equal(got, want)
+
+
 class TestPlanTraverse:
     def test_poses_inside_map(self):
         cfg = small_config()
@@ -119,6 +161,64 @@ class TestPlanTraverse:
         d = np.hypot(truth.poses[:, 0] - far_vertex[0],
                      truth.poses[:, 1] - far_vertex[1])
         assert d.min() > branch.width
+
+
+def synth_audio_oracle(terrain, duration_s, sample_rate, seed):
+    """The per-clip synthesis formula: one rfft/irfft per clip."""
+    n = int(round(duration_s * sample_rate))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, int(terrain),
+                                                        0xA0D10]))
+    spec = np.fft.rfft(rng.standard_normal(n))
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    lo, hi = simworld.TERRAIN_AUDIO_BANDS[TerrainClass(terrain)]
+    gain = np.ones_like(freqs)
+    gain[(freqs >= lo) & (freqs <= hi)] = simworld.AUDIO_BAND_BOOST
+    shaped = np.fft.irfft(spec * gain, n=n)
+    shaped *= 0.9 / max(np.max(np.abs(shaped)), 1e-12)
+    return shaped
+
+
+class TestSynthAudioBlocks:
+    TERRAINS = [2, 0, 0, 1, 2, 1, 0, 1, 2, 2, 0]
+
+    def check(self, duration_s, sample_rate, rows_per_block):
+        seeds = [1000 + 7 * i for i in range(len(self.TERRAINS))]
+        blocks = list(simworld.synth_audio_blocks(
+            self.TERRAINS, duration_s, sample_rate, seeds))
+        assert [len(b) for b in blocks] == rows_per_block
+        rows = np.concatenate(blocks)
+        for row, terrain, seed in zip(rows, self.TERRAINS, seeds):
+            want = synth_audio_oracle(terrain, duration_s, sample_rate,
+                                      seed)
+            assert np.array_equal(row, want)
+
+    def test_mixed_terrains_across_block_boundaries(self, monkeypatch):
+        # 441-sample clips, four to a block: 4 + 4 + 3
+        monkeypatch.setattr(simworld, "SYNTH_BLOCK_SAMPLES", 4 * 441 + 440)
+        self.check(0.01, 44100.0, [4, 4, 3])
+
+    def test_default_budget_half_second_windows(self):
+        per_block = simworld.SYNTH_BLOCK_SAMPLES // 22050
+        assert 1 < per_block < len(self.TERRAINS) * 3
+        self.TERRAINS = self.TERRAINS * 3
+        n = len(self.TERRAINS)
+        self.check(0.5, 44100.0,
+                   [per_block] * (n // per_block) + [n % per_block])
+
+    def test_clip_longer_than_budget_is_its_own_block(self, monkeypatch):
+        monkeypatch.setattr(simworld, "SYNTH_BLOCK_SAMPLES", 1000)
+        self.check(0.05, 44100.0, [1] * len(self.TERRAINS))
+
+    def test_odd_length_and_rate(self):
+        self.check(0.0371, 22050.0, [len(self.TERRAINS)])
+
+    def test_synth_audio_is_the_one_clip_case(self):
+        for terrain in TerrainClass:
+            clip = synth_audio(terrain, 0.5, 44100.0, 3)
+            assert clip.sample_rate == 44100.0
+            assert np.array_equal(clip.samples,
+                                  synth_audio_oracle(terrain, 0.5, 44100.0,
+                                                     3))
 
 
 class TestSynthAudio:
@@ -241,6 +341,71 @@ class TestSynthRadar:
         world = generate_world(0, cfg)
         with pytest.raises(ValueError):
             synth_radar(world, (-1.0, 5.0, 0.0), cfg, 0)
+
+
+def reflectivity_oracle(world, pose, cfg, n_azimuths=400):
+    """Per-class masks over terrain_at (grass off the grid), zero beyond
+    extent_m."""
+    ranges = (np.arange(simworld.radar_bin_count(cfg)) + 0.5) \
+        * cfg.range_resolution
+    angles = pose[2] + 2.0 * np.pi * np.arange(n_azimuths) / n_azimuths
+    px = pose[0] + np.cos(angles)[:, None] * ranges[None, :]
+    py = pose[1] + np.sin(angles)[:, None] * ranges[None, :]
+    terrain = world.terrain_at(px, py)
+    refl = np.zeros(terrain.shape)
+    for cls, value in cfg.terrain_reflectivity.items():
+        refl[terrain == int(cls)] = value
+    inside = ((px >= 0) & (px < world.extent_m)
+              & (py >= 0) & (py < world.extent_m))
+    refl[~inside] = 0.0
+    return refl
+
+
+class TestRadarReflectivityLookup:
+    @pytest.mark.parametrize("cell_size", [0.4, 0.1, 0.37])
+    def test_matches_terrain_at_oracle_near_every_edge(self, cell_size):
+        cfg = small_config(cell_size=cell_size, speckle_on=False,
+                           radar_profile="long")
+        world = generate_world(2, cfg)
+        world.grid[0, :] = world.grid[-1, :] = int(TerrainClass.ASPHALT)
+        world.grid[:, 0] = world.grid[:, -1] = int(TerrainClass.GRAVEL)
+        e = world.extent_m
+        poses = [(0.0, e / 2, 0.1), (e - 1e-9, e / 2, 2.0),
+                 (e / 2, 0.01, -1.0), (e / 2, e - 0.01, 0.7),
+                 (0.05, 0.05, 0.3), (e - 0.2, e - 0.3, 4.0),
+                 (e / 3, e / 4, 0.0)]
+        for pose in poses:
+            got = synth_radar(world, pose, cfg, 0, n_azimuths=90).power
+            want = reflectivity_oracle(world, pose, cfg, n_azimuths=90)
+            assert (want == 0).any()  # beams leave the grid
+            assert np.array_equal(got, want), pose
+
+    def test_inside_extent_past_the_last_cell_reads_grass(self):
+        # 96 * 0.65 rounds to just above 62.4, while floor(62.4 / 0.65) is
+        # 96: a beam sample at x = 62.4 lies inside extent_m but past the
+        # last column, where terrain_at reads grass
+        cfg = SimConfig(grid_size=96, cell_size=0.65, speckle_on=False)
+        world = generate_world(1, cfg)
+        world.grid[:, -1] = int(TerrainClass.GRAVEL)
+        x = 62.4
+        assert x < world.extent_m and np.floor(x / cfg.cell_size) == 96
+        ranges = (np.arange(simworld.radar_bin_count(cfg)) + 0.5) \
+            * cfg.range_resolution
+        k = next(k for k, r in enumerate(ranges) if (x - r) + r == x)
+        pose = (x - ranges[k], world.extent_m / 2, 0.0)  # azimuth 0 is +x
+        power = synth_radar(world, pose, cfg, 0).power
+        assert power[0, k] == cfg.terrain_reflectivity[TerrainClass.GRASS]
+        assert np.array_equal(power, reflectivity_oracle(world, pose, cfg))
+
+    def test_speckle_multiplies_the_same_reflectivity(self):
+        cfg = small_config()
+        world = generate_world(4, cfg)
+        pose = (1.0, world.extent_m - 2.0, 5.5)
+        got = synth_radar(world, pose, cfg, 9).power
+        rng = np.random.default_rng(np.random.SeedSequence([9, 0x4ADA]))
+        want = reflectivity_oracle(world, pose, cfg)
+        want = want * rng.exponential(1.0, size=want.shape)
+        assert np.array_equal(got, want)
 
 
 def straight_truth(duration_s, dt=0.1, speed=1.0):
@@ -367,3 +532,41 @@ class TestWorldIo:
         np.testing.assert_allclose(loaded.poses, truth.poses, atol=1e-9)
         np.testing.assert_array_equal(loaded.terrain_at_pose,
                                       truth.terrain_at_pose)
+
+
+class TestSimulateStream:
+    # gate 9's config (tests/test_acceptance.py)
+    GATE9 = {
+        "seed": 7,
+        "simworld": {"grid_size": 96, "scatterer_density": 300.0},
+        "audio": {"clips_per_class": 40, "recordings_per_class": 2,
+                  "epochs": 1, "trials": 1},
+        "canvas": {"image_size": 96},
+        "segmentation": {"stage1_steps": 20, "stage2_steps": 4,
+                         "crops_per_scan": 10, "n_rotations": 2,
+                         "crop": 32},
+        "eval": {"eval_scans_per_world": 2, "min_pixel_accuracy": 0.0,
+                 "min_iou": 0.0},
+    }
+
+    def test_peak_traced_memory_is_bounded(self, tmp_path):
+        # the traverse stream (about 18 MB as float64 here) is synthesized
+        # and written in blocks, never held whole
+        cfg = pipeline.resolve_config(self.GATE9)
+        tracemalloc.start()
+        try:
+            pipeline.run_simulate(cfg, str(tmp_path / "run"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_no_training_scan_fails_before_writing(self, tmp_path):
+        cfg = pipeline.resolve_config(
+            {**self.GATE9, "simworld": {**self.GATE9["simworld"],
+                                        "scan_interval_s": 1e6}})
+        out = tmp_path / "run"
+        with pytest.raises(ConfigurationError,
+                           match="simworld.scan_interval_s"):
+            pipeline.run_simulate(cfg, str(out))
+        assert not out.exists()

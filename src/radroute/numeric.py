@@ -13,15 +13,14 @@ verified against central differences (see gradcheck).
 Conv2d keeps the (N, C, H, W) interface but computes channel-last, as k
 GEMMs over row views of one kernel-row panel of a padded (N, H, W, C) array
 (Anderson et al. 2017), not the k*k-times-larger im2col matrix; forward,
-dW, dX and UNetInference share it. Returned arrays may be transpose views
-of channel-last memory.
+dW and dX share it. Returned arrays may be transpose views of channel-last
+memory. Inference runs the same layers' forward on float32 input.
 
 UpsampleConcatConv2d is a U-Net decoder's entry: the 3x3 convolution of a
 skip map concatenated with a 2x nearest-upsampled coarse map. It convolves
 the upsampled half on the coarse grid as four 2x2 parity kernels
 (parity_kernels), the sub-pixel view of resize-convolution (Shi et al.
-2016; Odena et al. 2016), in training as in UNetInference. Upsample2x with
-Conv2d stays as its oracle.
+2016; Odena et al. 2016). Upsample2x with Conv2d stays as its oracle.
 """
 
 import struct
@@ -65,35 +64,36 @@ class Layer:
 
 
 def pad_nhwc(x: np.ndarray, p: int) -> np.ndarray:
-    """Copy (N, H, W, C) into a fresh (N, H+2p, W+2p, C) zero-bordered array."""
+    """Copy (N, H, W, C) into a fresh (N, H+2p, W+2p, C) zero-bordered
+    array; at p = 0, x itself (a 1x1 conv reads its input in place)."""
+    if p == 0:
+        return x
     n, h, w, c = x.shape
     out = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
     out[:, p:p + h, p:p + w] = x
     return out
 
 
-def _kernel_rows(xp: np.ndarray, k: int, stride: int = 1):
+def _kernel_rows(xp: np.ndarray, k: int):
     """Padded (N, H, W, C) -> (k GEMM operands (N, oh*ow, k*C), oh, ow).
 
-    Operand u is kernel row u of every output window: a view (a copy at
-    stride > 1) of one kernel-row panel (N, H, ow, k*C), k input copies.
+    Operand u is kernel row u of every output window: a view of one
+    kernel-row panel (N, H, ow, k*C), k input copies.
     """
     n, h, w, c = xp.shape
-    oh = (h - k) // stride + 1
-    ow = (w - k) // stride + 1
+    oh, ow = h - k + 1, w - k + 1
     s0, s1, s2, s3 = xp.strides
     panel = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
-        xp, shape=(n, h, ow, k, c), strides=(s0, s1, s2 * stride, s2, s3),
+        xp, shape=(n, h, ow, k, c), strides=(s0, s1, s2, s2, s3),
         writeable=False)).reshape(n, h, ow, k * c)
-    return [panel[:, u:u + stride * (oh - 1) + 1:stride].reshape(
-        n, oh * ow, k * c) for u in range(k)], oh, ow
+    return [panel[:, u:u + oh].reshape(n, oh * ow, k * c)
+            for u in range(k)], oh, ow
 
 
-def conv_nhwc(xp: np.ndarray, wmat: np.ndarray, k: int,
-              stride: int = 1) -> np.ndarray:
+def conv_nhwc(xp: np.ndarray, wmat: np.ndarray, k: int) -> np.ndarray:
     """Padded (N, H, W, C) times a (k*k*C, O) matrix: (N, oh, ow, O),
     summed over kernel rows of one stacked GEMM each."""
-    rows, oh, ow = _kernel_rows(xp, k, stride)
+    rows, oh, ow = _kernel_rows(xp, k)
     wrows = wmat.reshape(k, -1, wmat.shape[1])
     out = rows[0] @ wrows[0]
     for u in range(1, k):
@@ -107,7 +107,8 @@ def conv_matrix(weight: np.ndarray) -> np.ndarray:
 
 
 class Conv2d(Layer):
-    """2-D convolution (cross-correlation), square kernel, zero padding.
+    """2-D stride-1 convolution (cross-correlation), square kernel, zero
+    padding.
 
     forward keeps only the padded NHWC input; backward rebuilds the
     kernel-row panel from it, since keeping it would hold k input copies.
@@ -117,7 +118,7 @@ class Conv2d(Layer):
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0,
+                 padding: int = 0,
                  rng: np.random.Generator | None = None,
                  zero_init: bool = False):
         super().__init__()
@@ -126,7 +127,6 @@ class Conv2d(Layer):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.k = kernel_size
-        self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size * kernel_size
         fan_out = out_channels * kernel_size * kernel_size
@@ -151,7 +151,7 @@ class Conv2d(Layer):
                 f"conv2d expected (N,{self.in_channels},H,W), got {x.shape}")
         self._xp = pad_nhwc(x.transpose(0, 2, 3, 1), self.padding)
         out = conv_nhwc(self._xp, conv_matrix(self.weight).astype(x.dtype),
-                        self.k, self.stride)
+                        self.k)
         out += self.bias.astype(x.dtype)
         return out.transpose(0, 3, 1, 2)
 
@@ -160,8 +160,8 @@ class Conv2d(Layer):
         n, _, oh, ow = grad.shape
         g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(
             n, oh * ow, self.out_channels)
-        self.d_weight += _weight_grad(self._xp, g, self.k,
-                                      self.stride).transpose(3, 2, 0, 1)
+        self.d_weight += _weight_grad(self._xp, g, self.k).transpose(
+            3, 2, 0, 1)
         self.d_bias += _bias_grad(g)
         return g
 
@@ -169,31 +169,20 @@ class Conv2d(Layer):
         self._accumulate(grad)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        k, s, p = self.k, self.stride, self.padding
         n, _, oh, ow = grad.shape
-        weight = self.weight.astype(grad.dtype)
         g = self._accumulate(grad)
-        if s == 1:
-            dx = _input_grad(g.reshape(n, oh, ow, -1), weight, p)
-        else:
-            # each kernel tap scatters one GEMM into a strided slice
-            dxp = np.zeros(self._xp.shape, dtype=grad.dtype)
-            for u in range(k):
-                for v in range(k):
-                    dxp[:, u:u + s * oh:s, v:v + s * ow:s] += (
-                        g @ weight[:, :, u, v]).reshape(n, oh, ow, -1)
-            dx = dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p]
+        dx = _input_grad(g.reshape(n, oh, ow, -1),
+                         self.weight.astype(grad.dtype), self.padding)
         return dx.transpose(0, 3, 1, 2)
 
 
-def _weight_grad(xp: np.ndarray, g: np.ndarray, k: int,
-                 stride: int = 1) -> np.ndarray:
+def _weight_grad(xp: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     """dW of conv_nhwc as (k, k, C, O), from its padded input and its
     channel-last gradient (N, oh*ow, O)."""
     # per kernel row from a temporary panel, freed before dX needs its
     # own; stacked GEMMs, as the rows do not flatten without a copy
     dw = np.stack([(rows.transpose(0, 2, 1) @ g).sum(axis=0)
-                   for rows in _kernel_rows(xp, k, stride)[0]])
+                   for rows in _kernel_rows(xp, k)[0]])
     return dw.reshape(k, k, xp.shape[3], g.shape[2])
 
 
@@ -206,7 +195,7 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
 
 
 def _input_grad(g: np.ndarray, weight: np.ndarray, p: int) -> np.ndarray:
-    """dX (N, H, W, C) of a stride-1 convolution with (O, C, k, k) kernels
+    """dX (N, H, W, C) of a convolution with (O, C, k, k) kernels
     and padding p: the gradient (N, oh, ow, O), padded so that the output
     is exactly H x W, correlated with the spatially flipped kernels."""
     k = weight.shape[2]
@@ -323,12 +312,13 @@ class UpsampleConcatConv2d(Layer):
 class MaxPool2d(Layer):
     """Max pooling with kernel == stride; trailing rows/cols are dropped.
 
-    Works on the k*k strided tap views x[:, :, u::k, v::k], with no copy of
-    the input. The winning tap is the one argmax would pick: the first
-    maximum in row-major (u, v) order, or the first NaN. Values move
-    through integer bit masks rather than data-dependent selects, so the
-    output and dX keep every bit of the chosen values (a signed zero keeps
-    its sign).
+    Copies each of the k*k strided tap views x[:, :, u::k, v::k] once, in
+    the input's memory order, so that every later pass runs over dense
+    memory rather than C-element runs of channel-last input. The winning
+    tap is the one argmax would pick: the first maximum in row-major (u, v)
+    order, or the first NaN. Values move through integer bit masks rather
+    than data-dependent selects, so the output and dX keep every bit of the
+    chosen values (a signed zero keeps its sign).
     """
 
     def __init__(self, kernel_size: int = 2):
@@ -346,17 +336,19 @@ class MaxPool2d(Layer):
         k = self.k
         if x.shape[2] // k < 1 or x.shape[3] // k < 1:
             raise ShapeError(f"input {x.shape} too small for pool k={k}")
-        taps = self._taps(x)
+        taps = [tap.copy(order="K") for tap in self._taps(x)]
         last = len(taps) - 1
-        out = taps[last].copy(order="K")
+        out = taps[last]
         bits = out.view(f"i{out.itemsize}")
         idx = np.full_like(out, last, dtype=np.min_scalar_type(last))
         # last tap to first, so that an earlier tap takes ties
         for i in range(last - 1, -1, -1):
             wins = (taps[i] >= out) | np.isnan(taps[i])
             idx -= wins * (idx - i)
-            bits ^= (bits ^ taps[i].view(bits.dtype)) & -wins.astype(
-                bits.dtype)
+            diff = taps[i].view(bits.dtype)  # the copy is ours to overwrite
+            diff ^= bits
+            diff *= wins
+            bits ^= diff
         self._cache = (x.shape, idx)
         return out
 
@@ -370,29 +362,31 @@ class MaxPool2d(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        super().__init__()
-        self._mask = None
+    """max(x, 0) in one pass; backward passes the gradient where the
+    output is positive, i.e. where x > 0 (not at a NaN)."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._mask
-
-
-class Sigmoid(Layer):
     def __init__(self):
         super().__init__()
         self._y = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+        self._y = np.maximum(x, 0)
+        return self._y
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        return grad * (self._y > 0)
+
+
+class Sigmoid(Layer):
+    """Logistic function from exp(-|x|), which cannot overflow."""
+
+    def __init__(self):
+        super().__init__()
+        self._y = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        e = np.exp(-np.abs(x))
+        y = np.where(x >= 0, 1.0, e) / (1.0 + e)
         self._y = y
         return y
 

@@ -132,6 +132,14 @@ def resolve_config(user: dict | None) -> dict:
         if not 0 < cfg[section][key] < float("inf"):
             raise ConfigurationError(f"config key {name} must be > 0, got "
                                      f"{cfg[section][key]!r}")
+    rep = cfg["audio"]["representation"]
+    if rep not in audio.REPRESENTATIONS:
+        raise ConfigurationError(f"config key audio.representation must be "
+                                 f"one of {audio.REPRESENTATIONS}, got {rep!r}")
+    crop, size = cfg["segmentation"]["crop"], cfg["canvas"]["image_size"]
+    if crop > size:
+        raise ConfigurationError(f"config key segmentation.crop {crop} must "
+                                 f"not exceed canvas.image_size {size}")
     try:
         stft_config(cfg)
     except ValueError as exc:
@@ -537,7 +545,6 @@ def run_propagate(cfg: dict, out: str):
         seed=derive_seed(cfg["seed"], 80))
     world = simworld.load_world(os.path.join(out, "world_train.json"))
     prop_dir = _ensure_dir(os.path.join(out, "masks_propagated"))
-    model = segmentation.UNetInference(model)
 
     side_total = side_hit = grass_total = grass_fp = 0
     for i, (scan, image, mask) in enumerate(zip(scans, images, masks)):
@@ -577,7 +584,6 @@ def run_segment(cfg: dict, out: str, scans_subdir: str = "scans_eval_short",
                                    os.path.join(out, f"{model_name}.json"))
     scans = _load_scans(out, scans_subdir)
     pred_dir = _ensure_dir(os.path.join(out, f"pred_{scans_subdir}"))
-    model = segmentation.UNetInference(model)
     for i, scan in enumerate(scans):
         cart = canvas.polar_to_cartesian(scan, ccfg["image_size"],
                                          ccfg["metres_per_pixel"])

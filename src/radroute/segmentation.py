@@ -296,16 +296,12 @@ def _train_batches(model: UNet, batches, lr: float, log: SegTrainLog):
         log.losses.append(loss)
 
 
-def stage1_train(scan_images: list, masks: list,
-                 model: UNet | None = None,
-                 cfg: SegTrainConfig | None = None,
+def stage1_train(scan_images: list, masks: list, model: UNet,
+                 cfg: SegTrainConfig,
                  aug_cfg: AugmentationConfig | None = None,
                  crop: int = 64, crops_per_scan: int = 200):
     """Curriculum stage 1: masked BCE on augmented crops around labels."""
-    cfg = cfg or SegTrainConfig()
     aug_cfg = aug_cfg or AugmentationConfig()
-    if model is None:
-        model = UNet(seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57A6]))
     pool = []
     for i, (img, msk) in enumerate(zip(scan_images, masks)):
@@ -360,8 +356,10 @@ class PropagationConfig:
             raise ValueError("probability_threshold in (0, 1)")
 
 
-def _tiled_inference(model, image: np.ndarray, tile: int) -> np.ndarray:
-    """Segment an image tile by tile (no overlap) and reassemble."""
+def _tiled_inference(model: UNet, image: np.ndarray,
+                     tile: int) -> np.ndarray:
+    """Float32 path probabilities of an image, segmented tile by tile (no
+    overlap) and reassembled."""
     h, w = image.shape
     ph = (tile - h % tile) % tile
     pw = (tile - w % tile) % tile
@@ -372,8 +370,8 @@ def _tiled_inference(model, image: np.ndarray, tile: int) -> np.ndarray:
         for c in range(0, padded.shape[1], tile):
             tiles.append(padded[r:r + tile, c:c + tile])
             positions.append((r, c))
-    probs = model.forward(np.stack(tiles)[:, None])[:, 0]
-    out = np.zeros_like(padded)
+    probs = model.forward(np.stack(tiles)[:, None].astype(np.float32))[:, 0]
+    out = np.zeros(padded.shape, dtype=np.float32)
     for (r, c), p in zip(positions, probs):
         out[r:r + tile, c:c + tile] = p
     return out[:h, :w]
@@ -414,8 +412,6 @@ def propagate_labels(model: UNet, scan_image: np.ndarray,
     angle list (degrees) overrides the cfg-seeded random rotations.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9069]))
-    if not isinstance(model, UNetInference):
-        model = UNetInference(model)
     if angles is not None:
         angles = list(angles)
     elif cfg.n_rotations == 1:
@@ -446,9 +442,8 @@ def propagate_labels(model: UNet, scan_image: np.ndarray,
 
 
 def stage2_finetune(model: UNet, scan_images: list, masks: list,
-                    cfg: SegTrainConfig | None = None):
+                    cfg: SegTrainConfig):
     """Curriculum stage 2: masked BCE on full scans with densified masks."""
-    cfg = cfg or SegTrainConfig(steps=60, learning_rate=0.05)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF17E]))
     log = SegTrainLog()
 
@@ -463,99 +458,7 @@ def stage2_finetune(model: UNet, scan_images: list, masks: list,
     return model, log
 
 
-def _conv_mat(weight: np.ndarray) -> np.ndarray:
-    """(O, C, k, k) kernel as a float32 conv_nhwc operand."""
-    return np.ascontiguousarray(numeric.conv_matrix(weight), np.float32)
-
-
-def _conv3(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """3x3 same-padding convolution of channel-last x."""
-    out = numeric.conv_nhwc(numeric.pad_nhwc(x, 1), wmat, 3)
-    out += bias
-    return out
-
-
-def _pool2(x: np.ndarray) -> np.ndarray:
-    """2x2 max pool of channel-last x over its four strided tap views."""
-    return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
-                      np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
-
-
-class UNetInference:
-    """Single-threaded float32 forward pass precompiled from a U-Net.
-
-    It runs the channel-last numeric convolution, as training does, but in
-    float32, with activations kept channel-last throughout. Each decoder
-    entry computes as numeric.UpsampleConcatConv2d does in training: the
-    skip branch as a 3x3 convolution, the upsampled branch on the coarse
-    grid with the same parity_kernels and upsampled_conv_nhwc.
-    """
-
-    def __init__(self, model: UNet):
-        self.depth = model.depth
-
-        def pair(block):
-            return [(_conv_mat(block[0].weight),
-                     block[0].bias.astype(np.float32)),
-                    (_conv_mat(block[2].weight),
-                     block[2].bias.astype(np.float32))]
-
-        self.enc = [pair(block) for block in model.enc]
-        self.bottleneck = pair(model.bottleneck)
-        self.dec = []
-        for entry, _, conv2, _ in model.dec:
-            c_skip = entry.skip_channels
-            self.dec.append({
-                "skip": (_conv_mat(entry.weight[:, :c_skip]),
-                         entry.bias.astype(np.float32)),
-                "up": numeric.parity_kernels(
-                    entry.weight[:, c_skip:]).astype(np.float32),
-                "conv2": (_conv_mat(conv2.weight),
-                          conv2.bias.astype(np.float32)),
-            })
-        self.head = (_conv_mat(model.head.weight),
-                     model.head.bias.astype(np.float32))
-        self._sigmoid = numeric.Sigmoid()
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """(N, 1, H, W) in, (N, 1, H, W) sigmoid probabilities out."""
-        if x.ndim != 4:
-            raise ShapeError("U-Net input must be (N, C, H, W)")
-        if x.shape[2] % (2 ** self.depth) or x.shape[3] % (2 ** self.depth):
-            raise ShapeError(
-                f"spatial size must be divisible by {2 ** self.depth}")
-        xt = x.transpose(0, 2, 3, 1).astype(np.float32)
-        skips = []
-        for (m1, b1), (m2, b2) in self.enc:
-            xt = _conv3(xt, m1, b1)
-            np.maximum(xt, 0.0, out=xt)
-            xt = _conv3(xt, m2, b2)
-            np.maximum(xt, 0.0, out=xt)
-            skips.append(xt)
-            xt = _pool2(xt)
-        for m, b in self.bottleneck:
-            xt = _conv3(xt, m, b)
-            np.maximum(xt, 0.0, out=xt)
-        for stage, skip in zip(self.dec, reversed(skips)):
-            out = _conv3(skip, *stage["skip"])
-            numeric.upsampled_conv_nhwc(numeric.pad_nhwc(xt, 1),
-                                        stage["up"], out)
-            np.maximum(out, 0.0, out=out)
-            xt = _conv3(out, *stage["conv2"])
-            np.maximum(xt, 0.0, out=xt)
-        n, h, w, c = xt.shape
-        logits = xt.reshape(n * h * w, c) @ self.head[0] + self.head[1]
-        probs = self._sigmoid.forward(logits.reshape(n, h, w, 1))
-        return probs.transpose(0, 3, 1, 2)
-
-
-def segment(model, scan_image: np.ndarray) -> np.ndarray:
-    """Binary path mask of a full scan: float32 probability above 0.5.
-
-    A UNet is compiled to a UNetInference first; pass a prebuilt one to
-    segment many scans.
-    """
-    if not isinstance(model, UNetInference):
-        model = UNetInference(model)
-    probs = model.forward(scan_image[None, None])[0, 0]
+def segment(model: UNet, scan_image: np.ndarray) -> np.ndarray:
+    """Binary path mask of a full scan: float32 probability above 0.5."""
+    probs = model.forward(scan_image[None, None].astype(np.float32))[0, 0]
     return (probs > 0.5).astype(np.uint8)

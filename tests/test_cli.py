@@ -98,6 +98,34 @@ class TestPositiveRates:
         assert not (tmp_path / "run").exists()
 
 
+class TestValueChecks:
+    # an unknown representation used to train every model and then fail;
+    # a crop larger than the scan used to slice from a negative start
+    CASES = [({"audio": {"representation": "foo"}}, "audio.representation"),
+             ({"segmentation": {"crop": 128}, "canvas": {"image_size": 96}},
+              "segmentation.crop")]
+
+    @pytest.mark.parametrize("user,key", CASES)
+    def test_rejected_naming_key(self, user, key):
+        with pytest.raises(ConfigurationError, match=key):
+            pipeline.resolve_config(user)
+
+    @pytest.mark.parametrize("user,key", CASES)
+    def test_cli_exits_1_writing_nothing(self, tmp_path, capsys, user, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(user))
+        rc = cli.main(["--config", str(cfg_path), "--out",
+                       str(tmp_path / "run"), "simulate"])
+        assert rc == cli.EXIT_ERROR == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_crop_equal_to_image_size_accepted(self):
+        cfg = pipeline.resolve_config({"segmentation": {"crop": 96},
+                                       "canvas": {"image_size": 96}})
+        assert cfg["segmentation"]["crop"] == 96
+
+
 class TestDspSection:
     # gate 9's reduced sizes (tests/test_acceptance.py)
     GATE9 = {"seed": 7,

@@ -5,15 +5,15 @@ from radroute import numeric, segmentation
 from radroute.errors import (DegenerateBatchError, NumericError, ShapeError)
 
 
-def conv_oracle(x, weight, bias, stride=1, padding=0):
+def conv_oracle(x, weight, bias, padding=0):
     """Naive quadruple-loop convolution (cross-correlation) oracle."""
     n, c, h, w = x.shape
     o, _, k, _ = weight.shape
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding),
                        (padding, padding)))
-    oh = (x.shape[2] - k) // stride + 1
-    ow = (x.shape[3] - k) // stride + 1
+    oh = x.shape[2] - k + 1
+    ow = x.shape[3] - k + 1
     out = np.zeros((n, o, oh, ow))
     for b in range(n):
         for f in range(o):
@@ -24,8 +24,7 @@ def conv_oracle(x, weight, bias, stride=1, padding=0):
                         for u in range(k):
                             for v in range(k):
                                 acc += (weight[f, cc, u, v]
-                                        * x[b, cc, i * stride + u,
-                                            j * stride + v])
+                                        * x[b, cc, i + u, j + v])
                     out[b, f, i, j] = acc + bias[f]
     return out
 
@@ -45,20 +44,13 @@ class TestConv2d:
         want = conv_oracle(x, conv.weight, conv.bias, padding=1)
         assert np.abs(conv.forward(x) - want).max() < 1e-12
 
-    def test_stride_2_matches_bruteforce(self):
-        rng = np.random.default_rng(2)
-        conv = numeric.Conv2d(1, 2, 3, stride=2, rng=rng)
-        x = rng.normal(size=(1, 1, 7, 7))
-        want = conv_oracle(x, conv.weight, conv.bias, stride=2)
-        assert np.abs(conv.forward(x) - want).max() < 1e-12
-
     def test_shape_mismatch(self):
         conv = numeric.Conv2d(2, 3, 3)
         with pytest.raises(ShapeError):
             conv.forward(np.zeros((1, 5, 8, 8)))
 
 
-def conv_backward_oracle(x, weight, grad, stride=1, padding=0):
+def conv_backward_oracle(x, weight, grad, padding=0):
     """Scalar-loop d_weight, d_bias and dX of conv_oracle for grad."""
     n, c, h, w = x.shape
     o, _, k, _ = weight.shape
@@ -76,43 +68,42 @@ def conv_backward_oracle(x, weight, grad, stride=1, padding=0):
                     for cc in range(c):
                         for u in range(k):
                             for v in range(k):
-                                r, q = i * stride + u, j * stride + v
+                                r, q = i + u, j + v
                                 dw[f, cc, u, v] += g * xp[b, cc, r, q]
                                 dxp[b, cc, r, q] += g * weight[f, cc, u, v]
     return dw, db, dxp[:, :, padding:padding + h, padding:padding + w]
 
 
-# (kernel, padding, stride); the 8x7 input leaves a trailing row unused at
-# stride 2, which must receive zero gradient
-CONV_CONFIGS = [(3, 1, 1), (3, 0, 2), (3, 1, 2), (1, 0, 1)]
+# (kernel, padding), on an 8x7 input
+CONV_CONFIGS = [(3, 1), (3, 0), (1, 0)]
 
 
-def random_conv(k, p, s, seed):
+def random_conv(k, p, seed):
     rng = np.random.default_rng(seed)
-    conv = numeric.Conv2d(3, 4, k, stride=s, padding=p, rng=rng)
+    conv = numeric.Conv2d(3, 4, k, padding=p, rng=rng)
     conv.bias[...] = rng.normal(size=4)
     return conv, rng.normal(size=(2, 3, 8, 7)), rng
 
 
 class TestConv2dOracle:
-    @pytest.mark.parametrize("k,p,s", CONV_CONFIGS)
-    def test_forward_and_backward_match_loops(self, k, p, s):
-        conv, x, rng = random_conv(k, p, s, seed=10 * k + 3 * p + s)
+    @pytest.mark.parametrize("k,p", CONV_CONFIGS)
+    def test_forward_and_backward_match_loops(self, k, p):
+        conv, x, rng = random_conv(k, p, seed=10 * k + 3 * p + 1)
         out = conv.forward(x)
-        want = conv_oracle(x, conv.weight, conv.bias, stride=s, padding=p)
+        want = conv_oracle(x, conv.weight, conv.bias, padding=p)
         assert out.shape == want.shape
         assert np.abs(out - want).max() <= 1e-12
         grad = rng.normal(size=out.shape)
         dx = conv.backward(grad)
-        dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, s, p)
+        dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, p)
         assert dx.shape == x.shape
         assert np.abs(conv.d_weight - dw).max() <= 1e-12
         assert np.abs(conv.d_bias - db).max() <= 1e-12
         assert np.abs(dx - dx_want).max() <= 1e-12
 
-    @pytest.mark.parametrize("k,p,s", CONV_CONFIGS)
-    def test_gradient_layout_does_not_matter(self, k, p, s):
-        conv, x, rng = random_conv(k, p, s, seed=5)
+    @pytest.mark.parametrize("k,p", CONV_CONFIGS)
+    def test_gradient_layout_does_not_matter(self, k, p):
+        conv, x, rng = random_conv(k, p, seed=5)
         n, o, oh, ow = conv.forward(x).shape
         view = rng.normal(size=(n, oh, ow, o)).transpose(0, 3, 1, 2)
         results = []
@@ -135,7 +126,7 @@ class TestConv2dOracle:
         conv.bias[...] = rng.normal(size=5)
         x = rng.normal(size=(2, 4, 8, 8))
         want = conv.forward(x)
-        # the channel-last float32 call sequence of UNetInference
+        # the channel-last float32 call sequence inside Conv2d.forward
         xt = x.transpose(0, 2, 3, 1).astype(np.float32)
         wmat = np.ascontiguousarray(numeric.conv_matrix(conv.weight),
                                     np.float32)
@@ -145,28 +136,27 @@ class TestConv2dOracle:
         assert np.abs(got.transpose(0, 3, 1, 2) - want).max() <= 1e-5
 
 
-# (kernel, padding, stride, batch, channels): every kernel size of the
-# kernel-row sum, one and several images (the stacked GEMMs of dW and the
-# forward pass), a single input channel, and stride 2 (copied panel rows)
-PANEL_CONFIGS = [(k, p, s, n, c)
-                 for k, p in ((1, 0), (2, 1), (3, 1)) for s in (1, 2)
+# (kernel, padding, batch, channels): every kernel size of the kernel-row
+# sum, one and several images (the stacked GEMMs of dW and the forward
+# pass) and a single input channel
+PANEL_CONFIGS = [(k, p, n, c) for k, p in ((1, 0), (2, 1), (3, 1))
                  for n in (1, 3) for c in (1, 2)]
 
 
 class TestKernelRowPanel:
-    @pytest.mark.parametrize("k,p,s,n,c", PANEL_CONFIGS)
-    def test_forward_dw_dx_match_loops(self, k, p, s, n, c):
-        rng = np.random.default_rng(100 * k + 10 * s + n + c)
-        conv = numeric.Conv2d(c, 3, k, stride=s, padding=p, rng=rng)
+    @pytest.mark.parametrize("k,p,n,c", PANEL_CONFIGS)
+    def test_forward_dw_dx_match_loops(self, k, p, n, c):
+        rng = np.random.default_rng(100 * k + 10 + n + c)
+        conv = numeric.Conv2d(c, 3, k, padding=p, rng=rng)
         conv.bias[...] = rng.normal(size=3)
         x = rng.normal(size=(n, c, 7, 6))
         out = conv.forward(x)
-        want = conv_oracle(x, conv.weight, conv.bias, stride=s, padding=p)
+        want = conv_oracle(x, conv.weight, conv.bias, padding=p)
         assert out.shape == want.shape
         assert np.abs(out - want).max() <= 1e-12
         grad = rng.normal(size=out.shape)
         dx = conv.backward(grad)
-        dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, s, p)
+        dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, p)
         assert np.abs(conv.d_weight - dw).max() <= 1e-12
         assert np.abs(conv.d_bias - db).max() <= 1e-12
         assert dx.shape == x.shape
@@ -194,18 +184,25 @@ class TestKernelRowPanel:
         model.head.weight *= 30.0
         x = rng.normal(size=shape)
         want = model.forward(x)
-        got = segmentation.UNetInference(model).forward(x)
-        assert got.dtype == np.float32
+        # the same inputs as one image of tiles, as propagation segments
+        n, _, t, _ = shape
+        side = int(np.sqrt(n))
+        image = x[:, 0].reshape(side, side, t, t).transpose(0, 2, 1, 3)
+        got = segmentation._tiled_inference(
+            model, image.reshape(side * t, side * t), t)
+        got = got.reshape(side, t, side, t).transpose(0, 2, 1, 3)
         assert want.min() < 0.2 and want.max() > 0.8
-        assert np.abs(got - want).max() <= 1e-5
+        assert np.abs(got.reshape(shape) - want).max() <= 1e-5
 
     def test_inference_pool_bit_identical_to_reshape_max(self):
-        # ReLU outputs: non-negative, with ties, and one NaN
+        # ReLU outputs in the channel-last memory a conv writes:
+        # non-negative, with ties, and one NaN
         rng = np.random.default_rng(9)
         x = rng.integers(0, 4, size=(3, 8, 6, 5)).astype(np.float32)
         x[1, 3, 2, 4] = np.nan
         want = x.reshape(3, 4, 2, 3, 2, 5).max(axis=(2, 4))
-        got = segmentation._pool2(x)
+        got = numeric.MaxPool2d(2).forward(x.transpose(0, 3, 1, 2))
+        got = np.ascontiguousarray(got.transpose(0, 2, 3, 1))
         assert np.isnan(got[1, 1, 1, 4])
         np.testing.assert_array_equal(got.view(np.int32),
                                       want.view(np.int32))
@@ -629,7 +626,7 @@ class TestGradcheck:
 
         cases = [
             (numeric.Conv2d(2, 3, 3, padding=1, rng=rng), (2, 2, 6, 6)),
-            (numeric.Conv2d(1, 2, 3, stride=2, rng=rng), (1, 1, 7, 7)),
+            (numeric.Conv2d(1, 2, 3, padding=0, rng=rng), (1, 1, 7, 7)),
             (numeric.MaxPool2d(2), (2, 2, 6, 6)),
             (numeric.ReLU(), (2, 3, 4, 4)),
             (numeric.Sigmoid(), (2, 3, 4, 4)),

@@ -6,8 +6,8 @@ from radroute.canvas import Label
 from radroute.errors import SamplingError, ShapeError
 from radroute.segmentation import (AugmentationConfig, CropSample,
                                    PropagationConfig, ResampleNeeded,
-                                   SegTrainConfig, UNet, UNetInference,
-                                   augment, propagate_labels, sample_crops,
+                                   SegTrainConfig, UNet, augment,
+                                   propagate_labels, sample_crops,
                                    segment, stage1_train, stage2_finetune)
 
 U, N, P = int(Label.UNLABELED), int(Label.NOT_PATH), int(Label.PATH)
@@ -15,6 +15,17 @@ U, N, P = int(Label.UNLABELED), int(Label.NOT_PATH), int(Label.PATH)
 
 def tiny_model(seed=0, zero_head=True):
     return UNet(depth=2, base_channels=4, seed=seed, zero_head=zero_head)
+
+
+def tiled_float64(model, image, tile):
+    """Float64 UNet.forward over the tiles of an image whose sides are
+    multiples of tile, reassembled as _tiled_inference does."""
+    h, w = image.shape
+    tiles = image.reshape(h // tile, tile, w // tile, tile).transpose(
+        0, 2, 1, 3).reshape(-1, 1, tile, tile)
+    probs = model.forward(tiles)[:, 0]
+    return probs.reshape(h // tile, w // tile, tile, tile).transpose(
+        0, 2, 1, 3).reshape(h, w)
 
 
 def stripe_scene(size=64, seed=0):
@@ -145,8 +156,13 @@ class TestUNetForward:
         assert want.min() < 0.2 and want.max() > 0.8
         got = model.forward(x)
         assert np.abs(got - want).max() <= 1e-12
-        fast = UNetInference(model).forward(x)
+        # segmentation runs the same forward on float32 input
+        fast = model.forward(x.astype(np.float32))
+        assert fast.dtype == np.float32
         assert np.abs(fast - got).max() <= 1e-5
+        clear = np.abs(got[1, 0] - 0.5) > 1e-5
+        np.testing.assert_array_equal(segment(model, x[1, 0])[clear],
+                                      got[1, 0][clear] > 0.5)
 
     def _load_altered(self, tmp_path, alter):
         model = tiny_model(seed=5)
@@ -500,8 +516,9 @@ class TestPropagate:
         cfg = PropagationConfig(tile_size=32, n_rotations=1,
                                 vote_threshold=1.0)
         out = propagate_labels(stripe_model, image, mask, cfg)
-        inf = UNetInference(stripe_model)
-        probs = segmentation._tiled_inference(inf, image, 32)
+        probs = segmentation._tiled_inference(stripe_model, image, 32)
+        assert np.abs(probs - tiled_float64(stripe_model, image,
+                                            32)).max() <= 1e-5
         plain = np.where(probs > cfg.probability_threshold, P,
                          N).astype(np.uint8)
         want = np.where(mask != U, mask, plain)
@@ -608,9 +625,9 @@ class TestStage2:
 class TestInferenceEngine:
     def test_matches_training_forward(self):
         model = UNet(depth=3, base_channels=8, seed=2, zero_head=False)
-        x = np.random.default_rng(0).normal(size=(2, 1, 64, 64))
-        slow = model.forward(x)
-        fast = UNetInference(model).forward(x)
+        image = np.random.default_rng(0).normal(size=(64, 128))
+        slow = tiled_float64(model, image, 64)
+        fast = segmentation._tiled_inference(model, image, 64)
         assert np.abs(slow - fast).max() < 1e-5
 
     def test_segment_idempotent(self, stripe_model):
@@ -618,10 +635,30 @@ class TestInferenceEngine:
         a = segment(stripe_model, image)
         b = segment(stripe_model, image)
         np.testing.assert_array_equal(a, b)
-        # a UNet is compiled to the same engine a caller can prebuild
-        c = segment(UNetInference(stripe_model), image)
-        np.testing.assert_array_equal(a, c)
+        # the float64 forward's mask, wherever its probability is not
+        # within the float32 tolerance of the threshold
+        probs = stripe_model.forward(image[None, None])[0, 0]
+        clear = np.abs(probs - 0.5) > 1e-5
+        np.testing.assert_array_equal(a[clear], probs[clear] > 0.5)
         assert set(np.unique(a)) <= {0, 1}
+
+    def test_network_runs_in_float32_on_float64_images(self, monkeypatch):
+        # a missing cast would run the whole network in float64
+        model = tiny_model(zero_head=False)
+        seen = []
+        forward = model.forward
+
+        def spy(x):
+            seen.append(x.dtype)
+            return forward(x)
+
+        monkeypatch.setattr(model, "forward", spy)
+        image = np.random.default_rng(1).normal(size=(32, 48))
+        probs = segmentation._tiled_inference(model, image, 16)
+        mask = segment(model, image)
+        assert seen == [np.float32, np.float32]
+        assert probs.dtype == np.float32 and probs.shape == image.shape
+        assert mask.dtype == np.uint8
 
     def test_prepare_scan_image(self):
         rng = np.random.default_rng(0)

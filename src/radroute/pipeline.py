@@ -86,9 +86,29 @@ DEFAULT_CONFIG = {
     },
 }
 
-# keys whose value must be a finite number > 0
-POSITIVE_KEYS = ("simworld.scan_interval_s", "simworld.speed",
-                 "simworld.vo_dt", "simworld.sample_rate", "simworld.gps_rate")
+# (key, test of its value given the whole config, what the value must
+# be): a value of the right type that the stages cannot use, which would
+# otherwise fail, or quietly train nothing, only after simulate
+VALUE_CHECKS = (
+    *((name, lambda v, cfg: 0 < v < float("inf"), "> 0") for name in (
+        "simworld.scan_interval_s", "simworld.speed", "simworld.vo_dt",
+        "simworld.sample_rate", "simworld.gps_rate")),
+    *((name, lambda v, cfg: v >= 1, ">= 1") for name in (
+        "audio.trials", "audio.epochs", "audio.batch_size",
+        "segmentation.depth", "segmentation.stage1_steps",
+        "segmentation.stage2_steps", "segmentation.batch_size",
+        "segmentation.n_rotations")),
+    *((name, lambda v, cfg: 0 < v < 1, "in (0, 1)") for name in (
+        "audio.train_fraction", "segmentation.probability_threshold")),
+    ("segmentation.vote_threshold", lambda v, cfg: 0 < v <= 1, "in (0, 1]"),
+    ("audio.representation", lambda v, cfg: v in audio.REPRESENTATIONS,
+     f"one of {audio.REPRESENTATIONS}"),
+    *((name, lambda v, cfg: v % 2 ** cfg["segmentation"]["depth"] == 0,
+       "divisible by 2**segmentation.depth") for name in (
+        "canvas.image_size", "segmentation.crop", "segmentation.tile_size")),
+    ("segmentation.crop", lambda v, cfg: v <= cfg["canvas"]["image_size"],
+     "at most canvas.image_size"),
+)
 
 
 def _check_type(name: str, default, value):
@@ -107,8 +127,8 @@ def _check_type(name: str, default, value):
 
 
 def resolve_config(user: dict | None) -> dict:
-    """Deep-merge user settings over the defaults; unknown keys and values
-    of the wrong type are rejected."""
+    """Deep-merge user settings over the defaults; unknown keys, values
+    of the wrong type and values that fail VALUE_CHECKS are rejected."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if user is None:
         return cfg
@@ -127,19 +147,12 @@ def resolve_config(user: dict | None) -> dict:
         else:
             _check_type(key, cfg[key], value)
             cfg[key] = value
-    for name in POSITIVE_KEYS:
+    for name, ok, requirement in VALUE_CHECKS:
         section, key = name.split(".")
-        if not 0 < cfg[section][key] < float("inf"):
-            raise ConfigurationError(f"config key {name} must be > 0, got "
-                                     f"{cfg[section][key]!r}")
-    rep = cfg["audio"]["representation"]
-    if rep not in audio.REPRESENTATIONS:
-        raise ConfigurationError(f"config key audio.representation must be "
-                                 f"one of {audio.REPRESENTATIONS}, got {rep!r}")
-    crop, size = cfg["segmentation"]["crop"], cfg["canvas"]["image_size"]
-    if crop > size:
-        raise ConfigurationError(f"config key segmentation.crop {crop} must "
-                                 f"not exceed canvas.image_size {size}")
+        value = cfg[section][key]
+        if not ok(value, cfg):
+            raise ConfigurationError(f"config key {name} must be "
+                                     f"{requirement}, got {value!r}")
     try:
         stft_config(cfg)
     except ValueError as exc:

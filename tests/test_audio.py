@@ -10,6 +10,7 @@ from radroute.audio import (AudioDataset, TrainConfig, build_datasets,
 from radroute.dsp import AudioClip, GammatoneFilterbank, StftConfig
 from radroute.errors import NumericError
 from radroute.simworld import TerrainClass, synth_audio
+from test_numeric import cached_arrays
 
 
 def clips(terrain, n, seed0=0, duration=0.5):
@@ -245,9 +246,13 @@ class TestFloat32:
         assert probs.dtype == np.float32 and grad.dtype == np.float32
         dx = model.backward(grad)
         assert dx.dtype == np.float32
-        for layer in model.layers:
-            if isinstance(layer, numeric.Conv2d):
-                assert layer._xp.dtype == np.float32
+        convs = [layer for layer in model.layers
+                 if isinstance(layer, numeric.Conv2d)]
+        # the first conv runs im2col, the others the kernel-row panel
+        assert [c.in_channels == 1 for c in convs] == [True, False, False]
+        for layer in convs:
+            cached = cached_arrays(layer)
+            assert cached and all(a.dtype == np.float32 for a in cached)
         assert all(g.dtype == np.float64 for g in model.grads)
 
     def test_matches_float64_pass(self):
@@ -348,6 +353,33 @@ class TestModelIo:
         assert header["class_order"] == ["grass", "gravel", "asphalt"]
         assert header["dsp"] == {"frame_len": 441, "hop": 441,
                                  "fft_size": 441}
+
+    def test_weights_of_relu_before_pool_order_load(self, tmp_path):
+        # the network once ran conv -> relu -> maxpool per block; its
+        # .kowt files keep loading, into the same names and shapes, and
+        # classify alike, since max and ReLU commute
+        shape = (1, 221, 50)  # a spectrogram window
+        model = build_model(shape, rng=np.random.default_rng(6))
+        layers = list(model.layers)
+        for i in (1, 4, 7):
+            assert isinstance(layers[i], numeric.MaxPool2d)
+            assert isinstance(layers[i + 1], numeric.ReLU)
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+        old = numeric.Sequential(layers)
+        names = [(name, p.shape)
+                 for name, p in numeric.named_params(old.layers)]
+        assert names == [
+            ("layer0.p0", (4, 1, 3, 3)), ("layer0.p1", (4,)),
+            ("layer3.p0", (8, 4, 3, 3)), ("layer3.p1", (8,)),
+            ("layer6.p0", (8, 8, 3, 3)), ("layer6.p1", (8,)),
+            ("layer10.p0", (8 * 27 * 6, 3)), ("layer10.p1", (3,))]
+        numeric.save_weights(tmp_path / "old.kowt",
+                             numeric.named_params(old.layers))
+        fresh = audio.load_model_weights(tmp_path / "old.kowt", build_model(
+            shape, rng=np.random.default_rng(7)))
+        x = np.random.default_rng(8).normal(size=(4,) + shape).astype(
+            np.float32)
+        np.testing.assert_array_equal(fresh.forward(x), old.forward(x))
 
     def test_predictions_csv(self, tmp_path):
         preds = [audio.TerrainPrediction(

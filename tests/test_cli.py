@@ -100,10 +100,32 @@ class TestPositiveRates:
 
 class TestValueChecks:
     # an unknown representation used to train every model and then fail;
-    # a crop larger than the scan used to slice from a negative start
+    # a crop larger than the scan used to slice from a negative start. The
+    # others failed only after simulate, or (epochs and step counts 0)
+    # saved an untrained model; sizes must halve depth (3) times, and the
+    # propagation keys meet PropagationConfig's own checks
     CASES = [({"audio": {"representation": "foo"}}, "audio.representation"),
              ({"segmentation": {"crop": 128}, "canvas": {"image_size": 96}},
-              "segmentation.crop")]
+              "segmentation.crop"),
+             ({"audio": {"trials": 0}}, "audio.trials"),
+             ({"audio": {"train_fraction": 1.0}}, "audio.train_fraction"),
+             ({"audio": {"batch_size": 0}}, "audio.batch_size"),
+             ({"audio": {"epochs": 0}}, "audio.epochs"),
+             ({"segmentation": {"stage1_steps": 0}},
+              "segmentation.stage1_steps"),
+             ({"segmentation": {"stage2_steps": 0}},
+              "segmentation.stage2_steps"),
+             ({"segmentation": {"batch_size": 0}}, "segmentation.batch_size"),
+             ({"segmentation": {"depth": 0}}, "segmentation.depth"),
+             ({"canvas": {"image_size": 100}}, "canvas.image_size"),
+             ({"segmentation": {"crop": 30}}, "segmentation.crop"),
+             ({"segmentation": {"tile_size": 60}}, "segmentation.tile_size"),
+             ({"segmentation": {"n_rotations": 0}},
+              "segmentation.n_rotations"),
+             ({"segmentation": {"vote_threshold": 1.5}},
+              "segmentation.vote_threshold"),
+             ({"segmentation": {"probability_threshold": 1.0}},
+              "segmentation.probability_threshold")]
 
     @pytest.mark.parametrize("user,key", CASES)
     def test_rejected_naming_key(self, user, key):
@@ -124,6 +146,20 @@ class TestValueChecks:
         cfg = pipeline.resolve_config({"segmentation": {"crop": 96},
                                        "canvas": {"image_size": 96}})
         assert cfg["segmentation"]["crop"] == 96
+
+    def test_boundary_values_accepted(self):
+        user = {"audio": {"trials": 1, "epochs": 1, "batch_size": 1,
+                          "train_fraction": 0.01},
+                "segmentation": {"stage1_steps": 1, "stage2_steps": 1,
+                                 "batch_size": 1, "depth": 1, "crop": 2,
+                                 "tile_size": 2, "n_rotations": 1,
+                                 "vote_threshold": 1.0,
+                                 "probability_threshold": 0.01},
+                "canvas": {"image_size": 2},
+                "eval": {"min_iou": 1.01, "min_pixel_accuracy": -1.0}}
+        cfg = pipeline.resolve_config(user)
+        for section, values in user.items():
+            assert {k: cfg[section][k] for k in values} == values
 
 
 class TestDspSection:

@@ -78,17 +78,29 @@ def conv_backward_oracle(x, weight, grad, padding=0):
 CONV_CONFIGS = [(3, 1), (3, 0), (1, 0)]
 
 
-def random_conv(k, p, seed):
+def random_conv(k, p, seed, c):
     rng = np.random.default_rng(seed)
-    conv = numeric.Conv2d(3, 4, k, padding=p, rng=rng)
+    conv = numeric.Conv2d(c, 4, k, padding=p, rng=rng)
     conv.bias[...] = rng.normal(size=4)
-    return conv, rng.normal(size=(2, 3, 8, 7)), rng
+    return conv, rng.normal(size=(2, c, 8, 7)), rng
 
 
-class TestConv2dOracle:
+def cached_arrays(layer):
+    """The arrays a layer keeps between forward and backward: every array
+    attribute that is not a parameter or a gradient accumulator."""
+    owned = layer.params + layer.grads
+    return [v for v in vars(layer).values() if isinstance(v, np.ndarray)
+            and not any(v is a for a in owned)]
+
+
+class Conv2dOracleCases:
+    """Oracle checks of a Conv2d with C input channels."""
+
+    C = 3
+
     @pytest.mark.parametrize("k,p", CONV_CONFIGS)
     def test_forward_and_backward_match_loops(self, k, p):
-        conv, x, rng = random_conv(k, p, seed=10 * k + 3 * p + 1)
+        conv, x, rng = random_conv(k, p, 10 * k + 3 * p + 1, self.C)
         out = conv.forward(x)
         want = conv_oracle(x, conv.weight, conv.bias, padding=p)
         assert out.shape == want.shape
@@ -102,8 +114,22 @@ class TestConv2dOracle:
         assert np.abs(dx - dx_want).max() <= 1e-12
 
     @pytest.mark.parametrize("k,p", CONV_CONFIGS)
+    def test_float32_matches_loops(self, k, p):
+        conv, x, rng = random_conv(k, p, 10 * k + 3 * p + 2, self.C)
+        want = conv_oracle(x, conv.weight, conv.bias, padding=p)
+        grad = rng.normal(size=want.shape)
+        dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, p)
+        out = conv.forward(x.astype(np.float32))
+        dx = conv.backward(grad.astype(np.float32))
+        assert out.dtype == dx.dtype == np.float32
+        assert all(a.dtype == np.float32 for a in cached_arrays(conv))
+        for got, ref in ((out, want), (dx, dx_want), (conv.d_weight, dw),
+                         (conv.d_bias, db)):
+            assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k,p", CONV_CONFIGS)
     def test_gradient_layout_does_not_matter(self, k, p):
-        conv, x, rng = random_conv(k, p, seed=5)
+        conv, x, rng = random_conv(k, p, 5, self.C)
         n, o, oh, ow = conv.forward(x).shape
         view = rng.normal(size=(n, oh, ow, o)).transpose(0, 3, 1, 2)
         results = []
@@ -114,6 +140,10 @@ class TestConv2dOracle:
             results.append((conv.d_weight.copy(), conv.d_bias.copy(), dx))
         for a, b in zip(*results):
             np.testing.assert_array_equal(a, b)
+
+
+class TestConv2dOracle(Conv2dOracleCases):
+    """Several input channels: the kernel-row panel."""
 
     def test_padding_must_be_below_kernel(self):
         # dX pads the gradient by k - 1 - padding, which must not be negative
@@ -136,9 +166,27 @@ class TestConv2dOracle:
         assert np.abs(got.transpose(0, 3, 1, 2) - want).max() <= 1e-5
 
 
+class TestConv2dOracleOneChannel(Conv2dOracleCases):
+    """One input channel: im2col."""
+
+    C = 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_strides_match_kernel_row_path(self, dtype):
+        # both paths hand the next layer the same channel-last memory, so
+        # that ReLU's backward and the U-Net's skip add see one layout
+        rng = np.random.default_rng(11)
+        out = numeric.Conv2d(1, 4, 3, padding=1, rng=rng).forward(
+            np.zeros((2, 1, 8, 7), dtype))
+        panel = numeric.Conv2d(2, 4, 3, padding=1, rng=rng).forward(
+            np.zeros((2, 2, 8, 7), dtype))
+        assert out.strides == panel.strides
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
 # (kernel, padding, batch, channels): every kernel size of the kernel-row
 # sum, one and several images (the stacked GEMMs of dW and the forward
-# pass) and a single input channel
+# pass), and one input channel, which runs im2col instead
 PANEL_CONFIGS = [(k, p, n, c) for k, p in ((1, 0), (2, 1), (3, 1))
                  for n in (1, 3) for c in (1, 2)]
 
@@ -424,6 +472,49 @@ class TestMaxPoolParity:
         assert np.isnan(pool.forward(x)).all()
         dx = pool.backward(np.ones((1, 1, 1, 1)))
         assert dx.reshape(-1).tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
+class TestPoolReluCommute:
+    """The audio CNN pools before ReLU; both orders give the same values
+    and bit-identical input gradients."""
+
+    @staticmethod
+    def run(layers, x, grad):
+        for layer in layers:
+            x = layer.forward(x)
+        for layer in reversed(layers):
+            grad = layer.backward(grad)
+        return x, grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_values_and_input_gradients(self, dtype):
+        rng = np.random.default_rng(12)
+        shape = (3, 4, 8, 10)
+        # small integers, so most windows hold ties, and zeros of both signs
+        x = rng.integers(-2, 3, size=shape).astype(dtype)
+        x[rng.random(shape) < 0.2] = -0.0
+        windows = {  # (n, c, i, j) of a 2x2 window: its four values
+            (0, 0, 0, 0): [-1.0, -2.0, -1.0, -2.0],   # all negative
+            (0, 1, 2, 4): [-1.0, -0.0, 0.0, -0.0],    # maximum zero
+            (1, 0, 4, 2): [1.0, np.nan, 2.0, np.nan],  # NaN beside positives
+            (1, 3, 0, 8): [-1.0, -2.0, np.nan, -0.0],  # NaN beside negatives
+            (2, 2, 6, 6): [np.nan] * 4}
+        for (n, c, i, j), values in windows.items():
+            x[n, c, i:i + 2, j:j + 2] = np.reshape(values, (2, 2))
+        channel_last = np.ascontiguousarray(
+            x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for xin in (x, channel_last):
+            grad = rng.integers(-3, 4, size=(3, 4, 4, 5)).astype(dtype)
+            grad[grad == 0] = -0.0
+            out, dx = self.run([numeric.MaxPool2d(2), numeric.ReLU()],
+                               xin, grad)
+            want, want_dx = self.run([numeric.ReLU(), numeric.MaxPool2d(2)],
+                                     xin, grad)
+            assert np.isnan(out).sum() == 3
+            assert (out == 0).sum() > 2 and (out > 0).sum() > 2
+            # equal up to the sign of a zero; NaN where NaN
+            np.testing.assert_array_equal(out, want)
+            assert same_bits(dx, want_dx)
 
 
 class TestLogitLoss:

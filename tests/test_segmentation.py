@@ -9,6 +9,7 @@ from radroute.segmentation import (AugmentationConfig, CropSample,
                                    SegTrainConfig, UNet, augment,
                                    propagate_labels, sample_crops,
                                    segment, stage1_train, stage2_finetune)
+from test_numeric import cached_arrays
 
 U, N, P = int(Label.UNLABELED), int(Label.NOT_PATH), int(Label.PATH)
 
@@ -309,11 +310,16 @@ class TestFloat32Training:
                 ("UpsampleConcatConv2d", "backward"), ("ReLU", "forward"),
                 ("Sigmoid", "backward")} <= kinds
         assert all(d == np.float32 for _, _, i, o in seen for d in i + o), seen
-        for layer in model._blocks():
-            if isinstance(layer, numeric.Conv2d):
-                assert layer._xp.dtype == np.float32
-            if isinstance(layer, numeric.UpsampleConcatConv2d):
-                assert layer._skip.dtype == layer._coarse.dtype == np.float32
+        blocks = list(model._blocks())
+        convs = [b for b in blocks if isinstance(b, numeric.Conv2d)]
+        entries = [b for b in blocks
+                   if isinstance(b, numeric.UpsampleConcatConv2d)]
+        # the first conv runs im2col, every other the kernel-row panel
+        assert [c.in_channels == 1 for c in convs] == [True] + [False] * (
+            len(convs) - 1)
+        for layer in convs + entries:
+            cached = cached_arrays(layer)
+            assert cached and all(a.dtype == np.float32 for a in cached)
         assert all(p.dtype == np.float64 for p in model.params)
         assert all(g.dtype == np.float64 for g in model.grads)
 

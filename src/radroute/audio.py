@@ -4,12 +4,15 @@ The trained classifier supplies the weak supervisory signal: a 2 Hz stream
 of terrain predictions over 0.5 s audio windows. Every feature image comes
 from `window_features`: equal-length windows are framed each on their own,
 one batched STFT per block of `WINDOW_BLOCK` windows serves all three
-representations, the mel and gammatone weights are built once per call,
-and each window's image is standardized on its own. Dataset images are
-float32, so the CNN trains and classifies in float32 over float64 master
-weights.
+representations, the mel and gammatone weights are built once per
+dataset or stream, and each window's image is standardized on its own.
+Recordings are featurised one at a time and streams one block at a time,
+so no stage holds more than one recording's or one block's samples.
+Dataset images are float32, so the CNN trains and classifies in float32
+over float64 master weights.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +28,14 @@ REPRESENTATIONS = ("spectrogram", "mel", "gammatone")
 N_MEL_CHANNELS = 64
 N_GAMMATONE_CHANNELS = 32
 
-# Windows per batched STFT. It bounds the transient arrays (frames,
-# spectrum, power: about 25 MB at the default framing) whatever the
-# recording length.
+# Windows per batched STFT, and per block classify_stream reads of its
+# stream. It bounds the transient arrays (samples, frames, spectrum,
+# power: about 25 MB at the default framing) whatever the recording
+# length.
 WINDOW_BLOCK = 64
+
+# Windows per network pass of classify_stream.
+CLASSIFY_BATCH = 64
 
 
 def _filter_weights(representation: str, sample_rate: float,
@@ -53,23 +60,28 @@ def _filter_weights(representation: str, sample_rate: float,
 def window_features(windows, sample_rate: float,
                     representations=REPRESENTATIONS,
                     cfg: StftConfig | None = None,
-                    dtype=np.float64) -> dict:
+                    dtype=np.float64, banks: dict | None = None) -> dict:
     """Standardized dB images of equal-length windows, per representation.
 
     windows is an (n, samples) array or a sequence of equal-length 1-D
     arrays. Returns {representation: (n, channels, frames) array of dtype},
     each image equal to standardize() of the per-clip dsp function's.
+    The filterbanks are built into banks; calls at one sample rate and
+    framing that share a banks dict build them once.
     """
     cfg = cfg or StftConfig()
-    banks = {rep: _filter_weights(rep, sample_rate, cfg)
-             for rep in representations}
+    banks = {} if banks is None else banks
+    for rep in representations:
+        if rep not in banks:
+            banks[rep] = _filter_weights(rep, sample_rate, cfg)
     out = {}
     for start in range(0, len(windows), WINDOW_BLOCK):
         block = np.asarray(windows[start:start + WINDOW_BLOCK],
                            dtype=np.float64)
         mag = np.abs(dsp.stft_windows(block, cfg))  # (b, frames, bins)
         power = mag ** 2
-        for rep, bank in banks.items():
+        for rep in representations:
+            bank = banks[rep]
             if bank is None:
                 db = dsp.log_power(mag)
             else:
@@ -120,37 +132,57 @@ def build_datasets(clips_by_terrain: dict, representations=REPRESENTATIONS,
                    seed: int = 0, cfg: StftConfig | None = None) -> dict:
     """Slice per-terrain recordings to 0.5 s windows and extract features.
 
-    clips_by_terrain maps TerrainClass -> list of AudioClip (one per
-    microphone/recording), all at one sample rate. One pass over the
-    windows gives {representation: AudioDataset}, every dataset in the
-    same seeded order. Too-short clips are skipped and counted.
+    clips_by_terrain maps TerrainClass -> iterable of AudioClip (one per
+    microphone/recording), all at one sample rate. Each recording is
+    featurised for every representation before the next is taken, so an
+    iterable that reads them one at a time holds one recording's samples.
+    Returns {representation: AudioDataset}, every dataset in the same
+    seeded order. Too-short clips are skipped and counted.
     """
     if len(clips_by_terrain) < 2:
         raise ValueError("need clips from at least 2 terrain classes")
-    windows, labels, rates = [], [], set()
+    parts = {rep: [] for rep in representations}
+    labels, rates, banks = [], set(), {}
     skipped = 0
     for terrain in sorted(clips_by_terrain, key=int):
         for clip in clips_by_terrain[terrain]:
-            pieces = slice_clip(clip)
-            if not pieces:
+            windows = [piece.samples for piece in slice_clip(clip)]
+            if not windows:
                 skipped += 1
                 continue
-            windows += [piece.samples for piece in pieces]
-            labels += [int(terrain)] * len(pieces)
             rates.add(clip.sample_rate)
-    if not windows:
+            if len(rates) > 1:
+                raise ValueError(f"recordings at several sample rates "
+                                 f"{sorted(rates)}")
+            images = window_features(windows, clip.sample_rate,
+                                     representations, cfg, np.float32, banks)
+            for rep in representations:
+                parts[rep].append(images[rep])
+            labels += [int(terrain)] * len(windows)
+            del clip, windows  # before the next recording is read
+    if not labels:
         raise ValueError("no usable clips")
-    if len(rates) > 1:
-        raise ValueError(f"recordings at several sample rates {sorted(rates)}")
-    images = window_features(windows, rates.pop(), representations, cfg,
-                             dtype=np.float32)
     labels = np.array(labels, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     order = rng.permutation(len(labels))
-    return {rep: AudioDataset(images=images[rep][order, None],
+    return {rep: AudioDataset(images=_permuted(parts[rep], order),
                               labels=labels[order], representation=rep,
                               skipped_short=skipped)
             for rep in representations}
+
+
+def _permuted(parts: list, order: np.ndarray) -> np.ndarray:
+    """np.concatenate(parts)[order, None], filled part by part and each
+    part dropped once placed, so no second copy is ever whole."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    out = np.empty((len(order), 1, *parts[0].shape[1:]), parts[0].dtype)
+    start = 0
+    while parts:
+        part = parts.pop(0)
+        out[rank[start:start + len(part)], 0] = part
+        start += len(part)
+    return out
 
 
 @dataclass
@@ -249,26 +281,39 @@ def _class_probabilities(model: numeric.Sequential,
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def classify_stream(model: numeric.Sequential, clip: AudioClip,
-                    representation: str, start_time: float = 0.0,
-                    cfg: StftConfig | None = None):
+def _stream_images(stream, representation: str, cfg: StftConfig | None):
+    """Feature images of the consecutive 0.5 s windows of stream (see
+    classify_stream), one at a time, read WINDOW_BLOCK windows per block."""
+    n = int(round(CLIP_LEN_S * stream.sample_rate))  # slice_clip's window
+    banks = {}
+    for block in stream.blocks(WINDOW_BLOCK * n):
+        windows = block[:len(block) // n * n].reshape(-1, n)
+        if len(windows):
+            yield from window_features(windows, stream.sample_rate,
+                                       (representation,), cfg, np.float32,
+                                       banks)[representation]
+
+
+def classify_stream(model: numeric.Sequential, stream, representation: str,
+                    start_time: float = 0.0, cfg: StftConfig | None = None):
     """2 Hz predictions over consecutive 0.5 s windows of a long recording.
 
-    Prediction i is stamped at the center of window i.
+    stream is an AudioClip or an open formats.WavReader; it is read and
+    featurised WINDOW_BLOCK windows at a time, and a trailing partial
+    window is dropped. The network takes CLASSIFY_BATCH windows a pass
+    whatever the block size, as a float32 dense layer's last bits depend
+    on its batch size. Prediction i is stamped at the center of window i.
     """
-    windows = [w.samples for w in slice_clip(clip)]
-    if not windows:
+    images = _stream_images(stream, representation, cfg)
+    batches = iter(lambda: list(itertools.islice(images, CLASSIFY_BATCH)),
+                   [])
+    probs = [_class_probabilities(model, np.stack(batch)[:, None])
+             for batch in batches]
+    if not probs:
         raise ValueError("stream shorter than one 0.5 s window")
-    images = window_features(windows, clip.sample_rate, (representation,),
-                             cfg, dtype=np.float32)[representation]
-    probs = _class_probabilities(model, images[:, None])
-    out = []
-    for i in range(len(windows)):
-        out.append(TerrainPrediction(
-            terrain=int(np.argmax(probs[i])),
-            probabilities=probs[i],
-            timestamp=start_time + (i + 0.5) * CLIP_LEN_S))
-    return out
+    return [TerrainPrediction(terrain=int(np.argmax(p)), probabilities=p,
+                              timestamp=start_time + (i + 0.5) * CLIP_LEN_S)
+            for i, p in enumerate(np.concatenate(probs))]
 
 
 def evaluate(model: numeric.Sequential, dataset: AudioDataset,

@@ -7,6 +7,7 @@ polar scan looks along scan-frame angle 2*pi*a/A.
 """
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -228,16 +229,54 @@ def save_polar_scan(path, scan: PolarScan):
         f.write(np.ascontiguousarray(scan.power, dtype="<f4").tobytes())
 
 
+@dataclass(frozen=True)
+class ScanHeader:
+    """The fields of an RDS1 scan file that precede its power values."""
+
+    n_azimuths: int
+    n_bins: int
+    range_resolution: float
+    timestamp: float
+    pose: np.ndarray
+
+    @property
+    def max_range(self) -> float:
+        return self.n_bins * self.range_resolution
+
+
+def _read_scan_header(f, path) -> ScanHeader:
+    """The header at the start of f, checked: its values finite, and the
+    payload it declares exactly the rest of the file."""
+    if f.read(4) != RDS_MAGIC:
+        raise ValueError(f"not an RDS1 scan file: {path}")
+    a, r, res, timestamp, *pose = struct.unpack(
+        "<IIfd3d", read_exact(f, 44, "scan file header"))
+    held = os.fstat(f.fileno()).st_size - f.tell()
+    if held != 4 * a * r:
+        what = ("truncated scan file payload" if held < 4 * a * r
+                else "overlong scan file")
+        raise ValueError(f"{what} {path}: header declares {a}x{r} values, "
+                         f"file holds {held} bytes")
+    if not (np.isfinite([res, timestamp, *pose]).all() and res > 0):
+        raise ValueError(f"bad scan file header in {path}: resolution {res}, "
+                         f"timestamp {timestamp}, pose {pose}")
+    return ScanHeader(n_azimuths=a, n_bins=r,
+                      range_resolution=float(np.float32(res)),
+                      timestamp=timestamp, pose=np.array(pose))
+
+
+def load_scan_header(path) -> ScanHeader:
+    with open(path, "rb") as f:
+        return _read_scan_header(f, path)
+
+
 def load_polar_scan(path) -> PolarScan:
     with open(path, "rb") as f:
-        if f.read(4) != RDS_MAGIC:
-            raise ValueError("not an RDS1 scan file")
-        a, r, res, timestamp, *pose = struct.unpack(
-            "<IIfd3d", read_exact(f, 44, "scan file header"))
-        power = np.frombuffer(read_exact(f, 4 * a * r, "scan file payload"),
-                              dtype="<f4")
+        header = _read_scan_header(f, path)
+        power = np.frombuffer(f.read(), dtype="<f4")
     if not np.all(np.isfinite(power)):
         raise ValueError(f"non-finite power in scan file {path}")
-    return PolarScan(power=power.astype(np.float64).reshape(a, r),
-                     range_resolution=float(np.float32(res)),
-                     timestamp=timestamp, pose=np.array(pose))
+    return PolarScan(power=power.astype(np.float64).reshape(
+                         header.n_azimuths, header.n_bins),
+                     range_resolution=header.range_resolution,
+                     timestamp=header.timestamp, pose=header.pose)

@@ -10,7 +10,6 @@ feature path in `audio`, which shares `stft_windows` with `stft`.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 FLOOR_DB = -120.0
 
@@ -35,6 +34,12 @@ class AudioClip:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
+
+    def blocks(self, frames: int):
+        """The samples, `frames` at a time, as formats.WavReader.blocks
+        reads them from a file."""
+        for start in range(0, len(self.samples), frames):
+            yield self.samples[start:start + frames]
 
 
 @dataclass
@@ -265,32 +270,6 @@ class GammatoneFilterbank:
         n = int(np.ceil(t * sample_rate)) + 1
         ts = np.arange(n) / sample_rate
         return gammatone_ir(ts, fc, self.order, b)
-
-
-def gammatonegram_direct(clip: AudioClip, filterbank: GammatoneFilterbank,
-                         frame_len: int = 441,
-                         floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
-    """Gammatonegram by direct per-channel convolution and framed energy sums."""
-    if frame_len < 1:
-        raise ValueError("frame_len must be >= 1")
-    x = clip.samples
-    if len(x) < frame_len:
-        raise ValueError("clip shorter than one frame")
-    n_frames = frame_count(len(x), frame_len, frame_len)
-    n_used = n_frames * frame_len
-    n_ch = len(filterbank.center_freqs)
-    values = np.empty((n_ch, n_frames), dtype=np.float64)
-    for i in range(n_ch):
-        ir = filterbank.impulse_response(i, clip.sample_rate)
-        y = fftconvolve(x, ir)[:n_used]
-        energy = (y ** 2).reshape(n_frames, frame_len).sum(axis=1)
-        values[i] = power_db(energy, floor_db)
-    return TimeFrequencyImage(
-        values=values,
-        channel_freqs=filterbank.center_freqs,
-        axis_kind="gammatone",
-        floor_db=floor_db,
-    )
 
 
 def gammatone_weights(filterbank: GammatoneFilterbank, sample_rate: float,

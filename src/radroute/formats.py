@@ -94,36 +94,73 @@ def write_wav(path, samples, sample_rate: float):
         raise
 
 
-def read_wav(path):
-    """Returns (samples in [-1, 1] float64, sample_rate).
+class WavReader:
+    """A mono PCM-16 WAV file open for reading in blocks.
 
-    A file cut short in its header or its sample data raises ValueError.
+    Opening checks the header, and that the sample data it declares fits
+    in the file, before anything is read: a file cut short or malformed
+    raises ValueError naming it.
     """
-    try:
-        w = wave.open(str(path), "rb")
-    except (EOFError, wave.Error) as exc:
-        raise ValueError(f"truncated or malformed WAV header in {path}: "
-                         f"{exc or 'unexpected end of file'}") from exc
-    with w:
+
+    def __init__(self, path):
+        self._file = open(path, "rb")
+        try:
+            self._open(path)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _open(self, path):
+        try:
+            w = self._wave = wave.open(self._file)
+        except (EOFError, RuntimeError, wave.Error) as exc:
+            # RuntimeError: a chunk declares more bytes than follow it
+            raise ValueError(f"truncated or malformed WAV header in {path}: "
+                             f"{exc or 'unexpected end of file'}") from exc
         if w.getnchannels() != 1 or w.getsampwidth() != 2:
-            raise ValueError("expected mono PCM-16 WAV")
-        rate = w.getframerate()
-        n_frames = w.getnframes()
-        raw = w.readframes(n_frames)
-    if len(raw) != 2 * n_frames:
-        raise ValueError(f"truncated WAV file {path}: header declares "
-                         f"{n_frames} frames, data holds {len(raw) // 2}")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
-    return samples, float(rate)
+            raise ValueError(f"expected mono PCM-16 WAV in {path}")
+        self.sample_rate = float(w.getframerate())
+        if self.sample_rate < 1:
+            raise ValueError(f"WAV file {path} declares sample rate "
+                             f"{self.sample_rate}")
+        self.n_frames = w.getnframes()
+        # wave.open leaves the file at the first sample
+        held = (os.fstat(self._file.fileno()).st_size - self._file.tell()) // 2
+        if self.n_frames > held:
+            raise ValueError(f"truncated WAV file {path}: header declares "
+                             f"{self.n_frames} frames, data holds {held}")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def blocks(self, frames: int):
+        """Samples in [-1, 1] float64, `frames` at a time; the last block
+        holds the rest."""
+        for start in range(0, self.n_frames, frames):
+            raw = self._wave.readframes(min(frames, self.n_frames - start))
+            yield np.frombuffer(raw, dtype="<i2") / 32767.0
+
+
+def read_wav(path):
+    """Returns (samples in [-1, 1] float64, sample_rate): WavReader's
+    one-block read."""
+    with WavReader(path) as wav:
+        samples = next(wav.blocks(max(wav.n_frames, 1)), np.empty(0))
+    return samples, wav.sample_rate
 
 
 def read_exact(f, n: int, what: str) -> bytes:
-    """n bytes from a binary file, or ValueError("truncated <what> ...")."""
-    data = f.read(n)
-    if len(data) != n:
+    """n bytes from a binary file, or ValueError("truncated <what> ...")
+    before anything is read if the file holds fewer."""
+    at = f.tell()
+    left = os.fstat(f.fileno()).st_size - at
+    if n > left:
         raise ValueError(f"truncated {what}: wanted {n} bytes at offset "
-                         f"{f.tell() - len(data)}, got {len(data)}")
-    return data
+                         f"{at}, got {max(left, 0)}")
+    return f.read(n)
 
 
 def write_csv(path, header: str, rows: np.ndarray, fmt: str = "%.9f"):

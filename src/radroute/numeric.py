@@ -34,6 +34,7 @@ the upsampled half on the coarse grid as four 2x2 parity kernels
 2016; Odena et al. 2016). Upsample2x with Conv2d stays as its oracle.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -728,10 +729,12 @@ def load_weights(path) -> list[tuple[str, np.ndarray]]:
             name = _read_exact(f, name_len).decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(f, 4))
             shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-            n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(_read_exact(f, 8 * n),
+            data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)),
                                  dtype="<f8").reshape(shape)
             out.append((name, data.astype(np.float64)))
+        if f.read(1):
+            raise ValueError(f"overlong weights file {path}: bytes follow "
+                             f"its {count} tensors")
         return out
 
 

@@ -11,6 +11,7 @@ same (config, seed) are byte-identical.
 import copy
 import hashlib
 import json
+import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -94,12 +95,18 @@ VALUE_CHECKS = (
         "simworld.scan_interval_s", "simworld.speed", "simworld.vo_dt",
         "simworld.sample_rate", "simworld.gps_rate")),
     *((name, lambda v, cfg: v >= 1, ">= 1") for name in (
+        "audio.clips_per_class", "audio.recordings_per_class",
         "audio.trials", "audio.epochs", "audio.batch_size",
         "segmentation.depth", "segmentation.stage1_steps",
         "segmentation.stage2_steps", "segmentation.batch_size",
         "segmentation.n_rotations")),
     *((name, lambda v, cfg: 0 < v < 1, "in (0, 1)") for name in (
         "audio.train_fraction", "segmentation.probability_threshold")),
+    ("audio.train_fraction",
+     lambda v, cfg: 0 < round(v * audio_window_count(cfg))
+     < audio_window_count(cfg),
+     "a split of the 3 * recordings_per_class * ceil(clips_per_class / "
+     "recordings_per_class) audio windows with no part empty"),
     ("segmentation.vote_threshold", lambda v, cfg: 0 < v <= 1, "in (0, 1]"),
     ("audio.representation", lambda v, cfg: v in audio.REPRESENTATIONS,
      f"one of {audio.REPRESENTATIONS}"),
@@ -109,6 +116,14 @@ VALUE_CHECKS = (
     ("segmentation.crop", lambda v, cfg: v <= cfg["canvas"]["image_size"],
      "at most canvas.image_size"),
 )
+
+
+def audio_window_count(cfg: dict) -> int:
+    """The windows of the per-terrain recordings simulate writes, which
+    train-audio splits by audio.train_fraction."""
+    a = cfg["audio"]
+    per_recording = math.ceil(a["clips_per_class"] / a["recordings_per_class"])
+    return len(TerrainClass) * a["recordings_per_class"] * per_recording
 
 
 def _check_type(name: str, default, value):
@@ -305,17 +320,19 @@ def run_simulate(cfg: dict, out: str):
 # ------------------------------------------------------------------- audio
 
 
-def _load_class_clips(out: str) -> dict:
+def _class_recordings(out: str) -> dict:
+    """{terrain: its recordings under audio/}, each read as an AudioClip
+    only when it is taken."""
     audio_dir = os.path.join(out, "audio")
-    clips = {t: [] for t in TerrainClass}
-    for terrain in TerrainClass:
-        prefix = terrain.name.lower()
-        for fname in sorted(os.listdir(audio_dir)):
-            if fname.startswith(prefix) and fname.endswith(".wav"):
-                samples, rate = formats.read_wav(
-                    os.path.join(audio_dir, fname))
-                clips[terrain].append(dsp.AudioClip(samples, rate))
-    return clips
+    names = sorted(os.listdir(audio_dir))
+
+    def read(name):
+        return dsp.AudioClip(*formats.read_wav(os.path.join(audio_dir, name)))
+
+    return {terrain: map(read, [name for name in names
+                                if name.startswith(terrain.name.lower())
+                                and name.endswith(".wav")])
+            for terrain in TerrainClass}
 
 
 def _split_dataset(dataset: audio.AudioDataset, train_fraction: float,
@@ -335,7 +352,7 @@ def run_train_audio(cfg: dict, out: str):
     and save the final (gammatone by default) model."""
     acfg = cfg["audio"]
     seed = cfg["seed"]
-    datasets = audio.build_datasets(_load_class_clips(out),
+    datasets = audio.build_datasets(_class_recordings(out),
                                     seed=derive_seed(seed, 60),
                                     cfg=stft_config(cfg))
     accuracies = {rep: [] for rep in audio.REPRESENTATIONS}
@@ -395,10 +412,9 @@ def _load_audio_model(cfg: dict, out: str):
 def run_eval_audio(cfg: dict, out: str):
     """Classify the traverse stream and score it against ground truth."""
     model, rep = _load_audio_model(cfg, out)
-    samples, rate = formats.read_wav(os.path.join(out, "traverse_audio.wav"))
-    stream = dsp.AudioClip(samples, rate)
-    predictions = audio.classify_stream(model, stream, rep,
-                                        cfg=stft_config(cfg))
+    with formats.WavReader(os.path.join(out, "traverse_audio.wav")) as wav:
+        predictions = audio.classify_stream(model, wav, rep,
+                                            cfg=stft_config(cfg))
     audio.predictions_csv(os.path.join(out, "predictions.csv"), predictions)
 
     truth = simworld.load_poses_csv(os.path.join(out, "poses_train.csv"))
@@ -432,10 +448,24 @@ def run_fuse(cfg: dict, out: str):
 # ------------------------------------------------------------------- paint
 
 
-def _load_scans(out: str, subdir: str):
+def _scan_paths(out: str, subdir: str) -> list:
     sdir = os.path.join(out, subdir)
-    return [canvas.load_polar_scan(os.path.join(sdir, f))
-            for f in sorted(os.listdir(sdir)) if f.endswith(".rds")]
+    return [os.path.join(sdir, f) for f in sorted(os.listdir(sdir))
+            if f.endswith(".rds")]
+
+
+def _read_scans(cfg: dict, out: str, subdir: str) -> list:
+    """Every scan of subdir, read and checked, as a CartesianScan whose
+    image is the network input (segmentation.prepare_scan_image). Each
+    scan's polar power is dropped before the next is read."""
+    size, mpp = cfg["canvas"]["image_size"], cfg["canvas"]["metres_per_pixel"]
+    scans = []
+    for path in _scan_paths(out, subdir):
+        cart = canvas.polar_to_cartesian(canvas.load_polar_scan(path), size,
+                                         mpp)
+        cart.image = segmentation.prepare_scan_image(cart.image)
+        scans.append(cart)
+    return scans
 
 
 def run_paint(cfg: dict, out: str):
@@ -443,20 +473,17 @@ def run_paint(cfg: dict, out: str):
     ccfg = cfg["canvas"]
     fused = formats.read_csv(os.path.join(out, "fused.csv"))
     predictions = _read_predictions(os.path.join(out, "predictions.csv"))
+    scans = _read_scans(cfg, out, "scans_train")
     lt = fusion.label_trajectory(fused, predictions)
     fusion.save_labeled_trajectory_csv(
         os.path.join(out, "labeled_trajectory.csv"), lt)
 
-    scans = _load_scans(out, "scans_train")
     mask_dir = _ensure_dir(os.path.join(out, "masks_initial"))
     fused_t = fused[:, 0]
     for i, scan in enumerate(scans):
         k = int(np.argmin(np.abs(fused_t - scan.timestamp)))
-        est_pose = fused[k, 1:4]
-        cart = canvas.polar_to_cartesian(scan, ccfg["image_size"],
-                                         ccfg["metres_per_pixel"])
-        cart.pose = np.asarray(est_pose)  # painting uses the fused estimate
-        mask = canvas.paint_labels(cart, lt, ccfg["footprint_radius_m"],
+        scan.pose = fused[k, 1:4]  # painting uses the fused estimate
+        mask = canvas.paint_labels(scan, lt, ccfg["footprint_radius_m"],
                                    use_negatives=ccfg["use_negatives"])
         formats.write_pgm(os.path.join(mask_dir, f"mask_{i:03d}.pgm"),
                           canvas.mask_to_pgm_values(mask))
@@ -479,18 +506,6 @@ def _read_predictions(path):
 # ------------------------------------------------------------ segmentation
 
 
-def _prepared_train_images(cfg: dict, out: str):
-    ccfg = cfg["canvas"]
-    scans = _load_scans(out, "scans_train")
-    images, max_ranges = [], []
-    for scan in scans:
-        cart = canvas.polar_to_cartesian(scan, ccfg["image_size"],
-                                         ccfg["metres_per_pixel"])
-        images.append(segmentation.prepare_scan_image(cart.image))
-        max_ranges.append(cart.max_range)
-    return scans, images, max_ranges
-
-
 def _load_masks(out: str, subdir: str):
     mdir = os.path.join(out, subdir)
     return [canvas.mask_from_pgm_values(
@@ -510,7 +525,7 @@ def _scan_masks(out: str, subdir: str, n_scans: int):
 def run_train_seg(cfg: dict, out: str, stage: int):
     scfg = cfg["segmentation"]
     seed = cfg["seed"]
-    _, images, _ = _prepared_train_images(cfg, out)
+    images = [scan.image for scan in _read_scans(cfg, out, "scans_train")]
     if stage == 1:
         masks = _scan_masks(out, "masks_initial", len(images))
         model = segmentation.UNet(depth=scfg["depth"],
@@ -549,7 +564,7 @@ def run_propagate(cfg: dict, out: str):
     ccfg = cfg["canvas"]
     model = segmentation.load_unet(os.path.join(out, "seg_stage1.kowt"),
                                    os.path.join(out, "seg_stage1.json"))
-    scans, images, max_ranges = _prepared_train_images(cfg, out)
+    scans = _read_scans(cfg, out, "scans_train")
     masks = _scan_masks(out, "masks_initial", len(scans))
     pcfg = segmentation.PropagationConfig(
         tile_size=scfg["tile_size"], n_rotations=scfg["n_rotations"],
@@ -560,10 +575,10 @@ def run_propagate(cfg: dict, out: str):
     prop_dir = _ensure_dir(os.path.join(out, "masks_propagated"))
 
     side_total = side_hit = grass_total = grass_fp = 0
-    for i, (scan, image, mask) in enumerate(zip(scans, images, masks)):
+    for i, (scan, mask) in enumerate(zip(scans, masks)):
         in_range = ~canvas.range_ignore_mask(
-            ccfg["image_size"], ccfg["metres_per_pixel"], max_ranges[i])
-        prop = segmentation.propagate_labels(model, image, mask, pcfg,
+            ccfg["image_size"], ccfg["metres_per_pixel"], scan.max_range)
+        prop = segmentation.propagate_labels(model, scan.image, mask, pcfg,
                                              valid_region=in_range)
         formats.write_pgm(os.path.join(prop_dir, f"mask_{i:03d}.pgm"),
                           canvas.mask_to_pgm_values(prop))
@@ -592,30 +607,27 @@ def run_propagate(cfg: dict, out: str):
 
 def run_segment(cfg: dict, out: str, scans_subdir: str = "scans_eval_short",
                 model_name: str = "seg_stage2"):
-    ccfg = cfg["canvas"]
     model = segmentation.load_unet(os.path.join(out, f"{model_name}.kowt"),
                                    os.path.join(out, f"{model_name}.json"))
-    scans = _load_scans(out, scans_subdir)
+    scans = _read_scans(cfg, out, scans_subdir)
     pred_dir = _ensure_dir(os.path.join(out, f"pred_{scans_subdir}"))
     for i, scan in enumerate(scans):
-        cart = canvas.polar_to_cartesian(scan, ccfg["image_size"],
-                                         ccfg["metres_per_pixel"])
-        image = segmentation.prepare_scan_image(cart.image)
-        pred = segmentation.segment(model, image)
+        pred = segmentation.segment(model, scan.image)
         formats.write_pgm(os.path.join(pred_dir, f"pred_{i:03d}.pgm"),
                           (pred * 255).astype(np.uint8))
 
 
 def run_eval_seg(cfg: dict, out: str) -> dict:
-    """Score predictions on both held-out worlds; exit gate data returned."""
+    """Score predictions on both held-out worlds; exit gate data returned.
+    Only the scans' headers are read: their poses and max ranges."""
     size, mpp = cfg["canvas"]["image_size"], cfg["canvas"]["metres_per_pixel"]
     results = {}
     for name in ("eval_short", "eval_long"):
         world = simworld.load_world(os.path.join(out, f"world_{name}.json"))
-        scans = _load_scans(out, f"scans_{name}")
         pred_dir = os.path.join(out, f"pred_scans_{name}")
         preds, gts, ignores = [], [], []
-        for i, scan in enumerate(scans):
+        for i, path in enumerate(_scan_paths(out, f"scans_{name}")):
+            scan = canvas.load_scan_header(path)
             preds.append(formats.read_pgm(
                 os.path.join(pred_dir, f"pred_{i:03d}.pgm")) > 127)
             gts.append(simworld.ground_truth_mask(world, scan.pose, size, mpp))
@@ -629,21 +641,21 @@ def run_eval_seg(cfg: dict, out: str) -> dict:
 def run_render(cfg: dict, out: str):
     """Fig-style triptych: scan + initial labels, propagated labels, and
     final segmentation, as red/green tinted PPM overlays."""
-    ccfg = cfg["canvas"]
-    scans, images, _ = _prepared_train_images(cfg, out)
+    scans = _read_scans(cfg, out, "scans_train")
     initial = _scan_masks(out, "masks_initial", len(scans))
     propagated = _scan_masks(out, "masks_propagated", len(scans))
     model = segmentation.load_unet(os.path.join(out, "seg_stage2.kowt"),
                                    os.path.join(out, "seg_stage2.json"))
     render_dir = _ensure_dir(os.path.join(out, "render"))
     mid = len(scans) // 2
-    seg = segmentation.segment(model, images[mid])
+    image = scans[mid].image
+    seg = segmentation.segment(model, image)
     seg_mask = np.where(seg > 0, int(Label.PATH),
                         int(Label.NOT_PATH)).astype(np.uint8)
     for name, mask in (("initial", initial[mid]),
                        ("propagated", propagated[mid]),
                        ("segmentation", seg_mask)):
-        ppm = render_overlay(images[mid], mask)
+        ppm = render_overlay(image, mask)
         formats.write_ppm(os.path.join(render_dir, f"{name}.ppm"), ppm)
 
 

@@ -19,6 +19,8 @@ from radroute import (canvas, dsp, evaluate, formats, fusion, numeric,
 from radroute.dsp import AudioClip, GammatoneFilterbank, StftConfig
 from radroute.simworld import SimConfig, TerrainClass
 
+from oracles import gammatonegram_direct
+
 
 def report(capsys, num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -91,7 +93,7 @@ def test_gate_01_dsp_oracle_equivalence(capsys):
     for _ in range(20):
         clip = AudioClip(rng.normal(size=22050) * 0.2, 44100.0)
         fast = dsp.gammatonegram_fast(clip, fb, gcfg).values
-        direct = dsp.gammatonegram_direct(clip, fb, gcfg.frame_len).values
+        direct = gammatonegram_direct(clip, fb, gcfg.frame_len).values
         r = float(np.corrcoef(fast.ravel(), direct.ravel())[0, 1])
         worst_r = min(worst_r, r)
 
@@ -350,13 +352,10 @@ def _score_model_in_memory(model, cfg, out):
     ious = {}
     for name in ("eval_short", "eval_long"):
         world = simworld.load_world(os.path.join(out, f"world_{name}.json"))
-        scans = pipeline._load_scans(out, f"scans_{name}")
+        scans = pipeline._read_scans(cfg, out, f"scans_{name}")
         preds, gts, ignores = [], [], []
         for scan in scans:
-            cart = canvas.polar_to_cartesian(scan, ccfg["image_size"],
-                                             ccfg["metres_per_pixel"])
-            image = segmentation.prepare_scan_image(cart.image)
-            preds.append(segmentation.segment(model, image).astype(bool))
+            preds.append(segmentation.segment(model, scan.image).astype(bool))
             gts.append(simworld.ground_truth_mask(
                 world, scan.pose, ccfg["image_size"],
                 ccfg["metres_per_pixel"]))
@@ -384,7 +383,8 @@ def test_gate_08_final_segmentation(capsys, full_run):
     # label propagation)
     scfg = cfg["segmentation"]
     seed = cfg["seed"]
-    _, images, _ = pipeline._prepared_train_images(cfg, out)
+    images = [scan.image
+              for scan in pipeline._read_scans(cfg, out, "scans_train")]
     masks = pipeline._load_masks(out, "masks_initial")
     baseline = segmentation.UNet(depth=scfg["depth"],
                                  base_channels=scfg["base_channels"],
@@ -487,7 +487,8 @@ def test_render_draws_segment_mask(full_run):
     # render's segmentation panel comes from segment: its overlay is
     # exactly that of segment()'s mask
     cfg, out = full_run["cfg"], full_run["out"]
-    _, images, _ = pipeline._prepared_train_images(cfg, out)
+    images = [scan.image
+              for scan in pipeline._read_scans(cfg, out, "scans_train")]
     image = images[len(images) // 2]
     model = segmentation.load_unet(os.path.join(out, "seg_stage2.kowt"),
                                    os.path.join(out, "seg_stage2.json"))

@@ -270,6 +270,32 @@ class TestScanFile:
         with pytest.raises(ValueError, match="truncated scan file payload"):
             canvas.load_polar_scan(path)
 
+    def test_header_reads_fields_without_payload(self, tmp_path):
+        path = tmp_path / "scan.rds"
+        canvas.save_polar_scan(path, polar(np.ones((3, 2)), res=0.25,
+                                           pose=(1.0, -2.0, 0.5), t=7.0))
+        header = canvas.load_scan_header(path)
+        assert (header.n_azimuths, header.n_bins) == (3, 2)
+        assert (header.timestamp, header.max_range) == (7.0, 0.5)
+        np.testing.assert_array_equal(header.pose, [1.0, -2.0, 0.5])
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda raw: raw[:-4], "truncated scan file payload"),
+        (lambda raw: raw + b"\0", "overlong scan file"),
+        (lambda raw: raw[:12] + struct.pack("<f", 0.0) + raw[16:],
+         "bad scan file header")])
+    def test_header_checks_payload_size_and_values(self, tmp_path, edit,
+                                                   match):
+        # eval-seg reads only headers, so the header reader itself checks
+        # the declared payload against the file
+        path = tmp_path / "scan.rds"
+        canvas.save_polar_scan(path, polar(np.ones((3, 2)), res=0.25,
+                                           pose=(0.0, 0.0, 0.0), t=1.0))
+        path.write_bytes(edit(path.read_bytes()))
+        for load in (canvas.load_scan_header, canvas.load_polar_scan):
+            with pytest.raises(ValueError, match=match):
+                load(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_power_rejected(self, tmp_path, bad):
         path = tmp_path / "scan.rds"

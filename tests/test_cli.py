@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
 
 import radroute
-from radroute import (canvas, cli, formats, pipeline, segmentation,
+from radroute import (audio, canvas, cli, formats, pipeline, segmentation,
                       simworld)
 from radroute.errors import ConfigurationError
 
@@ -98,6 +99,10 @@ class TestPositiveRates:
         assert not (tmp_path / "run").exists()
 
 
+GATE9_AUDIO = {"clips_per_class": 40, "recordings_per_class": 2,
+               "epochs": 1, "trials": 1}
+
+
 class TestValueChecks:
     # an unknown representation used to train every model and then fail;
     # a crop larger than the scan used to slice from a negative start. The
@@ -125,7 +130,15 @@ class TestValueChecks:
              ({"segmentation": {"vote_threshold": 1.5}},
               "segmentation.vote_threshold"),
              ({"segmentation": {"probability_threshold": 1.0}},
-              "segmentation.probability_threshold")]
+              "segmentation.probability_threshold"),
+             # at gate 9's audio sizes the 120 windows split 120/0 and 0/120
+             ({"audio": {**GATE9_AUDIO, "train_fraction": 0.999}},
+              "audio.train_fraction"),
+             ({"audio": {**GATE9_AUDIO, "train_fraction": 0.001}},
+              "audio.train_fraction"),
+             ({"audio": {"recordings_per_class": 0}},
+              "audio.recordings_per_class"),
+             ({"audio": {"clips_per_class": 0}}, "audio.clips_per_class")]
 
     @pytest.mark.parametrize("user,key", CASES)
     def test_rejected_naming_key(self, user, key):
@@ -220,14 +233,53 @@ class TestDspSection:
         assert "dsp" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def gate9_audio_run(tmp_path_factory):
+    """simulate and train-audio at gate 9's reduced sizes."""
+    out = tmp_path_factory.mktemp("gate9") / "run"
+    cfg_path = out.parent / "cfg.json"
+    cfg_path.write_text(json.dumps(TestDspSection.GATE9))
+    for stage in ("simulate", "train-audio"):
+        assert cli.main(["--config", str(cfg_path), "--out", str(out),
+                         stage]) == cli.EXIT_OK
+    return pipeline.resolve_config(TestDspSection.GATE9), cfg_path, out
+
+
+class TestAudioWindowCount:
+    def test_matches_dataset_train_audio_builds(self, gate9_audio_run):
+        cfg, _, out = gate9_audio_run
+        datasets = audio.build_datasets(
+            pipeline._class_recordings(str(out)), ("gammatone",),
+            cfg=pipeline.stft_config(cfg))
+        assert len(datasets["gammatone"]) == pipeline.audio_window_count(
+            cfg) == 120
+
+
+class TestEvalAudioBlocks:
+    # the traverse stream of gate 9's sizes holds 100 windows
+    @pytest.mark.parametrize("block", [1, 3, 1000])
+    def test_predictions_do_not_depend_on_block(self, gate9_audio_run,
+                                                 monkeypatch, block):
+        _, cfg_path, out = gate9_audio_run
+        argv = ["--config", str(cfg_path), "--out", str(out), "eval-audio"]
+        assert cli.main(argv) == cli.EXIT_OK
+        want = (out / "predictions.csv").read_bytes()
+        assert want.count(b"\n") == 101
+        monkeypatch.setattr(audio, "WINDOW_BLOCK", block)
+        (out / "predictions.csv").unlink()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert (out / "predictions.csv").read_bytes() == want
+
+
 class TestSegTrainLog:
     def test_stage1_log_records_fallbacks(self, tmp_path, monkeypatch):
         def fake_stage1(images, masks, model, cfg, crop, crops_per_scan):
             return model, segmentation.SegTrainLog(
                 losses=[0.5], skipped_batches=1, augment_fallbacks=3)
 
-        monkeypatch.setattr(pipeline, "_prepared_train_images",
-                            lambda cfg, out: (None, [None], None))
+        monkeypatch.setattr(pipeline, "_read_scans",
+                            lambda cfg, out, subdir: [
+                                types.SimpleNamespace(image=None)])
         monkeypatch.setattr(pipeline, "_load_masks", lambda out, sub: [None])
         monkeypatch.setattr(segmentation, "stage1_train", fake_stage1)
         cfg = pipeline.resolve_config(
@@ -470,6 +522,18 @@ class TestFeatures:
                        "--representation", representation])
         assert rc == cli.EXIT_OK
         assert formats.read_pgm(pgm).shape == shape
+
+    def test_truncated_wav_exits_1(self, tmp_path, capsys):
+        wav = self.half_second_wav(tmp_path)
+        with open(wav, "rb") as f:
+            data = f.read(20000)  # cut mid-data
+        with open(wav, "wb") as f:
+            f.write(data)
+        pgm = tmp_path / "image.pgm"
+        rc = cli.main(["features", wav, str(pgm)])
+        assert rc == cli.EXIT_ERROR
+        assert "truncated WAV file" in capsys.readouterr().err
+        assert not pgm.exists()
 
     def test_dsp_section_sets_frames(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

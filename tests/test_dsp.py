@@ -7,6 +7,8 @@ from radroute.dsp import (AudioClip, GammatoneFilterbank, StftConfig,
                           erb_bandwidth, gammatone_ir, hamming_window,
                           mel_frequency)
 
+from oracles import gammatonegram_direct
+
 
 def direct_dft(frames: np.ndarray, n: int) -> np.ndarray:
     """O(N^2) DFT oracle, one row per frame (full spectrum, keep rfft half)."""
@@ -186,7 +188,7 @@ class TestGammatone:
 
     def test_direct_silent_clip(self):
         fb = GammatoneFilterbank.design(8, 44100.0)
-        img = dsp.gammatonegram_direct(AudioClip(np.zeros(22050), 44100.0), fb)
+        img = gammatonegram_direct(AudioClip(np.zeros(22050), 44100.0), fb)
         assert np.all(img.values == dsp.FLOOR_DB)
 
     def test_impulse_energy_matches_quadrature(self):
@@ -198,7 +200,7 @@ class TestGammatone:
                                                         1200.0, 2400.0]))
         x = np.zeros(22050)
         x[0] = 1.0
-        img = dsp.gammatonegram_direct(AudioClip(x, fs), fb, frame_len=22050)
+        img = gammatonegram_direct(AudioClip(x, fs), fb, frame_len=22050)
         got = 10.0 ** (img.values[:, 0] / 10.0)
         for i, fc in enumerate(fb.center_freqs):
             b = float(fb.bandwidths[i])
@@ -214,7 +216,7 @@ class TestGammatone:
         t = np.arange(22050) / fs
         for i in (2, 6, 10):
             clip = AudioClip(np.sin(2 * np.pi * fb.center_freqs[i] * t), fs)
-            img = dsp.gammatonegram_direct(clip, fb)
+            img = gammatonegram_direct(clip, fb)
             assert np.argmax(img.values.sum(axis=1)) == i
 
     def test_weight_rows_peak_at_center_bins(self):
@@ -239,7 +241,7 @@ class TestGammatone:
         for _ in range(3):
             clip = AudioClip(rng.normal(size=22050) * 0.2, fs)
             fast = dsp.gammatonegram_fast(clip, fb, cfg).values
-            direct = dsp.gammatonegram_direct(clip, fb, cfg.frame_len).values
+            direct = gammatonegram_direct(clip, fb, cfg.frame_len).values
             r = np.corrcoef(fast.ravel(), direct.ravel())[0, 1]
             assert r >= 0.99
 
@@ -259,6 +261,6 @@ def test_frame_counts_agree_across_representations():
     fb = GammatoneFilterbank.design(32, fs)
     spec = dsp.spectrogram(clip, cfg)
     mel = dsp.mel_spectrogram(clip, cfg, 64)
-    gd = dsp.gammatonegram_direct(clip, fb, cfg.frame_len)
+    gd = gammatonegram_direct(clip, fb, cfg.frame_len)
     gf = dsp.gammatonegram_fast(clip, fb, cfg)
     assert (spec.n_frames == mel.n_frames == gd.n_frames == gf.n_frames)

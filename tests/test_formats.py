@@ -39,6 +39,60 @@ class TestReadWav:
             formats.read_wav(path)
 
 
+class TestWavReader:
+    @staticmethod
+    def write(tmp_path, n=1000):
+        path = tmp_path / "a.wav"
+        formats.write_wav(path, np.random.default_rng(n).uniform(-1, 1, n),
+                          8000.0)
+        return path
+
+    @pytest.mark.parametrize("frames", [1, 7, 999, 1000, 1001])
+    def test_blocks_concatenate_to_whole_read(self, tmp_path, frames):
+        path = self.write(tmp_path)
+        whole, rate = formats.read_wav(path)
+        with formats.WavReader(path) as wav:
+            assert (wav.sample_rate, wav.n_frames) == (8000, 1000)
+            blocks = list(wav.blocks(frames))
+        assert [len(b) for b in blocks[:-1]] == [frames] * (len(blocks) - 1)
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        assert whole.dtype == np.float64 and rate == 8000.0
+
+    def test_empty_file_reads_empty(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        formats.write_wav(path, np.zeros(0), 8000.0)
+        samples, rate = formats.read_wav(path)
+        assert samples.shape == (0,) and rate == 8000.0
+
+    @pytest.mark.parametrize("cut", [250, 1001, 1500])
+    def test_payload_cut_mid_block_rejected(self, tmp_path, cut):
+        # 44 header bytes, then 2 bytes a frame: blocks of 100 frames are
+        # 200 bytes, and every cut falls inside one
+        path = self.write(tmp_path)
+        path.write_bytes(path.read_bytes()[:44 + cut])
+        with pytest.raises(ValueError, match="truncated WAV file"):
+            with formats.WavReader(path) as wav:
+                list(wav.blocks(100))
+
+    @pytest.mark.parametrize("byte", [16, 17, 18, 19])
+    def test_format_chunk_larger_than_file_rejected(self, tmp_path, byte):
+        # the fmt chunk's declared size; wave itself raises RuntimeError
+        raw = bytearray(wav_bytes(tmp_path))
+        raw[byte] ^= 0x80
+        path = tmp_path / "bad.wav"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="malformed WAV header"):
+            formats.read_wav(path)
+
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        raw = bytearray(wav_bytes(tmp_path))
+        raw[24:28] = bytes(4)
+        path = tmp_path / "bad.wav"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="sample rate 0"):
+            formats.read_wav(path)
+
+
 def write_wav_oracle(path, samples, sample_rate):
     """The one-shot writer: quantize everything, write once."""
     pcm = np.clip(np.asarray(samples), -1.0, 1.0)
@@ -107,6 +161,16 @@ class TestReadExact:
                                match="truncated blob: wanted 4 bytes at "
                                      "offset 4, got 2"):
                 formats.read_exact(f, 4, "blob")
+
+    def test_size_checked_before_reading(self, tmp_path):
+        # a declared size far beyond the file is refused before the read
+        # could allocate it
+        path = tmp_path / "blob"
+        path.write_bytes(b"abcdef")
+        with open(path, "rb") as f:
+            with pytest.raises(ValueError, match="wanted 4611686018427387904 "
+                                                 "bytes at offset 0, got 6"):
+                formats.read_exact(f, 1 << 62, "blob")
 
 
 def pgm_bytes(tmp_path):

@@ -1,4 +1,5 @@
-"""Layout guard: no public `src/` code without a caller in `src/`.
+"""Layout guards: no public `src/` code without a caller in `src/`, and
+no test-only dependency in the package's import graph.
 
 Every public module-level function or class of `radroute` must be named
 somewhere in `src/` outside its own definition: loaded by name in its own
@@ -8,7 +9,10 @@ below are exempt.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "radroute"
 
@@ -18,8 +22,6 @@ TEST_ORACLES = {
                            "batched mel images",
     "dsp.gammatonegram_fast": "per-clip oracle for the batched gammatone "
                               "images",
-    "dsp.gammatonegram_direct": "gate 1's time-domain oracle for "
-                                "gammatonegram_fast",
     "fusion.load_labeled_trajectory_csv": "round-trip oracle for "
                                           "save_labeled_trajectory_csv",
     "numeric.gradcheck": "gate 3's central-difference gradient check",
@@ -67,3 +69,18 @@ def test_every_public_definition_has_a_caller_in_src():
             if not outside and (module, node.name) not in qualified:
                 uncalled.add(f"{module}.{node.name}")
     assert sorted(uncalled ^ set(TEST_ORACLES)) == []
+
+
+def test_pipeline_import_leaves_out_scipy_signal():
+    # scipy.signal served only a test oracle (tests/oracles.py); importing
+    # it cost every process about 50 MB and 1 s
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, radroute.pipeline; "
+                               "print(sorted(m for m in sys.modules "
+                               "if m.startswith('scipy.signal')))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

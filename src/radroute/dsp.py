@@ -1,10 +1,10 @@
-"""Time-frequency feature extraction: spectrograms, mel spectrograms, gammatonegrams.
+"""Time-frequency building blocks: framing, the batched STFT, dB
+conversion, and the mel and gammatone filterbanks.
 
-All three representations share the same framing so that, for a given
-(clip, frame length, hop), they produce images with identical frame counts.
+All three representations (spectrogram, mel, gammatone) share the same
+framing, so for a given (clip, frame length, hop) their images have
+identical frame counts. `audio` builds the images from these blocks.
 Images are stored in dB with a hard floor so that silent cells stay finite.
-The per-clip functions here are the reference images for the batched
-feature path in `audio`, which shares `stft_windows` with `stft`.
 """
 
 from dataclasses import dataclass, field
@@ -52,36 +52,12 @@ class StftConfig:
     window: str = "hamming"
 
     def __post_init__(self):
-        if not (self.hop <= self.frame_len <= self.fft_size):
-            raise ValueError("require hop <= frame_len <= fft_size")
+        if not (1 <= self.hop <= self.frame_len <= self.fft_size
+                and self.frame_len >= 2):
+            raise ValueError("require 1 <= hop <= frame_len <= fft_size "
+                             "and frame_len >= 2")
         if self.window not in ("hamming", "rectangular"):
             raise ValueError(f"unknown window {self.window!r}")
-
-
-@dataclass
-class TimeFrequencyImage:
-    """2-D dB image, channels (frequency) by frames (time)."""
-
-    values: np.ndarray
-    channel_freqs: np.ndarray
-    axis_kind: str
-    floor_db: float = FLOOR_DB
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.channel_freqs = np.asarray(self.channel_freqs, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] < 1:
-            raise ValueError("values must be a 2-D channels x frames array")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite values in image")
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
 
 
 def hamming_window(m: int) -> np.ndarray:
@@ -115,15 +91,6 @@ def stft_windows(windows: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
 
 
-def stft(clip: AudioClip, cfg: StftConfig) -> np.ndarray:
-    """Short-time Fourier transform, (fft_size//2 + 1) rows x frames columns."""
-    return stft_windows(clip.samples[None], cfg)[0].T
-
-
-def stft_freqs(cfg: StftConfig, sample_rate: float) -> np.ndarray:
-    return np.fft.rfftfreq(cfg.fft_size, d=1.0 / sample_rate)
-
-
 def log_power(x: np.ndarray, floor_db: float = FLOOR_DB) -> np.ndarray:
     """20 log10 |X|, clamped below at floor_db (zero magnitudes included)."""
     mag = np.abs(x)
@@ -137,19 +104,6 @@ def power_db(power: np.ndarray, floor_db: float = FLOOR_DB) -> np.ndarray:
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(power)
     return np.maximum(db, floor_db)
-
-
-def spectrogram(clip: AudioClip, cfg: StftConfig | None = None,
-                floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
-    """Log-power spectrogram of the Hamming-windowed STFT, linear frequency axis."""
-    cfg = cfg or StftConfig()
-    x = stft(clip, cfg)
-    return TimeFrequencyImage(
-        values=log_power(x, floor_db),
-        channel_freqs=stft_freqs(cfg, clip.sample_rate),
-        axis_kind="linear",
-        floor_db=floor_db,
-    )
 
 
 def mel_frequency(f):
@@ -190,24 +144,6 @@ def mel_filterbank(n_channels: int, n_bins: int, sample_rate: float,
             # so every channel observes something
             weights[i, np.argmin(np.abs(bin_freqs - mid))] = 1.0
     return weights, edges_hz[1:-1]
-
-
-def mel_spectrogram(clip: AudioClip, cfg: StftConfig | None = None,
-                    n_channels: int = 64,
-                    floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
-    """Mel-warped power spectrogram in dB."""
-    cfg = cfg or StftConfig()
-    x = stft(clip, cfg)
-    power = np.abs(x) ** 2
-    weights, centers = mel_filterbank(
-        n_channels, power.shape[0], clip.sample_rate, cfg.fft_size)
-    mel_power = weights @ power
-    return TimeFrequencyImage(
-        values=power_db(mel_power, floor_db),
-        channel_freqs=centers,
-        axis_kind="mel",
-        floor_db=floor_db,
-    )
 
 
 def erb_bandwidth(fc):
@@ -286,27 +222,3 @@ def gammatone_weights(filterbank: GammatoneFilterbank, sample_rate: float,
             resp = np.interp(freqs_out, freqs_full, resp)
         weights[i] = resp ** 2
     return weights
-
-
-def gammatonegram_fast(clip: AudioClip, filterbank: GammatoneFilterbank,
-                       cfg: StftConfig | None = None,
-                       floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
-    """Gammatonegram approximated by weighting a linear power spectrogram.
-
-    Per frame, (1/N) sum_k |X_k|^2 |G_k|^2 approximates the framed output
-    energy of the direct convolution (Parseval); dB conversion follows.
-    """
-    cfg = cfg or StftConfig()
-    x = stft(clip, cfg)
-    power = np.abs(x) ** 2
-    # double the non-DC/non-Nyquist bins: rfft keeps half the spectrum
-    full = power.copy()
-    full[1:-1 if cfg.fft_size % 2 == 0 else None] *= 2.0
-    weights = gammatone_weights(filterbank, clip.sample_rate, cfg.fft_size)
-    energy = (weights @ full) / cfg.fft_size
-    return TimeFrequencyImage(
-        values=power_db(energy, floor_db),
-        channel_freqs=filterbank.center_freqs,
-        axis_kind="gammatone",
-        floor_db=floor_db,
-    )

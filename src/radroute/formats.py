@@ -54,7 +54,7 @@ def write_ppm(path, image: np.ndarray):
 
 
 def db_image_to_pgm(path, values: np.ndarray):
-    """TimeFrequencyImage values (dB) to PGM with an affine dB->gray mapping,
+    """A (channels, frames) dB image to PGM with an affine dB->gray mapping,
     gray = round((db - lo) / (hi - lo) * 255)."""
     lo = float(values.min())
     hi = float(values.max())

@@ -191,19 +191,3 @@ def save_labeled_trajectory_csv(path, lt: LabeledTrajectory):
             name = TERRAIN_NAMES[TerrainClass(int(cls))]
             f.write(f"{t:.6f},{x:.9f},{y:.9f},{yaw:.9f},{name},{conf:.6f}\n")
 
-
-def load_labeled_trajectory_csv(path) -> LabeledTrajectory:
-    from .simworld import TERRAIN_BY_NAME
-
-    ts, poses, terrain, conf = [], [], [], []
-    with open(path) as f:
-        next(f)
-        for line in f:
-            t, x, y, yaw, name, c = line.strip().split(",")
-            ts.append(float(t))
-            poses.append([float(x), float(y), float(yaw)])
-            terrain.append(int(TERRAIN_BY_NAME[name]))
-            conf.append(float(c))
-    return LabeledTrajectory(timestamps=np.array(ts), poses=np.array(poses),
-                             terrain=np.array(terrain),
-                             confidence=np.array(conf))

@@ -3,12 +3,12 @@
 Layers operate on numpy arrays shaped (N, C, H, W) for spatial ops and
 (N, F) for dense ops. Parameters and their gradient accumulators are
 float64 master copies; every layer computes in the dtype of its input
-(float32 for training, float64 for gradcheck), casting its parameters to
+(float32 for training, float64 for gradient checks), casting its parameters to
 that dtype on use (mixed-precision training, Micikevicius et al. 2018).
 Every layer exposes forward(x), backward(grad), backward_params(grad) (the
 parameter gradients without dX), and `params` / `grads` lists of
 same-shaped arrays. No autodiff: gradients are hand-derived and
-verified against central differences (see gradcheck).
+verified against central differences by the tests.
 
 Conv2d keeps the (N, C, H, W) interface but computes channel-last, in one
 of two GEMM formulations chosen by its input channel count alone:
@@ -31,7 +31,7 @@ UpsampleConcatConv2d is a U-Net decoder's entry: the 3x3 convolution of a
 skip map concatenated with a 2x nearest-upsampled coarse map. It convolves
 the upsampled half on the coarse grid as four 2x2 parity kernels
 (parity_kernels), the sub-pixel view of resize-convolution (Shi et al.
-2016; Odena et al. 2016). Upsample2x with Conv2d stays as its oracle.
+2016; Odena et al. 2016).
 """
 
 import math
@@ -282,8 +282,9 @@ def upsampled_conv_nhwc(zp: np.ndarray, kernels: np.ndarray,
 
 
 class UpsampleConcatConv2d(Layer):
-    """A U-Net decoder's entry: the 3x3 same convolution of
-    concat(skip, Upsample2x(coarse)) over channels, with neither copy.
+    """A U-Net decoder's entry: the 3x3 same convolution of the skip map
+    and the 2x nearest-upsampled coarse map, concatenated over channels,
+    with neither the upsampled map nor the concatenation copied.
 
     It owns that Conv2d's (O, C_skip + C_up, 3, 3) weight and its bias.
     The skip half is an ordinary 3x3 convolution; the upsampled half runs
@@ -501,17 +502,6 @@ class Softmax(Layer):
         return p * (grad - (grad * p).sum(axis=1, keepdims=True))
 
 
-class Upsample2x(Layer):
-    """Nearest-neighbour 2x spatial upsampling."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x.repeat(2, axis=2).repeat(2, axis=3)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, c, h, w = grad.shape
-        return grad.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
-
-
 class Sequential(Layer):
     def __init__(self, layers: list):
         super().__init__()
@@ -573,25 +563,6 @@ def cross_entropy(pred_probs: np.ndarray, one_hot: np.ndarray):
     return loss, grad.astype(pred_probs.dtype, copy=False)
 
 
-def masked_binary_cross_entropy(pred: np.ndarray, target: np.ndarray,
-                                mask: np.ndarray):
-    """BCE averaged over mask==True elements; gradient is exactly 0 elsewhere.
-
-    Target values at masked-out elements are never read.
-    """
-    if pred.shape != target.shape or pred.shape != mask.shape:
-        raise ShapeError("prediction/target/mask shape mismatch")
-    n = int(mask.sum())
-    if n == 0:
-        raise DegenerateBatchError("no labeled elements contribute to the loss")
-    p = np.clip(pred, EPS_PROB, 1.0 - EPS_PROB)
-    t = np.where(mask, target, 0.0)
-    per = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
-    loss = float((per * mask).sum() / n)
-    grad = np.where(mask, (p - t) / (p * (1.0 - p)) / n, 0.0)
-    return loss, grad.astype(pred.dtype, copy=False)
-
-
 def masked_bce_with_logits(logits: np.ndarray, target: np.ndarray,
                            mask: np.ndarray):
     """BCE of sigmoid(logits), fused, over mask==True elements.
@@ -625,67 +596,6 @@ def sgd_step(params: list, grads: list, lr: float):
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite gradient")
         w -= lr * g
-
-
-def gradcheck(model: Layer, x: np.ndarray, loss_fn, eps: float = 1e-4,
-              max_coords: int = 25, rng: np.random.Generator | None = None,
-              check_input: bool = True) -> float:
-    """Compare analytic gradients with central differences.
-
-    loss_fn maps the model output to (loss, grad_wrt_output). A random
-    subset of coordinates per parameter tensor (and of the input) is
-    perturbed. Returns the max relative error.
-    """
-    rng = rng or np.random.default_rng(0)
-    model.zero_grad()
-    out = model.forward(x)
-    _, dout = loss_fn(out)
-    dx = model.backward(dout)
-    max_err = 0.0
-
-    def rel_err(analytic, numeric):
-        denom = max(abs(analytic), abs(numeric), 1e-6)
-        return abs(analytic - numeric) / denom
-
-    def eval_at(flat, c, value):
-        orig = flat[c]
-        flat[c] = value
-        loss, _ = loss_fn(model.forward(x))
-        flat[c] = orig
-        return loss
-
-    l0, _ = loss_fn(model.forward(x))
-    # central differences cancel catastrophically: the estimate carries
-    # absolute noise ~ eps_mach*|loss|/eps, so gradients below this cannot
-    # be resolved to 1e-4 relative and carry no information either way
-    noise_floor = 1e4 * np.finfo(float).eps * abs(l0) / eps
-    tensors = list(zip(model.params, model.grads))
-    if check_input:
-        tensors.append((x, dx))
-    for tensor, analytic in tensors:
-        flat = tensor.reshape(-1)
-        n = flat.size
-        coords = rng.choice(n, size=min(max_coords, n), replace=False)
-        aflat = analytic.reshape(-1)
-        for c in coords:
-            lp = eval_at(flat, c, flat[c] + eps)
-            lm = eval_at(flat, c, flat[c] - eps)
-            d_plus = (lp - l0) / eps
-            d_minus = (l0 - lm) / eps
-            # disagreeing one-sided slopes mean the interval straddles a
-            # kink (relu corner, pool-argmax tie); the derivative is not
-            # defined there and the comparison carries no information. The
-            # tolerance must sit above the difference noise but below any
-            # real slope change, so it scales with the noise floor rather
-            # than a fixed constant
-            if abs(d_plus - d_minus) > 10.0 * noise_floor + 1e-2 * max(
-                    abs(d_plus), abs(d_minus)):
-                continue
-            numeric = (lp - lm) / (2.0 * eps)
-            if max(abs(aflat[c]), abs(numeric)) < noise_floor:
-                continue
-            max_err = max(max_err, rel_err(aflat[c], numeric))
-    return max_err
 
 
 WEIGHTS_MAGIC = b"KOWT"

@@ -30,12 +30,12 @@ class UNet:
     """Encoder/decoder with skip connections and a 1-channel sigmoid head.
 
     depth D downsampling stages, base_channels C doubling per stage. The
-    head conv is zero-initialized by default so an untrained model outputs
+    head conv is zero-initialized, so an untrained model outputs
     probability 0.5 everywhere.
     """
 
     def __init__(self, depth: int = 3, base_channels: int = 8,
-                 in_channels: int = 1, seed: int = 0, zero_head: bool = True):
+                 in_channels: int = 1, seed: int = 0):
         self.depth = depth
         self.base_channels = base_channels
         self.in_channels = in_channels
@@ -66,7 +66,7 @@ class UNet:
                              conv(c_skip, c_skip, 3, padding=1, rng=rng),
                              numeric.ReLU()])
             c_up = c_skip
-        self.head = conv(base_channels, 1, 1, zero_init=zero_head, rng=rng)
+        self.head = conv(base_channels, 1, 1, zero_init=True, rng=rng)
         self.sigmoid = numeric.Sigmoid()
 
     def _blocks(self):
@@ -169,67 +169,64 @@ class CropSample:
     mask: np.ndarray  # (crop, crop) uint8 Label values
 
 
-@dataclass
-class AugmentationConfig:
-    flip: bool = True
-    rotation_degrees: tuple = (-180.0, 180.0)
-    elastic_grid: int = 16  # px spacing of the coarse displacement grid
-    elastic_sigma: float = 1.5  # px displacement magnitude
-    rescale_range: tuple = (0.8, 1.25)
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.rescale_range[0] <= 0:
-            raise ValueError("rescale factors must be positive")
-        if self.elastic_sigma < 0:
-            raise ValueError("elastic magnitude must be non-negative")
+# Stage-1 augmentation: random flips, rotation and rescale about the crop
+# center, then the U-Net's elastic deformation (Ronneberger et al. 2015):
+# a coarse grid of Gaussian displacements, upsampled and smoothed.
+AUG_ROTATION_DEGREES = (-180.0, 180.0)
+AUG_RESCALE_RANGE = (0.8, 1.25)
+AUG_ELASTIC_GRID = 16  # px spacing of the coarse displacement grid
+AUG_ELASTIC_SIGMA = 1.5  # px displacement magnitude
 
 
 class ResampleNeeded(Exception):
     """Transform pushed every label out of frame; caller should retry."""
 
 
-def _displacement_field(shape, grid: int, sigma: float,
-                        rng: np.random.Generator):
+def _displacement_field(shape, rng: np.random.Generator):
     h, w = shape
-    gh, gw = max(h // grid, 2), max(w // grid, 2)
-    coarse = rng.normal(0.0, sigma, size=(2, gh, gw))
+    gh, gw = max(h // AUG_ELASTIC_GRID, 2), max(w // AUG_ELASTIC_GRID, 2)
+    coarse = rng.normal(0.0, AUG_ELASTIC_SIGMA, size=(2, gh, gw))
     zoom = (h / gh, w / gw)
     field = np.stack([ndimage.zoom(coarse[i], zoom, order=1)
                       for i in range(2)])
     return ndimage.gaussian_filter(field, sigma=(0, 2.0, 2.0))[:, :h, :w]
 
 
-def augment(sample: CropSample, cfg: AugmentationConfig,
-            rng: np.random.Generator) -> CropSample:
-    """Identical geometric transform on image and mask.
+def augment(sample: CropSample, rng: np.random.Generator) -> CropSample:
+    """Identical random geometric transform on image and mask.
 
-    Image is bilinearly interpolated; the mask uses nearest-label lookup so
-    unlabeled stays unlabeled. Raises ResampleNeeded if no labeled pixel
-    survives.
+    Draws, in order: the horizontal and the vertical flip, the rotation
+    angle, the scale and the elastic displacement field. Raises
+    ResampleNeeded if no labeled pixel survives.
     """
+    hflip = rng.random() < 0.5
+    vflip = rng.random() < 0.5
+    angle = rng.uniform(*AUG_ROTATION_DEGREES)
+    scale = rng.uniform(*AUG_RESCALE_RANGE)
+    disp = _displacement_field(sample.image.shape, rng)
+    return _warp(sample, hflip, vflip, angle, scale, disp)
+
+
+def _warp(sample: CropSample, hflip: bool, vflip: bool, angle_deg: float,
+          scale: float, disp: np.ndarray) -> CropSample:
+    """Flip, then rotate by angle_deg and scale about the center, then
+    displace every pixel by disp (2, h, w). The image is bilinearly
+    interpolated; the mask uses nearest-label lookup so unlabeled stays
+    unlabeled."""
     image, mask = sample.image, sample.mask
-    if not cfg.enabled:
-        return CropSample(image=image.copy(), mask=mask.copy())
-    if cfg.flip and rng.random() < 0.5:
+    if hflip:
         image, mask = image[:, ::-1], mask[:, ::-1]
-    if cfg.flip and rng.random() < 0.5:
+    if vflip:
         image, mask = image[::-1, :], mask[::-1, :]
-    angle = np.deg2rad(rng.uniform(*cfg.rotation_degrees))
-    scale = rng.uniform(*cfg.rescale_range)
+    angle = np.deg2rad(angle_deg)
     h, w = image.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     # inverse map: rotate by -angle, scale by 1/s about the center
     dy, dx = rows - cy, cols - cx
     c, s = np.cos(angle), np.sin(angle)
-    src_r = (c * dy - s * dx) / scale + cy
-    src_c = (s * dy + c * dx) / scale + cx
-    if cfg.elastic_sigma > 0:
-        disp = _displacement_field((h, w), cfg.elastic_grid,
-                                   cfg.elastic_sigma, rng)
-        src_r = src_r + disp[0]
-        src_c = src_c + disp[1]
+    src_r = (c * dy - s * dx) / scale + cy + disp[0]
+    src_c = (s * dy + c * dx) / scale + cx + disp[1]
     coords = np.stack([src_r, src_c])
     out_image = ndimage.map_coordinates(image, coords, order=1, mode="constant",
                                         cval=0.0)
@@ -297,11 +294,9 @@ def _train_batches(model: UNet, batches, lr: float, log: SegTrainLog):
 
 
 def stage1_train(scan_images: list, masks: list, model: UNet,
-                 cfg: SegTrainConfig,
-                 aug_cfg: AugmentationConfig | None = None,
-                 crop: int = 64, crops_per_scan: int = 200):
+                 cfg: SegTrainConfig, crop: int = 64,
+                 crops_per_scan: int = 200):
     """Curriculum stage 1: masked BCE on augmented crops around labels."""
-    aug_cfg = aug_cfg or AugmentationConfig()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57A6]))
     pool = []
     for i, (img, msk) in enumerate(zip(scan_images, masks)):
@@ -322,7 +317,7 @@ def stage1_train(scan_images: list, masks: list, model: UNet,
                 sample = pool[k]
                 for _attempt in range(10):
                     try:
-                        sample = augment(pool[k], aug_cfg, rng)
+                        sample = augment(pool[k], rng)
                         break
                     except ResampleNeeded:
                         continue
@@ -398,26 +393,27 @@ def _rotation_validity(shape: tuple, angle_deg: float) -> np.ndarray:
     return valid
 
 
+def _rotation_angles(cfg: PropagationConfig) -> list:
+    """The propagation's rotations in degrees: 0 alone for one rotation,
+    otherwise n_rotations cfg-seeded uniform draws."""
+    if cfg.n_rotations == 1:
+        return [0.0]
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9069]))
+    return list(rng.uniform(0.0, 360.0, size=cfg.n_rotations))
+
+
 def propagate_labels(model: UNet, scan_image: np.ndarray,
                      original_mask: np.ndarray, cfg: PropagationConfig,
-                     valid_region: np.ndarray | None = None,
-                     angles: list | None = None) -> np.ndarray:
+                     valid_region: np.ndarray | None = None) -> np.ndarray:
     """Rotation-ensemble label propagation.
 
     For each random global rotation, the rotated scan is tiled, segmented,
     and the prediction is de-rotated. A pixel is voted PATH when at least
     vote_threshold of its valid rotations exceed probability_threshold,
     NOT_PATH otherwise; original labels take precedence; pixels outside
-    valid_region (e.g. beyond radar range) stay unlabeled. An explicit
-    angle list (degrees) overrides the cfg-seeded random rotations.
+    valid_region (e.g. beyond radar range) stay unlabeled.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9069]))
-    if angles is not None:
-        angles = list(angles)
-    elif cfg.n_rotations == 1:
-        angles = [0.0]
-    else:
-        angles = list(rng.uniform(0.0, 360.0, size=cfg.n_rotations))
+    angles = _rotation_angles(cfg)
     h, w = scan_image.shape
     path_votes = np.zeros((h, w), dtype=np.int64)
     valid_votes = np.zeros((h, w), dtype=np.int64)

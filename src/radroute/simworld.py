@@ -56,7 +56,6 @@ class SimConfig:
     grid_size: int = 256
     cell_size: float = 0.4
     path_width: float = 3.0
-    n_paths: int = 2
     gps_sigma: float = 2.0
     gps_rate: float = 1.0
     vo_trans_sigma: float = 0.01
@@ -79,8 +78,6 @@ class SimConfig:
             raise ConfigurationError("grid must be at least 64x64")
         if self.cell_size <= 0:
             raise ConfigurationError("cell_size must be positive")
-        if self.n_paths < 1:
-            raise ConfigurationError("at least one path is required")
 
     @property
     def range_resolution(self) -> float:
@@ -201,11 +198,9 @@ def _side_path_vertices(rng: np.random.Generator, main: np.ndarray,
 
 
 def generate_world(seed: int, config: SimConfig | None = None) -> TerrainMap:
-    """Grass world with gravel path polylines, one flagged untraversed."""
+    """Grass world with two gravel paths: the main path, which the robot
+    traverses, and a side path flagged untraversed."""
     config = config or SimConfig()
-    if config.n_paths < 2:
-        raise ConfigurationError(
-            "need >= 2 paths: one traversed, one untraversed")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     extent = config.extent_m
     main = _main_path_vertices(rng, extent)

@@ -1,14 +1,123 @@
-"""Reference computations the tests hold the package's fast paths to.
+"""Reference computations the tests hold the package's fast paths to, and
+the readers that only tests need.
 
-They are kept out of `src/` so that the package does not carry code that
-only tests call, nor the imports that only this code needs (`scipy.signal`).
+They are kept out of `src/` so that the package carries no code that only
+tests call, nor the imports that only this code needs (`scipy.signal`):
+
+- per-clip time-frequency images (`spectrogram`, `mel_spectrogram`,
+  `gammatonegram_fast`, `gammatonegram_direct`), the oracles of the batched
+  feature path in `audio`;
+- `gradcheck` with the loss it checks the U-Net through
+  (`masked_binary_cross_entropy`) and `Upsample2x`, which with channel
+  concatenation and `Conv2d` is the oracle of `UpsampleConcatConv2d`;
+- `load_labeled_trajectory_csv`, the round trip of
+  `fusion.save_labeled_trajectory_csv`.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from radroute.dsp import (FLOOR_DB, AudioClip, GammatoneFilterbank,
-                          TimeFrequencyImage, frame_count, power_db)
+                          StftConfig, frame_count, gammatone_weights,
+                          log_power, mel_filterbank, power_db, stft_windows)
+from radroute.errors import DegenerateBatchError, ShapeError
+from radroute.fusion import LabeledTrajectory
+from radroute.numeric import EPS_PROB, Layer
+from radroute.simworld import TERRAIN_BY_NAME
+
+# ------------------------------------------------------- time-frequency
+
+
+@dataclass
+class TimeFrequencyImage:
+    """2-D dB image, channels (frequency) by frames (time)."""
+
+    values: np.ndarray
+    channel_freqs: np.ndarray
+    axis_kind: str
+    floor_db: float = FLOOR_DB
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        self.channel_freqs = np.asarray(self.channel_freqs, dtype=np.float64)
+        if self.values.ndim != 2 or self.values.shape[1] < 1:
+            raise ValueError("values must be a 2-D channels x frames array")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("non-finite values in image")
+
+    @property
+    def n_channels(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n_frames(self) -> int:
+        return self.values.shape[1]
+
+
+def stft(clip: AudioClip, cfg: StftConfig) -> np.ndarray:
+    """Short-time Fourier transform, (fft_size//2 + 1) rows x frames columns."""
+    return stft_windows(clip.samples[None], cfg)[0].T
+
+
+def stft_freqs(cfg: StftConfig, sample_rate: float) -> np.ndarray:
+    return np.fft.rfftfreq(cfg.fft_size, d=1.0 / sample_rate)
+
+
+def spectrogram(clip: AudioClip, cfg: StftConfig | None = None,
+                floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
+    """Log-power spectrogram of the Hamming-windowed STFT, linear frequency axis."""
+    cfg = cfg or StftConfig()
+    x = stft(clip, cfg)
+    return TimeFrequencyImage(
+        values=log_power(x, floor_db),
+        channel_freqs=stft_freqs(cfg, clip.sample_rate),
+        axis_kind="linear",
+        floor_db=floor_db,
+    )
+
+
+def mel_spectrogram(clip: AudioClip, cfg: StftConfig | None = None,
+                    n_channels: int = 64,
+                    floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
+    """Mel-warped power spectrogram in dB."""
+    cfg = cfg or StftConfig()
+    x = stft(clip, cfg)
+    power = np.abs(x) ** 2
+    weights, centers = mel_filterbank(
+        n_channels, power.shape[0], clip.sample_rate, cfg.fft_size)
+    mel_power = weights @ power
+    return TimeFrequencyImage(
+        values=power_db(mel_power, floor_db),
+        channel_freqs=centers,
+        axis_kind="mel",
+        floor_db=floor_db,
+    )
+
+
+def gammatonegram_fast(clip: AudioClip, filterbank: GammatoneFilterbank,
+                       cfg: StftConfig | None = None,
+                       floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
+    """Gammatonegram approximated by weighting a linear power spectrogram.
+
+    Per frame, (1/N) sum_k |X_k|^2 |G_k|^2 approximates the framed output
+    energy of the direct convolution (Parseval); dB conversion follows.
+    """
+    cfg = cfg or StftConfig()
+    x = stft(clip, cfg)
+    power = np.abs(x) ** 2
+    # double the non-DC/non-Nyquist bins: rfft keeps half the spectrum
+    full = power.copy()
+    full[1:-1 if cfg.fft_size % 2 == 0 else None] *= 2.0
+    weights = gammatone_weights(filterbank, clip.sample_rate, cfg.fft_size)
+    energy = (weights @ full) / cfg.fft_size
+    return TimeFrequencyImage(
+        values=power_db(energy, floor_db),
+        channel_freqs=filterbank.center_freqs,
+        axis_kind="gammatone",
+        floor_db=floor_db,
+    )
 
 
 def gammatonegram_direct(clip: AudioClip, filterbank: GammatoneFilterbank,
@@ -35,3 +144,115 @@ def gammatonegram_direct(clip: AudioClip, filterbank: GammatoneFilterbank,
         axis_kind="gammatone",
         floor_db=floor_db,
     )
+
+
+# ------------------------------------------------------------ gradients
+
+
+class Upsample2x(Layer):
+    """Nearest-neighbour 2x spatial upsampling."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x.repeat(2, axis=2).repeat(2, axis=3)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        n, c, h, w = grad.shape
+        return grad.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+
+
+def masked_binary_cross_entropy(pred: np.ndarray, target: np.ndarray,
+                                mask: np.ndarray):
+    """BCE averaged over mask==True elements; gradient is exactly 0 elsewhere.
+
+    Target values at masked-out elements are never read.
+    """
+    if pred.shape != target.shape or pred.shape != mask.shape:
+        raise ShapeError("prediction/target/mask shape mismatch")
+    n = int(mask.sum())
+    if n == 0:
+        raise DegenerateBatchError("no labeled elements contribute to the loss")
+    p = np.clip(pred, EPS_PROB, 1.0 - EPS_PROB)
+    t = np.where(mask, target, 0.0)
+    per = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
+    loss = float((per * mask).sum() / n)
+    grad = np.where(mask, (p - t) / (p * (1.0 - p)) / n, 0.0)
+    return loss, grad.astype(pred.dtype, copy=False)
+
+
+def gradcheck(model: Layer, x: np.ndarray, loss_fn, eps: float = 1e-4,
+              max_coords: int = 25, rng: np.random.Generator | None = None,
+              check_input: bool = True) -> float:
+    """Compare analytic gradients with central differences.
+
+    loss_fn maps the model output to (loss, grad_wrt_output). A random
+    subset of coordinates per parameter tensor (and of the input) is
+    perturbed. Returns the max relative error.
+    """
+    rng = rng or np.random.default_rng(0)
+    model.zero_grad()
+    out = model.forward(x)
+    _, dout = loss_fn(out)
+    dx = model.backward(dout)
+    max_err = 0.0
+
+    def rel_err(analytic, numeric):
+        denom = max(abs(analytic), abs(numeric), 1e-6)
+        return abs(analytic - numeric) / denom
+
+    def eval_at(flat, c, value):
+        orig = flat[c]
+        flat[c] = value
+        loss, _ = loss_fn(model.forward(x))
+        flat[c] = orig
+        return loss
+
+    l0, _ = loss_fn(model.forward(x))
+    # central differences cancel catastrophically: the estimate carries
+    # absolute noise ~ eps_mach*|loss|/eps, so gradients below this cannot
+    # be resolved to 1e-4 relative and carry no information either way
+    noise_floor = 1e4 * np.finfo(float).eps * abs(l0) / eps
+    tensors = list(zip(model.params, model.grads))
+    if check_input:
+        tensors.append((x, dx))
+    for tensor, analytic in tensors:
+        flat = tensor.reshape(-1)
+        n = flat.size
+        coords = rng.choice(n, size=min(max_coords, n), replace=False)
+        aflat = analytic.reshape(-1)
+        for c in coords:
+            lp = eval_at(flat, c, flat[c] + eps)
+            lm = eval_at(flat, c, flat[c] - eps)
+            d_plus = (lp - l0) / eps
+            d_minus = (l0 - lm) / eps
+            # disagreeing one-sided slopes mean the interval straddles a
+            # kink (relu corner, pool-argmax tie); the derivative is not
+            # defined there and the comparison carries no information. The
+            # tolerance must sit above the difference noise but below any
+            # real slope change, so it scales with the noise floor rather
+            # than a fixed constant
+            if abs(d_plus - d_minus) > 10.0 * noise_floor + 1e-2 * max(
+                    abs(d_plus), abs(d_minus)):
+                continue
+            numeric = (lp - lm) / (2.0 * eps)
+            if max(abs(aflat[c]), abs(numeric)) < noise_floor:
+                continue
+            max_err = max(max_err, rel_err(aflat[c], numeric))
+    return max_err
+
+
+# --------------------------------------------------------------- fusion
+
+
+def load_labeled_trajectory_csv(path) -> LabeledTrajectory:
+    ts, poses, terrain, conf = [], [], [], []
+    with open(path) as f:
+        next(f)
+        for line in f:
+            t, x, y, yaw, name, c = line.strip().split(",")
+            ts.append(float(t))
+            poses.append([float(x), float(y), float(yaw)])
+            terrain.append(int(TERRAIN_BY_NAME[name]))
+            conf.append(float(c))
+    return LabeledTrajectory(timestamps=np.array(ts), poses=np.array(poses),
+                             terrain=np.array(terrain),
+                             confidence=np.array(conf))

@@ -12,6 +12,8 @@ from radroute.errors import NumericError
 from radroute.simworld import TerrainClass, synth_audio
 from test_numeric import cached_arrays
 
+from oracles import gammatonegram_fast, mel_spectrogram, spectrogram
+
 
 def clips(terrain, n, seed0=0, duration=0.5):
     return [synth_audio(terrain, duration, 44100.0, seed0 + i)
@@ -105,13 +107,13 @@ class TestFeatures:
 def oracle_image(clip, representation, cfg):
     """standardize() of the per-clip dsp function's image."""
     if representation == "spectrogram":
-        image = dsp.spectrogram(clip, cfg)
+        image = spectrogram(clip, cfg)
     elif representation == "mel":
-        image = dsp.mel_spectrogram(clip, cfg, audio.N_MEL_CHANNELS)
+        image = mel_spectrogram(clip, cfg, audio.N_MEL_CHANNELS)
     else:
         fb = GammatoneFilterbank.design(audio.N_GAMMATONE_CHANNELS,
                                         clip.sample_rate)
-        image = dsp.gammatonegram_fast(clip, fb, cfg)
+        image = gammatonegram_fast(clip, fb, cfg)
     return audio.standardize(image.values)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -155,6 +156,13 @@ class TestValueChecks:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_readme_table_lists_every_check(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme) as f:
+            keys = re.findall(r"^\| `(\w+\.\w+)` \|", f.read(), re.M)
+        assert keys == [name for name, _, _ in pipeline.VALUE_CHECKS]
+
     def test_crop_equal_to_image_size_accepted(self):
         cfg = pipeline.resolve_config({"segmentation": {"crop": 96},
                                        "canvas": {"image_size": 96}})
@@ -197,6 +205,21 @@ class TestDspSection:
         assert rc == cli.EXIT_ERROR
         assert "dsp" in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    # each met hop <= frame_len <= fft_size, so simulate wrote its tree and
+    # train-audio then failed on a zero step or a one-sample window
+    @pytest.mark.parametrize("framing", [{"hop": 0}, {"hop": -5},
+                                         {"frame_len": 1, "hop": 1}])
+    def test_degenerate_framing_exits_1_writing_nothing(self, tmp_path,
+                                                        capsys, framing):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dsp": framing}))
+        out = tmp_path / "run"
+        rc = cli.main(["--config", str(cfg_path), "--out", str(out),
+                       "simulate"])
+        assert rc == cli.EXIT_ERROR == 1
+        assert "config section dsp" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_audio_stages_follow_hop(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

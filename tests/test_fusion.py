@@ -7,6 +7,8 @@ from radroute.fusion import (EkfState, ekf_predict, ekf_update, fuse,
                              label_trajectory, wrap_angle)
 from radroute.simworld import SimConfig, TerrainClass
 
+from oracles import load_labeled_trajectory_csv
+
 
 def fresh_state(mean=(0.0, 0.0, 0.0), cov=None, t=0.0):
     cov = np.eye(3) * 0.5 if cov is None else cov
@@ -223,7 +225,7 @@ class TestLabelTrajectory:
         preds = [Pred(t, terrain=int(TerrainClass.GRAVEL)) for t in times]
         lt = label_trajectory(self.traj(times), preds)
         fusion.save_labeled_trajectory_csv(tmp_path / "lt.csv", lt)
-        back = fusion.load_labeled_trajectory_csv(tmp_path / "lt.csv")
+        back = load_labeled_trajectory_csv(tmp_path / "lt.csv")
         np.testing.assert_allclose(back.timestamps, lt.timestamps, atol=1e-6)
         np.testing.assert_allclose(back.poses, lt.poses, atol=1e-9)
         np.testing.assert_array_equal(back.terrain, lt.terrain)

@@ -4,8 +4,8 @@ no test-only dependency in the package's import graph.
 Every public module-level function or class of `radroute` must be named
 somewhere in `src/` outside its own definition: loaded by name in its own
 module, read as `module.name`, or imported with `from .module import name`.
-A mention in a docstring or comment does not count. Only the test oracles
-below are exempt.
+A mention in a docstring or comment does not count, and nothing is exempt:
+code that only tests call lives in `tests/oracles.py`.
 """
 
 import ast
@@ -15,24 +15,6 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "radroute"
-
-TEST_ORACLES = {
-    "dsp.spectrogram": "per-clip oracle for the batched spectrogram images",
-    "dsp.mel_spectrogram": "gate 1's mel oracle; per-clip oracle for the "
-                           "batched mel images",
-    "dsp.gammatonegram_fast": "per-clip oracle for the batched gammatone "
-                              "images",
-    "fusion.load_labeled_trajectory_csv": "round-trip oracle for "
-                                          "save_labeled_trajectory_csv",
-    "numeric.gradcheck": "gate 3's central-difference gradient check",
-    "numeric.Upsample2x": "gradchecked by gate 3; with channel concatenation "
-                          "and Conv2d, the oracle of UpsampleConcatConv2d",
-    "numeric.masked_binary_cross_entropy": "reference for "
-                                           "masked_bce_with_logits; the loss "
-                                           "gate 3 gradchecks UNet.forward "
-                                           "with",
-}
-
 
 def _uses(trees):
     """(module, name) pairs read as module.name or imported from module,
@@ -53,8 +35,6 @@ def _uses(trees):
 
 
 def test_every_public_definition_has_a_caller_in_src():
-    # the symmetric difference also catches a stale exemption: an oracle
-    # that was removed or has since gained a caller
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     qualified, loads = _uses(trees)
@@ -68,7 +48,7 @@ def test_every_public_definition_has_a_caller_in_src():
                        if not node.lineno <= line <= node.end_lineno]
             if not outside and (module, node.name) not in qualified:
                 uncalled.add(f"{module}.{node.name}")
-    assert sorted(uncalled ^ set(TEST_ORACLES)) == []
+    assert sorted(uncalled) == []
 
 
 def test_pipeline_import_leaves_out_scipy_signal():

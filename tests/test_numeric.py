@@ -4,6 +4,8 @@ import pytest
 from radroute import numeric, segmentation
 from radroute.errors import (DegenerateBatchError, NumericError, ShapeError)
 
+from oracles import Upsample2x, gradcheck, masked_binary_cross_entropy
+
 
 def conv_oracle(x, weight, bias, padding=0):
     """Naive quadruple-loop convolution (cross-correlation) oracle."""
@@ -27,6 +29,19 @@ def conv_oracle(x, weight, bias, padding=0):
                                         * x[b, cc, i + u, j + v])
                     out[b, f, i, j] = acc + bias[f]
     return out
+
+
+def random_head(model, seed):
+    """The U-Net built with the given seed, its zero-initialised 1x1 head
+    drawn instead, like every other conv weight: from the network's
+    generator, after the weights before it."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0E7]))
+    head = model.head.weight
+    drawn = sum(p.size for p in model.params if p.ndim == 4) - head.size
+    rng.uniform(size=drawn)
+    head[...] = numeric.init_uniform(rng, head.shape, head.shape[1],
+                                     head.shape[0])
+    return model
 
 
 class TestConv2d:
@@ -222,8 +237,8 @@ class TestKernelRowPanel:
     def test_inference_matches_float64_unet(self, shape):
         # a full scan, and a batch of propagation tiles
         rng = np.random.default_rng(shape[0])
-        model = segmentation.UNet(depth=3, base_channels=8, seed=3,
-                                 zero_head=False)
+        model = random_head(
+            segmentation.UNet(depth=3, base_channels=8, seed=3), 3)
         for p in model.params:
             if p.ndim == 1:  # biases: nonzero, so no bias path goes untested
                 p[...] = rng.normal(scale=0.1, size=p.shape)
@@ -291,7 +306,7 @@ class TestSimpleLayers:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_upsample2x(self):
-        up = numeric.Upsample2x()
+        up = Upsample2x()
         x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, None]
         want = np.array([[1, 1, 2, 2], [1, 1, 2, 2],
                          [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float)
@@ -312,7 +327,7 @@ def decoder_entry_oracle(layer, skip, coarse, grad):
                           layer.out_channels, 3, padding=1)
     conv.weight[...] = layer.weight
     conv.bias[...] = layer.bias
-    up = numeric.Upsample2x()
+    up = Upsample2x()
     out = conv.forward(np.concatenate([skip, up.forward(coarse)], axis=1))
     dx = conv.backward(grad)
     cs = layer.skip_channels
@@ -358,7 +373,7 @@ class TestUpsampleConcatConv2d:
         rng = np.random.default_rng(31)
         weight = rng.normal(size=(3, 2, 3, 3))
         coarse = rng.normal(size=(2, 4, 5, 2))
-        up = numeric.Upsample2x().forward(coarse.transpose(0, 3, 1, 2))
+        up = Upsample2x().forward(coarse.transpose(0, 3, 1, 2))
         want = conv_oracle(up, weight, np.zeros(3), padding=1)
         out = np.zeros((2, 8, 10, 3))
         numeric.upsampled_conv_nhwc(numeric.pad_nhwc(coarse, 1),
@@ -399,8 +414,8 @@ class TestLosses:
         mask = rng.random(pred.shape) < 0.5
         mask.flat[0] = True  # keep the contributing set nonempty
         flipped = np.where(mask, target, 1.0 - target)
-        l1, g1 = numeric.masked_binary_cross_entropy(pred, target, mask)
-        l2, g2 = numeric.masked_binary_cross_entropy(pred, flipped, mask)
+        l1, g1 = masked_binary_cross_entropy(pred, target, mask)
+        l2, g2 = masked_binary_cross_entropy(pred, flipped, mask)
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
 
@@ -409,13 +424,13 @@ class TestLosses:
         target = np.ones_like(pred)
         mask = np.zeros(pred.shape, dtype=bool)
         mask[0, 0, 1, 1] = True
-        _, grad = numeric.masked_binary_cross_entropy(pred, target, mask)
+        _, grad = masked_binary_cross_entropy(pred, target, mask)
         assert np.all(grad[~mask] == 0.0)
         assert grad[0, 0, 1, 1] != 0.0
 
     def test_masked_bce_all_unlabeled(self):
         with pytest.raises(DegenerateBatchError):
-            numeric.masked_binary_cross_entropy(
+            masked_binary_cross_entropy(
                 np.full((2, 2), 0.5), np.zeros((2, 2)),
                 np.zeros((2, 2), dtype=bool))
 
@@ -525,7 +540,7 @@ class TestLogitLoss:
         mask = rng.random(z.shape) < 0.6
         p = numeric.Sigmoid()
         probs = p.forward(z)
-        want_loss, dprobs = numeric.masked_binary_cross_entropy(
+        want_loss, dprobs = masked_binary_cross_entropy(
             probs, target, mask)
         loss, grad = numeric.masked_bce_with_logits(z, target, mask)
         assert abs(loss - want_loss) < 1e-10
@@ -549,7 +564,7 @@ class TestLogitLoss:
         # rounds to 1.0 and the clip bound 1 - 1e-12 rounds to 1.0 too
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = numeric.Sigmoid().forward(z)
-            loss, grad = numeric.masked_binary_cross_entropy(
+            loss, grad = masked_binary_cross_entropy(
                 probs, np.array([1.0, 0.0, 0.0, 1.0]).reshape(z.shape), mask)
         assert np.isnan(loss)
         assert not np.all(np.isfinite(grad))
@@ -669,8 +684,8 @@ class TestInputGradSkip:
             assert same_bits(a, b)
 
     def test_unet_step(self):
-        model = segmentation.UNet(depth=2, base_channels=4, seed=3,
-                                  zero_head=False)
+        model = random_head(
+            segmentation.UNet(depth=2, base_channels=4, seed=3), 3)
         rng = np.random.default_rng(23)
         x = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
         target = (rng.random(x.shape) < 0.5).astype(float)
@@ -703,7 +718,7 @@ class TestGradcheck:
                                     numeric.Softmax()])
         x = rng.normal(size=(4, 5))
         t = np.eye(3)[rng.integers(0, 3, size=4)]
-        err = numeric.gradcheck(model, x, ce_loss(t), eps=1e-4, rng=rng)
+        err = gradcheck(model, x, ce_loss(t), eps=1e-4, rng=rng)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(3))
@@ -724,11 +739,11 @@ class TestGradcheck:
             (numeric.Dense(6, 4, rng=rng), (3, 6)),
             (numeric.Flatten(), (2, 3, 4, 4)),
             (numeric.Softmax(), (3, 5)),
-            (numeric.Upsample2x(), (1, 2, 3, 3)),
+            (Upsample2x(), (1, 2, 3, 3)),
         ]
         for layer, shape in cases:
             x = rng.normal(size=shape)
-            err = numeric.gradcheck(layer, x, bce, eps=1e-5, rng=rng)
+            err = gradcheck(layer, x, bce, eps=1e-5, rng=rng)
             assert err < 1e-4, f"{type(layer).__name__}: {err:g}"
 
 

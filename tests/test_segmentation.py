@@ -4,18 +4,20 @@ import pytest
 from radroute import formats, numeric, segmentation
 from radroute.canvas import Label
 from radroute.errors import SamplingError, ShapeError
-from radroute.segmentation import (AugmentationConfig, CropSample,
-                                   PropagationConfig, ResampleNeeded,
-                                   SegTrainConfig, UNet, augment,
-                                   propagate_labels, sample_crops,
+from radroute.segmentation import (CropSample, PropagationConfig,
+                                   ResampleNeeded, SegTrainConfig, UNet,
+                                   augment, propagate_labels, sample_crops,
                                    segment, stage1_train, stage2_finetune)
-from test_numeric import cached_arrays
+from test_numeric import cached_arrays, random_head
+
+from oracles import Upsample2x, gradcheck, masked_binary_cross_entropy
 
 U, N, P = int(Label.UNLABELED), int(Label.NOT_PATH), int(Label.PATH)
 
 
 def tiny_model(seed=0, zero_head=True):
-    return UNet(depth=2, base_channels=4, seed=seed, zero_head=zero_head)
+    model = UNet(depth=2, base_channels=4, seed=seed)
+    return model if zero_head else random_head(model, seed)
 
 
 def tiled_float64(model, image, tile):
@@ -84,7 +86,7 @@ def concat_layout_probabilities(named, depth, x):
         x = numeric.MaxPool2d(2).forward(skips[-1])
     x = conv_relu(conv_relu(x))
     for skip in reversed(skips):
-        up = numeric.Upsample2x().forward(x)
+        up = Upsample2x().forward(x)
         x = conv_relu(conv_relu(np.concatenate([skip, up], axis=1)))
     return 1.0 / (1.0 + np.exp(-conv_relu(x, relu=False)))
 
@@ -123,11 +125,10 @@ class TestUNetForward:
         labeled = rng.random((1, 1, 16, 16)) < 0.7
 
         def loss_fn(probs):
-            return numeric.masked_binary_cross_entropy(probs, target,
-                                                       labeled)
+            return masked_binary_cross_entropy(probs, target, labeled)
 
-        err = numeric.gradcheck(model, x, loss_fn, eps=1e-6, rng=rng,
-                                check_input=False)
+        err = gradcheck(model, x, loss_fn, eps=1e-6, rng=rng,
+                        check_input=False)
         assert err < 1e-4
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -194,7 +195,7 @@ class TestUNetForward:
 
 
 class LogitsOf:
-    """A U-Net's logit path as a layer, for numeric.gradcheck."""
+    """A U-Net's logit path as a layer, for gradcheck."""
 
     def __init__(self, model):
         self.model = model
@@ -254,14 +255,13 @@ class TestFloat32Training:
         def loss_fn(logits):
             return numeric.masked_bce_with_logits(logits, target, labeled)
 
-        err = numeric.gradcheck(LogitsOf(model), x, loss_fn, eps=1e-6,
-                                rng=rng)
+        err = gradcheck(LogitsOf(model), x, loss_fn, eps=1e-6, rng=rng)
         assert err < 1e-4
 
     def test_float32_step_matches_float64_at_stage1_shape(self):
         # stage-1 shape: a batch of 8 crops of 64x64 through the desk U-Net
         rng = np.random.default_rng(4)
-        model = UNet(seed=4, zero_head=False)
+        model = random_head(UNet(seed=4), 4)
         x = rng.normal(size=(8, 1, 64, 64))
         target = (rng.random(x.shape) < 0.5).astype(float)
         labeled = rng.random(x.shape) < 0.3
@@ -295,7 +295,7 @@ class TestFloat32Training:
 
     def test_float32_input_stays_float32(self):
         rng = np.random.default_rng(5)
-        model = UNet(depth=2, base_channels=4, seed=5, zero_head=False)
+        model = random_head(UNet(depth=2, base_channels=4, seed=5), 5)
         seen = record_dtypes(model)
         x = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
         target = (rng.random(x.shape) < 0.5).astype(float)
@@ -324,28 +324,23 @@ class TestFloat32Training:
         assert all(g.dtype == np.float64 for g in model.grads)
 
 
-class FixedRng:
-    """Generator stand-in replaying scripted random()/uniform() draws."""
-
-    def __init__(self, randoms, uniforms="low"):
-        self.randoms = list(randoms)
-        self.uniforms = uniforms
-
-    def random(self):
-        return self.randoms.pop(0)
-
-    def uniform(self, lo, hi, size=None):
-        return lo if self.uniforms == "low" else hi
-
-    def normal(self, *a, **k):
-        raise AssertionError("elastic should be disabled in this test")
+def warp(sample, hflip=False, vflip=False, angle=0.0, scale=1.0):
+    """augment's transform with explicit draws and no elastic displacement."""
+    return segmentation._warp(sample, hflip, vflip, angle, scale,
+                              np.zeros((2,) + sample.image.shape))
 
 
-def rigid_cfg(**kw):
-    base = dict(flip=False, rotation_degrees=(0.0, 0.0), elastic_sigma=0.0,
-                rescale_range=(1.0, 1.0))
-    base.update(kw)
-    return AugmentationConfig(**base)
+def unaugmented(sample, rng):
+    """augment stand-in that leaves a crop as it is and draws nothing."""
+    return CropSample(image=sample.image.copy(), mask=sample.mask.copy())
+
+
+def rigid_augment(sample, rng):
+    """augment's draws without the elastic field, scale within 10%."""
+    hflip = rng.random() < 0.5
+    vflip = rng.random() < 0.5
+    angle = rng.uniform(*segmentation.AUG_ROTATION_DEGREES)
+    return warp(sample, hflip, vflip, angle, rng.uniform(0.9, 1.1))
 
 
 class TestAugment:
@@ -353,24 +348,16 @@ class TestAugment:
         image, mask = stripe_scene(32)
         return CropSample(image=image, mask=mask)
 
-    def test_disabled_is_identity(self):
-        s = self.sample()
-        out = augment(s, AugmentationConfig(enabled=False),
-                      np.random.default_rng(0))
-        assert out.image.tobytes() == s.image.tobytes()
-        assert out.mask.tobytes() == s.mask.tobytes()
-
     def test_no_op_transform_is_identity(self):
         s = self.sample()
-        out = augment(s, rigid_cfg(), FixedRng([]))
+        out = warp(s)
         np.testing.assert_allclose(out.image, s.image, atol=1e-12)
         np.testing.assert_array_equal(out.mask, s.mask)
 
     def test_horizontal_flip_is_involution(self):
         s = self.sample()
-        cfg = rigid_cfg(flip=True)
-        once = augment(s, cfg, FixedRng([0.0, 0.9]))  # hflip only
-        twice = augment(once, cfg, FixedRng([0.0, 0.9]))
+        once = warp(s, hflip=True)
+        twice = warp(once, hflip=True)
         np.testing.assert_allclose(twice.image, s.image, atol=1e-12)
         np.testing.assert_array_equal(twice.mask, s.mask)
         assert not np.array_equal(once.mask, s.mask)
@@ -381,8 +368,7 @@ class TestAugment:
         image[:, 14:18] = 1.0  # vertical stripe
         mask[:, 14:18] = P
         mask[:, 4:6] = N
-        out = augment(CropSample(image=image, mask=mask),
-                      rigid_cfg(rotation_degrees=(90.0, 90.0)), FixedRng([]))
+        out = warp(CropSample(image=image, mask=mask), angle=90.0)
         # stripe becomes horizontal; per-label pixel counts preserved
         np.testing.assert_array_equal(np.bincount(out.mask.ravel(),
                                                   minlength=3),
@@ -396,14 +382,29 @@ class TestAugment:
         mask = np.full((32, 32), U, dtype=np.uint8)
         mask[0, 0] = P  # corner label leaves the frame when zooming in
         with pytest.raises(ResampleNeeded):
-            augment(CropSample(image=image, mask=mask),
-                    rigid_cfg(rescale_range=(8.0, 8.0)), FixedRng([]))
+            warp(CropSample(image=image, mask=mask), scale=8.0)
 
-    def test_bad_config(self):
-        with pytest.raises(ValueError):
-            AugmentationConfig(rescale_range=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            AugmentationConfig(elastic_sigma=-1.0)
+    def test_draw_order(self):
+        # stage-1 training draws every crop's transform from one generator,
+        # so the order and count of augment's draws are part of its result
+        s = self.sample()
+        rng = np.random.default_rng(5)
+        out = augment(s, rng)
+        want = np.random.default_rng(5)
+        hflip = want.random() < 0.5
+        vflip = want.random() < 0.5
+        angle = want.uniform(*segmentation.AUG_ROTATION_DEGREES)
+        scale = want.uniform(*segmentation.AUG_RESCALE_RANGE)
+        before_field = want.bit_generator.state
+        g = max(32 // segmentation.AUG_ELASTIC_GRID, 2)
+        want.normal(0.0, segmentation.AUG_ELASTIC_SIGMA, size=(2, g, g))
+        assert rng.bit_generator.state == want.bit_generator.state
+        # and the transform is the one those draws name
+        want.bit_generator.state = before_field
+        disp = segmentation._displacement_field(s.image.shape, want)
+        expect = segmentation._warp(s, hflip, vflip, angle, scale, disp)
+        np.testing.assert_array_equal(out.image, expect.image)
+        np.testing.assert_array_equal(out.mask, expect.mask)
 
 
 class TestSampleCrops:
@@ -449,13 +450,13 @@ class TestSampleCrops:
 
 
 class TestStage1:
-    def test_trains_and_reduces_loss(self):
+    def test_trains_and_reduces_loss(self, monkeypatch):
+        monkeypatch.setattr(segmentation, "augment", unaugmented)
         image, mask = stripe_scene()
         model = tiny_model(zero_head=False)
         model, log = stage1_train(
             [image], [mask], model=model,
             cfg=SegTrainConfig(steps=30, batch_size=4, learning_rate=0.2),
-            aug_cfg=AugmentationConfig(enabled=False),
             crop=32, crops_per_scan=40)
         assert len(log.losses) == 30
         assert np.mean(log.losses[-5:]) < np.mean(log.losses[:5])
@@ -473,7 +474,7 @@ class TestStage1:
         assert run() == run()
 
     def test_augment_fallbacks_counted(self, monkeypatch):
-        def always_out_of_frame(sample, cfg, rng):
+        def always_out_of_frame(sample, rng):
             raise ResampleNeeded()
 
         monkeypatch.setattr(segmentation, "augment", always_out_of_frame)
@@ -485,12 +486,12 @@ class TestStage1:
         assert log.augment_fallbacks == 6
         assert len(log.losses) == 3
 
-    def test_no_fallbacks_when_augment_succeeds(self):
+    def test_no_fallbacks_when_augment_succeeds(self, monkeypatch):
+        monkeypatch.setattr(segmentation, "augment", unaugmented)
         image, mask = stripe_scene()
         _, log = stage1_train(
             [image], [mask], model=tiny_model(),
             cfg=SegTrainConfig(steps=2, batch_size=2),
-            aug_cfg=AugmentationConfig(enabled=False),
             crop=32, crops_per_scan=10)
         assert log.augment_fallbacks == 0
 
@@ -506,13 +507,12 @@ class TestStage1:
 def stripe_model():
     """Stage-1 model trained to find the bright stripe."""
     image, mask = stripe_scene()
-    model, _ = stage1_train(
-        [image], [mask], model=UNet(depth=2, base_channels=4, seed=0,
-                                    zero_head=False),
-        cfg=SegTrainConfig(steps=60, batch_size=4, learning_rate=0.2),
-        aug_cfg=AugmentationConfig(elastic_sigma=0.0,
-                                   rescale_range=(0.9, 1.1)),
-        crop=32, crops_per_scan=60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "augment", rigid_augment)
+        model, _ = stage1_train(
+            [image], [mask], model=tiny_model(zero_head=False),
+            cfg=SegTrainConfig(steps=60, batch_size=4, learning_rate=0.2),
+            crop=32, crops_per_scan=60)
     return model
 
 
@@ -541,13 +541,17 @@ class TestPropagate:
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable
 
-    def test_rotation_list_permutation_invariant(self, stripe_model):
+    def test_rotation_list_permutation_invariant(self, stripe_model,
+                                                 monkeypatch):
         image, mask = stripe_scene()
         cfg = PropagationConfig(tile_size=32, n_rotations=3)
         angles = [15.0, 120.0, 283.0]
-        a = propagate_labels(stripe_model, image, mask, cfg, angles=angles)
-        b = propagate_labels(stripe_model, image, mask, cfg,
-                             angles=angles[::-1])
+        monkeypatch.setattr(segmentation, "_rotation_angles",
+                            lambda cfg: angles)
+        a = propagate_labels(stripe_model, image, mask, cfg)
+        monkeypatch.setattr(segmentation, "_rotation_angles",
+                            lambda cfg: angles[::-1])
+        b = propagate_labels(stripe_model, image, mask, cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_original_labels_take_precedence(self, stripe_model):
@@ -630,7 +634,7 @@ class TestStage2:
 
 class TestInferenceEngine:
     def test_matches_training_forward(self):
-        model = UNet(depth=3, base_channels=8, seed=2, zero_head=False)
+        model = random_head(UNet(depth=3, base_channels=8, seed=2), 2)
         image = np.random.default_rng(0).normal(size=(64, 128))
         slow = tiled_float64(model, image, 64)
         fast = segmentation._tiled_inference(model, image, 64)

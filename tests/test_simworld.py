@@ -57,14 +57,6 @@ class TestGenerateWorld:
         gravel = world.grid == int(TerrainClass.GRAVEL)
         assert (gravel ^ covered).mean() < 0.01
 
-    def test_zero_paths_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimConfig(n_paths=0)
-
-    def test_single_path_rejected(self):
-        with pytest.raises(ConfigurationError):
-            generate_world(0, small_config(n_paths=1))
-
     def test_one_untraversed_path(self):
         world = generate_world(0, small_config())
         flags = [p.untraversed for p in world.path_polylines]

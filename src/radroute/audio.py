@@ -239,26 +239,28 @@ def one_hot(labels: np.ndarray, n_classes: int = 3) -> np.ndarray:
     return np.eye(n_classes)[labels]
 
 
-def train_classifier(dataset: AudioDataset,
+def train_classifier(dataset: AudioDataset, indices: np.ndarray,
                      cfg: TrainConfig | None = None,
                      model: numeric.Sequential | None = None):
-    """Minibatch SGD with cross entropy. Returns (model, TrainLog)."""
-    if len(dataset) == 0:
+    """Minibatch SGD with cross entropy over the dataset rows named by
+    indices, gathered a batch at a time. Returns (model, TrainLog)."""
+    if len(indices) == 0:
         raise ValueError("empty dataset")
     cfg = cfg or TrainConfig()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7EA1]))
     if model is None:
         model = build_model(dataset.images.shape[1:], rng=rng)
     log = TrainLog()
-    n = len(dataset)
-    targets = one_hot(dataset.labels)
+    n = len(indices)
+    labels = dataset.labels[indices]
+    targets = one_hot(labels)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         losses, correct = [], 0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            x = dataset.images[idx]
-            t = targets[idx]
+            batch = order[start:start + cfg.batch_size]
+            x = dataset.images[indices[batch]]
+            t = targets[batch]
             probs = model.forward(x)
             loss, grad = numeric.cross_entropy(probs, t)
             if not np.isfinite(loss):
@@ -267,8 +269,7 @@ def train_classifier(dataset: AudioDataset,
             model.backward(grad, input_grad=False)
             numeric.sgd_step(model.params, model.grads, cfg.learning_rate)
             losses.append(loss)
-            correct += int((probs.argmax(axis=1)
-                            == dataset.labels[idx]).sum())
+            correct += int((probs.argmax(axis=1) == labels[batch]).sum())
         log.epoch_loss.append(float(np.mean(losses)))
         log.epoch_accuracy.append(correct / n)
     return model, log
@@ -317,16 +318,16 @@ def classify_stream(model: numeric.Sequential, stream, representation: str,
 
 
 def evaluate(model: numeric.Sequential, dataset: AudioDataset,
-             batch_size: int = 64) -> dict:
-    """Accuracy and 3x3 confusion counts (rows true, cols predicted)."""
-    if len(dataset) == 0:
+             indices: np.ndarray, batch_size: int = 64) -> dict:
+    """Accuracy and 3x3 confusion counts (rows true, cols predicted) over
+    the dataset rows named by indices, gathered a batch at a time."""
+    if len(indices) == 0:
         raise ValueError("empty dataset")
     confusion = np.zeros((3, 3), dtype=np.int64)
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.images[start:start + batch_size]
-        true = dataset.labels[start:start + batch_size]
-        pred = model.forward(x).argmax(axis=1)
-        for t, p in zip(true, pred):
+    for start in range(0, len(indices), batch_size):
+        rows = indices[start:start + batch_size]
+        pred = model.forward(dataset.images[rows]).argmax(axis=1)
+        for t, p in zip(dataset.labels[rows], pred):
             confusion[t, p] += 1
     accuracy = float(np.trace(confusion)) / max(confusion.sum(), 1)
     return {"accuracy": accuracy, "confusion": confusion}

@@ -335,16 +335,14 @@ def _class_recordings(out: str) -> dict:
             for terrain in TerrainClass}
 
 
-def _split_dataset(dataset: audio.AudioDataset, train_fraction: float,
-                   seed: int):
-    """(train, test) datasets from a seeded permutation."""
+def _split_dataset(n: int, train_fraction: float, seed: int):
+    """(train, test) row indices of an n-row dataset from a seeded
+    permutation; training and evaluation gather their rows a batch at a
+    time, so a split copies no images."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5011]))
-    order = rng.permutation(len(dataset))
-    n_train = int(round(train_fraction * len(dataset)))
-    return tuple(audio.AudioDataset(images=dataset.images[idx],
-                                    labels=dataset.labels[idx],
-                                    representation=dataset.representation)
-                 for idx in (order[:n_train], order[n_train:]))
+    order = rng.permutation(n)
+    n_train = int(round(train_fraction * n))
+    return order[:n_train], order[n_train:]
 
 
 def run_train_audio(cfg: dict, out: str):
@@ -361,18 +359,19 @@ def run_train_audio(cfg: dict, out: str):
     for rep in audio.REPRESENTATIONS:
         dataset = datasets.pop(rep)
         for trial in range(acfg["trials"]):
-            train, test = _split_dataset(dataset, acfg["train_fraction"],
+            train, test = _split_dataset(len(dataset),
+                                         acfg["train_fraction"],
                                          derive_seed(seed, 61, trial))
             tcfg = audio.TrainConfig(learning_rate=acfg["learning_rate"],
                                      batch_size=acfg["batch_size"],
                                      epochs=acfg["epochs"],
                                      seed=derive_seed(seed, 62, trial))
-            model, _ = audio.train_classifier(train, tcfg)
-            acc = audio.evaluate(model, test)["accuracy"]
+            model, _ = audio.train_classifier(dataset, train, tcfg)
+            acc = audio.evaluate(model, dataset, test)["accuracy"]
             accuracies[rep].append(acc)
             if rep == acfg["representation"] and trial == 0:
                 final_model = model
-                final_shape = train.images.shape[1:]
+                final_shape = dataset.images.shape[1:]
     rows = [(f"Trial {i + 1}",
              [100.0 * accuracies[rep][i] for rep in audio.REPRESENTATIONS])
             for i in range(acfg["trials"])]

@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import formats, numeric
 from .canvas import Label
@@ -182,14 +181,113 @@ class ResampleNeeded(Exception):
     """Transform pushed every label out of frame; caller should retry."""
 
 
+@functools.lru_cache(maxsize=16)
+def _field_matrix(size: int, grid: int) -> np.ndarray:
+    """Read-only (size, grid) matrix that takes one axis of the coarse
+    displacement grid to size pixels: linear interpolation at
+    i * (grid - 1) / (size - 1), the order-1 zoom that keeps both end
+    samples, then a reflect-mode Gaussian of sigma 2 px truncated at 4
+    sigma. The field is linear in its coarse draw, so it is one matrix
+    product per axis."""
+    pos = np.arange(size) * ((grid - 1) / (size - 1))
+    lo = np.minimum(pos.astype(np.intp), grid - 2)
+    rows = np.arange(size)
+    zoom = np.zeros((size, grid))
+    zoom[rows, lo] = 1.0 - (pos - lo)
+    zoom[rows, lo + 1] = pos - lo
+    taps = np.arange(-8, 9)
+    weights = np.exp(-0.5 / 2.0 ** 2 * taps ** 2)
+    weights /= weights.sum()
+    src = (rows[:, None] + taps) % (2 * size)  # reflect: d c b a | a b c d
+    src = np.where(src < size, src, 2 * size - 1 - src)
+    smooth = np.zeros((size, size))
+    np.add.at(smooth, (np.broadcast_to(rows[:, None], src.shape), src),
+              weights)
+    matrix = smooth @ zoom
+    matrix.setflags(write=False)
+    return matrix
+
+
 def _displacement_field(shape, rng: np.random.Generator):
     h, w = shape
     gh, gw = max(h // AUG_ELASTIC_GRID, 2), max(w // AUG_ELASTIC_GRID, 2)
     coarse = rng.normal(0.0, AUG_ELASTIC_SIGMA, size=(2, gh, gw))
-    zoom = (h / gh, w / gw)
-    field = np.stack([ndimage.zoom(coarse[i], zoom, order=1)
-                      for i in range(2)])
-    return ndimage.gaussian_filter(field, sigma=(0, 2.0, 2.0))[:, :h, :w]
+    return _field_matrix(h, gh) @ coarse @ _field_matrix(w, gw).T
+
+
+def _cos_sin_deg(angle_deg: float):
+    """cos and sin of an angle in degrees, exact at multiples of 90."""
+    quarters = int(round(angle_deg / 90.0))
+    rest = np.deg2rad(angle_deg - 90.0 * quarters)
+    c, s = np.cos(rest), np.sin(rest)
+    for _ in range(quarters % 4):
+        c, s = -s, c
+    return c, s
+
+
+def _source_coords(shape, angle_deg: float, scale: float):
+    """(rows, cols) that each output pixel reads under a rotation by
+    angle_deg and a scaling by scale about the center: the inverse map,
+    which rotates by -angle_deg and scales by 1/scale. It is summed in the
+    order ndimage.affine_transform sums it."""
+    h, w = shape
+    c, s = _cos_sin_deg(angle_deg)
+    matrix = np.array([[c, -s], [s, c]]) / scale
+    center = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
+    offset = center - matrix @ center
+    rows, cols = np.arange(h)[:, None], np.arange(w)
+    src_r = matrix[0, 0] * rows + matrix[0, 1] * cols
+    src_c = matrix[1, 0] * rows + matrix[1, 1] * cols
+    src_r += offset[0]
+    src_c += offset[1]
+    return src_r, src_c
+
+
+def _in_frame(shape, src_r: np.ndarray, src_c: np.ndarray) -> np.ndarray:
+    h, w = shape
+    return (src_r >= 0) & (src_r <= h - 1) & (src_c >= 0) & (src_c <= w - 1)
+
+
+def _sample(image: np.ndarray, src_r: np.ndarray, src_c: np.ndarray,
+            order: int) -> np.ndarray:
+    """image read at the fractional points (src_r, src_c): bilinear for
+    order 1, nearest with halves rounded up for order 0, and 0 at points
+    outside [0, h-1] x [0, w-1], as ndimage.map_coordinates reads with
+    mode="constant"."""
+    h, w = image.shape
+    inside = _in_frame(image.shape, src_r, src_c)
+    r = np.clip(src_r, 0, h - 1)
+    c = np.clip(src_c, 0, w - 1)
+    if order == 0:
+        out = image[np.floor(r + 0.5).astype(np.intp),
+                    np.floor(c + 0.5).astype(np.intp)]
+        out[~inside] = 0
+        return out
+    # One gather per corner, all through the top-left corner's flat index
+    # into the image with a zero row and column appended: a point on the
+    # last row or column reads the zeros at weight 0.
+    padded = np.zeros((h + 1, w + 1), dtype=image.dtype)
+    padded[:h, :w] = image
+    flat, stride = padded.ravel(), w + 1
+    r0, c0 = np.floor(r), np.floor(c)
+    r -= r0  # the fractions
+    c -= c0
+    corner = r0.astype(np.intp)
+    corner *= stride
+    corner += c0.astype(np.intp)
+    top, right = flat[corner], flat[1:][corner]
+    right -= top
+    right *= c
+    top += right
+    bottom, right = flat[stride:][corner], flat[stride + 1:][corner]
+    right -= bottom
+    right *= c
+    bottom += right
+    bottom -= top
+    bottom *= r
+    top += bottom
+    top *= inside
+    return top
 
 
 def augment(sample: CropSample, rng: np.random.Generator) -> CropSample:
@@ -218,23 +316,14 @@ def _warp(sample: CropSample, hflip: bool, vflip: bool, angle_deg: float,
         image, mask = image[:, ::-1], mask[:, ::-1]
     if vflip:
         image, mask = image[::-1, :], mask[::-1, :]
-    angle = np.deg2rad(angle_deg)
-    h, w = image.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    # inverse map: rotate by -angle, scale by 1/s about the center
-    dy, dx = rows - cy, cols - cx
-    c, s = np.cos(angle), np.sin(angle)
-    src_r = (c * dy - s * dx) / scale + cy + disp[0]
-    src_c = (s * dy + c * dx) / scale + cx + disp[1]
-    coords = np.stack([src_r, src_c])
-    out_image = ndimage.map_coordinates(image, coords, order=1, mode="constant",
-                                        cval=0.0)
-    out_mask = ndimage.map_coordinates(mask, coords, order=0, mode="constant",
-                                       cval=int(Label.UNLABELED))
+    src_r, src_c = _source_coords(image.shape, angle_deg, scale)
+    src_r, src_c = src_r + disp[0], src_c + disp[1]
+    # the sampler's 0 outside the frame is Label.UNLABELED
+    out_mask = _sample(mask, src_r, src_c, order=0)
     if not np.any(out_mask != int(Label.UNLABELED)):
         raise ResampleNeeded()
-    return CropSample(image=out_image, mask=out_mask.astype(np.uint8))
+    return CropSample(image=_sample(image, src_r, src_c, order=1),
+                      mask=out_mask.astype(np.uint8))
 
 
 def sample_crops(scan_image: np.ndarray, mask: np.ndarray, n: int,
@@ -372,23 +461,23 @@ def _tiled_inference(model: UNet, image: np.ndarray,
     return out[:h, :w]
 
 
-def _rotate_image(image: np.ndarray, angle_deg: float, order: int,
-                  cval: float = 0.0) -> np.ndarray:
-    if angle_deg == 0.0:
-        return image.copy()
-    return ndimage.rotate(image, angle_deg, reshape=False, order=order,
-                          mode="constant", cval=cval, prefilter=False)
+def _rotate_image(image: np.ndarray, angle_deg: float) -> np.ndarray:
+    """image rotated by angle_deg about its center and bilinearly
+    resampled on its own grid, 0 where the source is out of frame."""
+    return _sample(image, *_source_coords(image.shape, -angle_deg, 1.0),
+                   order=1)
 
 
 @functools.lru_cache(maxsize=16)
 def _rotation_validity(shape: tuple, angle_deg: float) -> np.ndarray:
     """Read-only mask of the pixels of a shape-sized image that a rotation
-    by angle_deg and back keeps inside the frame, as order-0 rotations of
-    an all-ones image. It depends on no scan, and propagation reuses each
-    angle for every scan of a run."""
-    ones = np.ones(shape)
-    valid = _rotate_image(_rotate_image(ones, angle_deg, order=0),
-                          -angle_deg, order=0) > 0.5
+    by angle_deg and back keeps inside the frame: the point the rotation
+    back reads is in frame, and so is the point the forward rotation reads
+    for the pixel nearest to it. It depends on no scan, and propagation
+    reuses each angle for every scan of a run."""
+    forward = _in_frame(shape, *_source_coords(shape, -angle_deg, 1.0))
+    valid = _sample(forward, *_source_coords(shape, angle_deg, 1.0),
+                    order=0)
     valid.setflags(write=False)
     return valid
 
@@ -418,9 +507,9 @@ def propagate_labels(model: UNet, scan_image: np.ndarray,
     path_votes = np.zeros((h, w), dtype=np.int64)
     valid_votes = np.zeros((h, w), dtype=np.int64)
     for angle in angles:
-        img_r = _rotate_image(scan_image, angle, order=1)
+        img_r = _rotate_image(scan_image, angle)
         prob_r = _tiled_inference(model, img_r, cfg.tile_size)
-        prob = _rotate_image(prob_r, -angle, order=1)
+        prob = _rotate_image(prob_r, -angle)
         valid = _rotation_validity((h, w), float(angle))
         path_votes += ((prob > cfg.probability_threshold) & valid)
         valid_votes += valid

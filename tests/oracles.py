@@ -2,7 +2,8 @@
 the readers that only tests need.
 
 They are kept out of `src/` so that the package carries no code that only
-tests call, nor the imports that only this code needs (`scipy.signal`):
+tests call, nor the imports that only this code needs (`scipy.signal`,
+`scipy.ndimage`):
 
 - per-clip time-frequency images (`spectrogram`, `mel_spectrogram`,
   `gammatonegram_fast`, `gammatonegram_direct`), the oracles of the batched
@@ -10,6 +11,10 @@ tests call, nor the imports that only this code needs (`scipy.signal`):
 - `gradcheck` with the loss it checks the U-Net through
   (`masked_binary_cross_entropy`) and `Upsample2x`, which with channel
   concatenation and `Conv2d` is the oracle of `UpsampleConcatConv2d`;
+- `ndimage_rotate`, `ndimage_map_coordinates`,
+  `ndimage_displacement_field` and `textbook_warp_coords`, the oracles of
+  the numpy resampling in `segmentation` (rotation, the augmentation's
+  warp and its elastic field);
 - `load_labeled_trajectory_csv`, the round trip of
   `fusion.save_labeled_trajectory_csv`.
 """
@@ -17,6 +22,7 @@ tests call, nor the imports that only this code needs (`scipy.signal`):
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 from scipy.signal import fftconvolve
 
 from radroute.dsp import (FLOOR_DB, AudioClip, GammatoneFilterbank,
@@ -238,6 +244,46 @@ def gradcheck(model: Layer, x: np.ndarray, loss_fn, eps: float = 1e-4,
                 continue
             max_err = max(max_err, rel_err(aflat[c], numeric))
     return max_err
+
+
+# ----------------------------------------------------------- resampling
+
+
+def ndimage_rotate(image, angle_deg, order):
+    """image rotated by angle_deg about its center on its own grid, 0
+    where the source is out of frame."""
+    return ndimage.rotate(image, angle_deg, reshape=False, order=order,
+                          mode="constant", cval=0.0, prefilter=False)
+
+
+def ndimage_map_coordinates(image, src_r, src_c, order):
+    """image read at (src_r, src_c), 0 outside [0, h-1] x [0, w-1]."""
+    return ndimage.map_coordinates(image, np.stack([src_r, src_c]),
+                                   order=order, mode="constant", cval=0.0)
+
+
+def ndimage_displacement_field(coarse, shape):
+    """The elastic field of a (2, gh, gw) coarse draw: an order-1 zoom to
+    shape, then a Gaussian of sigma 2 px along both image axes."""
+    h, w = shape
+    zoom = (h / coarse.shape[1], w / coarse.shape[2])
+    field = np.stack([ndimage.zoom(grid, zoom, order=1) for grid in coarse])
+    return ndimage.gaussian_filter(field, sigma=(0, 2.0, 2.0))[:, :h, :w]
+
+
+def textbook_warp_coords(shape, angle_deg, scale, disp):
+    """The augmentation warp's source coordinates in textbook form: rotate
+    by -angle (radians through np.cos/np.sin) and scale by 1/scale about
+    the center, then displace by disp. `segmentation` sums the same map in
+    ndimage's order with degree-exact trig, so the two agree only to the
+    last bits."""
+    h, w = shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    dy, dx = rows - cy, cols - cx
+    c, s = np.cos(np.deg2rad(angle_deg)), np.sin(np.deg2rad(angle_deg))
+    return ((c * dy - s * dx) / scale + cy + disp[0],
+            (s * dy + c * dx) / scale + cx + disp[1])
 
 
 # --------------------------------------------------------------- fusion

@@ -424,22 +424,23 @@ def _tree_digest(root):
     return digests
 
 
+# reduced-scale config exercising every pipeline stage; the code path is
+# identical to desk scale, only the sizes differ
+GATE9_CONFIG = {
+    "seed": 7,
+    "simworld": {"grid_size": 96, "scatterer_density": 300.0},
+    "audio": {"clips_per_class": 40, "recordings_per_class": 2,
+              "epochs": 1, "trials": 1},
+    "canvas": {"image_size": 96},
+    "segmentation": {"stage1_steps": 20, "stage2_steps": 4,
+                     "crops_per_scan": 10, "n_rotations": 2, "crop": 32},
+    "eval": {"eval_scans_per_world": 2, "min_pixel_accuracy": 0.0,
+             "min_iou": 0.0},
+}
+
+
 def test_gate_09_determinism(capsys, tmp_path):
-    # reduced-scale config exercising every pipeline stage; the code path
-    # is identical to desk scale, only the sizes differ
-    user_cfg = {
-        "seed": 7,
-        "simworld": {"grid_size": 96, "scatterer_density": 300.0},
-        "audio": {"clips_per_class": 40, "recordings_per_class": 2,
-                  "epochs": 1, "trials": 1},
-        "canvas": {"image_size": 96},
-        "segmentation": {"stage1_steps": 20, "stage2_steps": 4,
-                         "crops_per_scan": 10, "n_rotations": 2,
-                         "crop": 32},
-        "eval": {"eval_scans_per_world": 2, "min_pixel_accuracy": 0.0,
-                 "min_iou": 0.0},
-    }
-    cfg = pipeline.resolve_config(user_cfg)
+    cfg = pipeline.resolve_config(GATE9_CONFIG)
     out_a = str(tmp_path / "run_a")
     out_b = str(tmp_path / "run_b")
     pipeline.run_reproduce(cfg, out_a)

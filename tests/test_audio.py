@@ -200,9 +200,10 @@ class TestTraining:
             {TerrainClass.GRASS: clips(TerrainClass.GRASS, 3, seed0=500),
              TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 3, seed0=600)},
             ("spectrogram",))["spectrogram"]
-        model, log = train_classifier(train, TrainConfig(epochs=4))
+        model, log = train_classifier(train, np.arange(len(train)),
+                                      TrainConfig(epochs=4))
         assert len(log.epoch_loss) == 4
-        report = audio.evaluate(model, test)
+        report = audio.evaluate(model, test, np.arange(len(test)))
         assert report["accuracy"] >= 0.9
         assert report["confusion"].sum() == len(test)
 
@@ -211,13 +212,16 @@ class TestTraining:
         one = AudioDataset(images=ds.images[:1], labels=ds.labels[:1],
                            representation=ds.representation)
         model, log = train_classifier(
-            one, TrainConfig(epochs=30, batch_size=1, learning_rate=0.1))
+            one, np.arange(1),
+            TrainConfig(epochs=30, batch_size=1, learning_rate=0.1))
         assert log.epoch_accuracy[-1] == 1.0
 
     def test_deterministic(self):
         ds = two_class_dataset(n=2)
-        m1, _ = train_classifier(ds, TrainConfig(epochs=1))
-        m2, _ = train_classifier(ds, TrainConfig(epochs=1))
+        m1, _ = train_classifier(ds, np.arange(len(ds)),
+                                 TrainConfig(epochs=1))
+        m2, _ = train_classifier(ds, np.arange(len(ds)),
+                                 TrainConfig(epochs=1))
         for p1, p2 in zip(m1.params, m2.params):
             np.testing.assert_array_equal(p1, p2)
 
@@ -225,7 +229,8 @@ class TestTraining:
         ds = two_class_dataset(n=2)
         ds.images[0, 0, 0, 0] = np.nan  # poisons the loss on batch one
         with pytest.raises(NumericError):
-            train_classifier(ds, TrainConfig(epochs=1, batch_size=len(ds)))
+            train_classifier(ds, np.arange(len(ds)),
+                             TrainConfig(epochs=1, batch_size=len(ds)))
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -269,7 +274,8 @@ class TestFloat32:
 @pytest.fixture(scope="module")
 def model():
     ds = two_class_dataset(n=4)
-    trained, _ = train_classifier(ds, TrainConfig(epochs=2))
+    trained, _ = train_classifier(ds, np.arange(len(ds)),
+                                  TrainConfig(epochs=2))
     return trained
 
 
@@ -323,26 +329,28 @@ class TestEvaluate:
     def test_all_correct(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
         report = audio.evaluate(StubModel(np.eye(3)[labels]),
-                                self.dataset(labels))
+                                self.dataset(labels), np.arange(6))
         assert report["accuracy"] == 1.0
         assert np.trace(report["confusion"]) == 6
 
     def test_cyclic_shift_all_wrong(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
         report = audio.evaluate(StubModel(np.eye(3)[(labels + 1) % 3]),
-                                self.dataset(labels))
+                                self.dataset(labels), np.arange(6))
         assert report["accuracy"] == 0.0
         assert np.trace(report["confusion"]) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            audio.evaluate(StubModel(np.zeros((0, 3))), self.dataset([]))
+            audio.evaluate(StubModel(np.zeros((0, 3))), self.dataset([]),
+                           np.arange(0))
 
 
 class TestModelIo:
     def test_roundtrip(self, tmp_path):
         ds = two_class_dataset(n=2)
-        model, _ = train_classifier(ds, TrainConfig(epochs=1))
+        model, _ = train_classifier(ds, np.arange(len(ds)),
+                                    TrainConfig(epochs=1))
         audio.save_model(tmp_path / "m.kowt", tmp_path / "m.json", model,
                          "spectrogram", ds.images.shape[1:], StftConfig())
         fresh = build_model(ds.images.shape[1:])

@@ -1,5 +1,6 @@
 """Layout guards: no public `src/` code without a caller in `src/`, and
-no test-only dependency in the package's import graph.
+no test-only dependency (scipy) in the package's import graph or in any
+stage of a run.
 
 Every public module-level function or class of `radroute` must be named
 somewhere in `src/` outside its own definition: loaded by name in its own
@@ -9,10 +10,13 @@ code that only tests call lives in `tests/oracles.py`.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+from test_acceptance import GATE9_CONFIG
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "radroute"
 
@@ -51,16 +55,33 @@ def test_every_public_definition_has_a_caller_in_src():
     assert sorted(uncalled) == []
 
 
-def test_pipeline_import_leaves_out_scipy_signal():
-    # scipy.signal served only a test oracle (tests/oracles.py); importing
-    # it cost every process about 50 MB and 1 s
+def _run_python(code, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, radroute.pipeline; "
-                               "print(sorted(m for m in sys.modules "
-                               "if m.startswith('scipy.signal')))"],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_pipeline_import_leaves_out_scipy_signal():
+    # scipy serves only the test oracles (tests/oracles.py); importing
+    # scipy.signal cost every process about 50 MB and 1 s, scipy.ndimage
+    # about 18 MB
+    proc = _run_python("import sys, radroute.pipeline; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_reproduce_runs_with_scipy_unimportable(tmp_path):
+    # a None entry in sys.modules makes every scipy import raise, so exit 0
+    # means that no stage of a gate-9 reproduce loads scipy
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(GATE9_CONFIG))
+    proc = _run_python("import sys; sys.modules['scipy'] = None; "
+                       "from radroute.cli import main; "
+                       "sys.exit(main(sys.argv[1:]))",
+                       "--config", str(config), "--out",
+                       str(tmp_path / "run"), "reproduce")
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radroute import formats, numeric, segmentation
+from radroute import formats, numeric, pipeline, segmentation
 from radroute.canvas import Label
 from radroute.errors import SamplingError, ShapeError
 from radroute.segmentation import (CropSample, PropagationConfig,
@@ -10,7 +10,9 @@ from radroute.segmentation import (CropSample, PropagationConfig,
                                    segment, stage1_train, stage2_finetune)
 from test_numeric import cached_arrays, random_head
 
-from oracles import Upsample2x, gradcheck, masked_binary_cross_entropy
+from oracles import (Upsample2x, gradcheck, masked_binary_cross_entropy,
+                     ndimage_displacement_field, ndimage_map_coordinates,
+                     ndimage_rotate, textbook_warp_coords)
 
 U, N, P = int(Label.UNLABELED), int(Label.NOT_PATH), int(Label.PATH)
 
@@ -407,6 +409,135 @@ class TestAugment:
         np.testing.assert_array_equal(out.mask, expect.mask)
 
 
+def desk_angles():
+    """The rotations of a default-config seed-7 propagate."""
+    cfg = pipeline.resolve_config({"seed": 7})
+    return segmentation._rotation_angles(PropagationConfig(
+        n_rotations=cfg["segmentation"]["n_rotations"],
+        seed=pipeline.derive_seed(7, 80)))
+
+
+def labeled_crop(rng, size=64):
+    """Random image and a mask with about 70% of its pixels labeled."""
+    mask = rng.choice(np.array([U, N, P], dtype=np.uint8), size=(size, size),
+                      p=[0.3, 0.35, 0.35])
+    return CropSample(image=rng.normal(size=(size, size)), mask=mask)
+
+
+def augment_draws(rng, sample):
+    """augment's draws, in its order, for an explicit _warp call."""
+    hflip = rng.random() < 0.5
+    vflip = rng.random() < 0.5
+    angle = rng.uniform(*segmentation.AUG_ROTATION_DEGREES)
+    scale = rng.uniform(*segmentation.AUG_RESCALE_RANGE)
+    return (hflip, vflip, angle, scale,
+            segmentation._displacement_field(sample.image.shape, rng))
+
+
+def flipped(sample, hflip, vflip):
+    image, mask = sample.image, sample.mask
+    if hflip:
+        image, mask = image[:, ::-1], mask[:, ::-1]
+    if vflip:
+        image, mask = image[::-1, :], mask[::-1, :]
+    return image, mask
+
+
+class TestResamplingOracles:
+    """The numpy sampler against scipy.ndimage, which it replaces."""
+
+    @pytest.mark.parametrize("shape", [(64, 64), (40, 56), (256, 256)])
+    def test_rotation_matches_ndimage(self, shape):
+        image = np.random.default_rng(1).normal(size=shape)
+        for angle in [0.0, 90.0, 137.5, 283.0] + desk_angles():
+            np.testing.assert_allclose(
+                segmentation._rotate_image(image, angle),
+                ndimage_rotate(image, angle, order=1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_sampler_matches_map_coordinates(self, order):
+        rng = np.random.default_rng(2)
+        h, w = 13, 9
+        image = (rng.normal(size=(h, w)) if order else
+                 rng.integers(0, 3, size=(h, w)).astype(np.uint8))
+        # points over the frame and one pixel beyond it; every half-pixel
+        # point, which holds the exact edges and the rounding ties; and
+        # points a hair either side of each edge
+        grid_r, grid_c = np.meshgrid(np.arange(-2, 2 * h + 1) / 2.0,
+                                     np.arange(-2, 2 * w + 1) / 2.0,
+                                     indexing="ij")
+        near_r = np.array([0.0, h - 1.0])[:, None] + [-1e-12, 0.0, 1e-12]
+        near_c = np.array([0.0, w - 1.0])[:, None] + [-1e-12, 0.0, 1e-12]
+        edge_r, edge_c = np.meshgrid(near_r.ravel(), near_c.ravel(),
+                                     indexing="ij")
+        src_r = np.concatenate([rng.uniform(-1.0, h, 4000), grid_r.ravel(),
+                                edge_r.ravel()])
+        src_c = np.concatenate([rng.uniform(-1.0, w, 4000), grid_c.ravel(),
+                                edge_c.ravel()])
+        got = segmentation._sample(image, src_r, src_c, order)
+        want = ndimage_map_coordinates(image, src_r, src_c, order)
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (32, 32), (40, 56)])
+    def test_displacement_field_matches_zoom_and_gaussian(self, shape):
+        grid = [max(n // segmentation.AUG_ELASTIC_GRID, 2) for n in shape]
+        coarse = np.random.default_rng(3).normal(
+            0.0, segmentation.AUG_ELASTIC_SIGMA, size=(2, *grid))
+        got = segmentation._displacement_field(shape,
+                                               np.random.default_rng(3))
+        np.testing.assert_allclose(got,
+                                   ndimage_displacement_field(coarse, shape),
+                                   rtol=0, atol=1e-12)
+
+    def test_warp_matches_map_coordinates(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            sample = labeled_crop(rng)
+            hflip, vflip, angle, scale, disp = augment_draws(rng, sample)
+            out = segmentation._warp(sample, hflip, vflip, angle, scale, disp)
+            image, mask = flipped(sample, hflip, vflip)
+            src_r, src_c = segmentation._source_coords(image.shape, angle,
+                                                       scale)
+            src_r, src_c = src_r + disp[0], src_c + disp[1]
+            np.testing.assert_allclose(
+                out.image, ndimage_map_coordinates(image, src_r, src_c, 1),
+                rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(
+                out.mask, ndimage_map_coordinates(mask, src_r, src_c, 0))
+
+    def test_label_flips_against_textbook_warp_sit_at_ties(self):
+        # the warp's coordinates differ from the textbook form in their
+        # last bits, so a nearest label may differ only where the textbook
+        # coordinate sits on a rounding tie or on a frame edge
+        rng = np.random.default_rng(5)
+        zero = np.zeros((2, 64, 64))
+        cases = [(False, False, a, s, zero)
+                 for a in (-180.0, -90.0, 0.0, 90.0, 180.0)
+                 for s in (0.8, 1.0, 1.25, 2.0)]
+        samples = [labeled_crop(rng) for _ in cases]
+        for _ in range(200):
+            samples.append(labeled_crop(rng))
+            cases.append(augment_draws(rng, samples[-1]))
+        for sample, (hflip, vflip, angle, scale, disp) in zip(samples,
+                                                              cases):
+            _, mask = flipped(sample, hflip, vflip)
+            src_r, src_c = textbook_warp_coords(mask.shape, angle, scale, disp)
+            want = ndimage_map_coordinates(mask, src_r, src_c, 0)
+            try:
+                got = segmentation._warp(sample, hflip, vflip, angle, scale,
+                                         disp).mask
+            except ResampleNeeded:
+                got = np.full_like(want, U)
+            flips = got != want
+            at_tie = np.zeros_like(flips)
+            for coord, n in ((src_r, mask.shape[0]), (src_c, mask.shape[1])):
+                at_tie |= np.abs(coord - np.floor(coord) - 0.5) < 1e-9
+                at_tie |= np.abs(coord) < 1e-9
+                at_tie |= np.abs(coord - (n - 1)) < 1e-9
+            assert not (flips & ~at_tie).any(), (angle, scale)
+
+
 class TestSampleCrops:
     def test_single_label_always_covered(self):
         image = np.zeros((100, 100))
@@ -533,10 +664,9 @@ class TestPropagate:
     @pytest.mark.parametrize("shape", [(64, 64), (40, 56)])
     def test_cached_validity_equals_two_rotations(self, shape):
         ones = np.ones(shape)
-        for angle in (0.0, 15.0, 137.5, 283.0, 15.0):
-            want = segmentation._rotate_image(
-                segmentation._rotate_image(ones, angle, order=0),
-                -angle, order=0) > 0.5
+        for angle in [0.0, 15.0, 137.5, 283.0, 15.0] + desk_angles():
+            want = ndimage_rotate(ndimage_rotate(ones, angle, order=0),
+                                  -angle, order=0) > 0.5
             got = segmentation._rotation_validity(shape, angle)
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable

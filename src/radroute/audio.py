@@ -13,13 +13,13 @@ over float64 master weights.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dsp, formats, numeric
 from .dsp import AudioClip, StftConfig
-from .errors import NumericError
+from .errors import InputError, NumericError
 from .simworld import TerrainClass
 
 CLIP_LEN_S = 0.5
@@ -34,7 +34,7 @@ N_GAMMATONE_CHANNELS = 32
 # length.
 WINDOW_BLOCK = 64
 
-# Windows per network pass of classify_stream.
+# Windows per network pass of classify_stream and evaluate.
 CLASSIFY_BATCH = 64
 
 
@@ -120,28 +120,29 @@ class AudioDataset:
         return len(self.labels)
 
 
-def slice_clip(clip: AudioClip, clip_len_s: float = CLIP_LEN_S):
-    """Consecutive non-overlapping windows; a trailing partial is dropped."""
-    n = int(round(clip_len_s * clip.sample_rate))
+def slice_clip(clip: AudioClip):
+    """Consecutive non-overlapping CLIP_LEN_S windows; a trailing partial
+    is dropped."""
+    n = int(round(CLIP_LEN_S * clip.sample_rate))
     count = len(clip.samples) // n
     return [AudioClip(clip.samples[i * n:(i + 1) * n], clip.sample_rate)
             for i in range(count)]
 
 
-def build_datasets(clips_by_terrain: dict, representations=REPRESENTATIONS,
-                   seed: int = 0, cfg: StftConfig | None = None) -> dict:
+def build_datasets(clips_by_terrain: dict, seed: int = 0,
+                   cfg: StftConfig | None = None) -> dict:
     """Slice per-terrain recordings to 0.5 s windows and extract features.
 
     clips_by_terrain maps TerrainClass -> iterable of AudioClip (one per
     microphone/recording), all at one sample rate. Each recording is
     featurised for every representation before the next is taken, so an
     iterable that reads them one at a time holds one recording's samples.
-    Returns {representation: AudioDataset}, every dataset in the same
-    seeded order. Too-short clips are skipped and counted.
+    Returns {representation: AudioDataset} over REPRESENTATIONS, every
+    dataset in the same seeded order. Too-short clips are skipped and counted.
     """
     if len(clips_by_terrain) < 2:
         raise ValueError("need clips from at least 2 terrain classes")
-    parts = {rep: [] for rep in representations}
+    parts = {rep: [] for rep in REPRESENTATIONS}
     labels, rates, banks = [], set(), {}
     skipped = 0
     for terrain in sorted(clips_by_terrain, key=int):
@@ -155,8 +156,8 @@ def build_datasets(clips_by_terrain: dict, representations=REPRESENTATIONS,
                 raise ValueError(f"recordings at several sample rates "
                                  f"{sorted(rates)}")
             images = window_features(windows, clip.sample_rate,
-                                     representations, cfg, np.float32, banks)
-            for rep in representations:
+                                     REPRESENTATIONS, cfg, np.float32, banks)
+            for rep in REPRESENTATIONS:
                 parts[rep].append(images[rep])
             labels += [int(terrain)] * len(windows)
             del clip, windows  # before the next recording is read
@@ -168,7 +169,7 @@ def build_datasets(clips_by_terrain: dict, representations=REPRESENTATIONS,
     return {rep: AudioDataset(images=_permuted(parts[rep], order),
                               labels=labels[order], representation=rep,
                               skipped_short=skipped)
-            for rep in representations}
+            for rep in REPRESENTATIONS}
 
 
 def _permuted(parts: list, order: np.ndarray) -> np.ndarray:
@@ -194,17 +195,27 @@ class TerrainPrediction:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.02
-    batch_size: int = 16
-    epochs: int = 3
-    seed: int = 0
+    learning_rate: float
+    batch_size: int
+    epochs: int
+    seed: int
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1:
             raise ValueError("invalid training configuration")
 
 
-def build_model(input_shape, n_classes: int = 3,
+def _layout(chans: int, h: int, w: int):
+    """build_model((chans, h, w))'s (in, out) channels of each conv, and
+    (in, out) features of its dense layer."""
+    widths = (4, 8, 8)
+    convs = list(zip((chans,) + widths[:-1], widths))
+    pooled = 2 ** len(widths)  # each block's 2x2 pool floors h and w
+    return convs, (widths[-1] * (h // pooled) * (w // pooled),
+                   len(TerrainClass))
+
+
+def build_model(input_shape,
                 rng: np.random.Generator | None = None) -> numeric.Sequential:
     """3x (conv 3x3 + maxpool 2x2 + relu) -> dense -> softmax.
 
@@ -214,43 +225,34 @@ def build_model(input_shape, n_classes: int = 3,
     way.
     """
     rng = rng or np.random.default_rng(0)
-    chans, h, w = input_shape
-    widths = [4, 8, 8]
-    layers = []
-    c_in = chans
-    for c_out in widths:
-        layers += [numeric.Conv2d(c_in, c_out, 3, padding=1, rng=rng),
-                   numeric.MaxPool2d(2), numeric.ReLU()]
-        c_in = c_out
-        h, w = h // 2, w // 2
-    layers += [numeric.Flatten(),
-               numeric.Dense(c_in * h * w, n_classes, rng=rng),
-               numeric.Softmax()]
-    return numeric.Sequential(layers)
+    convs, dense = _layout(*input_shape)
+    layers = [layer for c_in, c_out in convs for layer in (
+        numeric.Conv2d(c_in, c_out, 3, padding=1, rng=rng),
+        numeric.MaxPool2d(2), numeric.ReLU())]
+    return numeric.Sequential(layers + [
+        numeric.Flatten(), numeric.Dense(*dense, rng=rng), numeric.Softmax()])
 
 
 @dataclass
 class TrainLog:
-    epoch_loss: list = field(default_factory=list)
-    epoch_accuracy: list = field(default_factory=list)
+    epoch_loss: list
+    epoch_accuracy: list
 
 
-def one_hot(labels: np.ndarray, n_classes: int = 3) -> np.ndarray:
-    return np.eye(n_classes)[labels]
+def one_hot(labels: np.ndarray) -> np.ndarray:
+    return np.eye(len(TerrainClass))[labels]
 
 
 def train_classifier(dataset: AudioDataset, indices: np.ndarray,
-                     cfg: TrainConfig | None = None,
-                     model: numeric.Sequential | None = None):
+                     cfg: TrainConfig):
     """Minibatch SGD with cross entropy over the dataset rows named by
-    indices, gathered a batch at a time. Returns (model, TrainLog)."""
+    indices, gathered a batch at a time, from a fresh build_model.
+    Returns (model, TrainLog)."""
     if len(indices) == 0:
         raise ValueError("empty dataset")
-    cfg = cfg or TrainConfig()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7EA1]))
-    if model is None:
-        model = build_model(dataset.images.shape[1:], rng=rng)
-    log = TrainLog()
+    model = build_model(dataset.images.shape[1:], rng=rng)
+    log = TrainLog(epoch_loss=[], epoch_accuracy=[])
     n = len(indices)
     labels = dataset.labels[indices]
     targets = one_hot(labels)
@@ -296,14 +298,15 @@ def _stream_images(stream, representation: str, cfg: StftConfig | None):
 
 
 def classify_stream(model: numeric.Sequential, stream, representation: str,
-                    start_time: float = 0.0, cfg: StftConfig | None = None):
+                    cfg: StftConfig | None = None):
     """2 Hz predictions over consecutive 0.5 s windows of a long recording.
 
     stream is an AudioClip or an open formats.WavReader; it is read and
     featurised WINDOW_BLOCK windows at a time, and a trailing partial
     window is dropped. The network takes CLASSIFY_BATCH windows a pass
     whatever the block size, as a float32 dense layer's last bits depend
-    on its batch size. Prediction i is stamped at the center of window i.
+    on its batch size. Prediction i is stamped at the center of window i,
+    (i + 0.5) * CLIP_LEN_S from the start of the stream.
     """
     images = _stream_images(stream, representation, cfg)
     batches = iter(lambda: list(itertools.islice(images, CLASSIFY_BATCH)),
@@ -313,19 +316,19 @@ def classify_stream(model: numeric.Sequential, stream, representation: str,
     if not probs:
         raise ValueError("stream shorter than one 0.5 s window")
     return [TerrainPrediction(terrain=int(np.argmax(p)), probabilities=p,
-                              timestamp=start_time + (i + 0.5) * CLIP_LEN_S)
+                              timestamp=(i + 0.5) * CLIP_LEN_S)
             for i, p in enumerate(np.concatenate(probs))]
 
 
 def evaluate(model: numeric.Sequential, dataset: AudioDataset,
-             indices: np.ndarray, batch_size: int = 64) -> dict:
+             indices: np.ndarray) -> dict:
     """Accuracy and 3x3 confusion counts (rows true, cols predicted) over
-    the dataset rows named by indices, gathered a batch at a time."""
+    the dataset rows named by indices, gathered CLASSIFY_BATCH at a time."""
     if len(indices) == 0:
         raise ValueError("empty dataset")
     confusion = np.zeros((3, 3), dtype=np.int64)
-    for start in range(0, len(indices), batch_size):
-        rows = indices[start:start + batch_size]
+    for start in range(0, len(indices), CLASSIFY_BATCH):
+        rows = indices[start:start + CLASSIFY_BATCH]
         pred = model.forward(dataset.images[rows]).argmax(axis=1)
         for t, p in zip(dataset.labels[rows], pred):
             confusion[t, p] += 1
@@ -347,14 +350,40 @@ def save_model(weights_path, header_path, model: numeric.Sequential,
     formats.write_json(header_path, header)
 
 
-def load_model_weights(weights_path, model: numeric.Sequential):
-    numeric.load_params(weights_path, numeric.named_params(model.layers))
+def _param_shapes(chans: int, h: int, w: int) -> list:
+    """(name, shape) of each tensor of build_model((chans, h, w)), worked
+    out without building a layer: a conv every 3 layers, then the dense
+    layer after Flatten."""
+    convs, dense = _layout(chans, h, w)
+    layers = [(3 * i, ((o, c, 3, 3), (o,))) for i, (c, o) in enumerate(convs)]
+    layers.append((3 * len(convs) + 1, (dense, dense[1:])))
+    return [(f"layer{i}.p{j}", shape) for i, shapes in layers
+            for j, shape in enumerate(shapes)]
+
+
+def load_model(weights_path, input_shape) -> numeric.Sequential:
+    """build_model(input_shape) holding the weights of a save_model file.
+    The file is read first, and InputError is raised before any layer is
+    built unless input_shape is three positive integers that give exactly
+    its tensor names and shapes."""
+    tensors = numeric.load_weights(weights_path)
+    if not numeric.positive_ints(input_shape, 3):
+        raise InputError(f"input_shape {input_shape!r} of {weights_path} "
+                         f"is not three positive integers")
+    numeric.check_tensors(weights_path, tensors, _param_shapes(*input_shape))
+    model = build_model(input_shape)
+    numeric.load_params(weights_path, tensors,
+                        numeric.named_params(model.layers))
     return model
+
+
+PREDICTION_COLUMNS = ("timestamp", "class", "p_grass", "p_gravel",
+                      "p_asphalt")
 
 
 def predictions_csv(path, predictions):
     with open(path, "w") as f:
-        f.write("timestamp,class,p_grass,p_gravel,p_asphalt\n")
+        f.write(",".join(PREDICTION_COLUMNS) + "\n")
         for p in predictions:
             name = TerrainClass(p.terrain).name.lower()
             probs = ",".join(f"{v:.6f}" for v in p.probabilities)

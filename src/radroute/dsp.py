@@ -31,10 +31,6 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
     def blocks(self, frames: int):
         """The samples, `frames` at a time, as formats.WavReader.blocks
         reads them from a file."""
@@ -44,20 +40,18 @@ class AudioClip:
 
 @dataclass
 class StftConfig:
-    """Framing parameters. Defaults give a 100 Hz bandwidth resolution at 44.1 kHz."""
+    """Framing parameters of the Hamming-windowed STFT. Defaults give a
+    100 Hz bandwidth resolution at 44.1 kHz."""
 
     frame_len: int = 441
     hop: int = 441
     fft_size: int = 441
-    window: str = "hamming"
 
     def __post_init__(self):
         if not (1 <= self.hop <= self.frame_len <= self.fft_size
                 and self.frame_len >= 2):
             raise ValueError("require 1 <= hop <= frame_len <= fft_size "
                              "and frame_len >= 2")
-        if self.window not in ("hamming", "rectangular"):
-            raise ValueError(f"unknown window {self.window!r}")
 
 
 def hamming_window(m: int) -> np.ndarray:
@@ -68,42 +62,37 @@ def hamming_window(m: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (m - 1))
 
 
-def _window(cfg: StftConfig) -> np.ndarray:
-    if cfg.window == "hamming":
-        return hamming_window(cfg.frame_len)
-    return np.ones(cfg.frame_len, dtype=np.float64)
-
-
 def frame_count(n_samples: int, frame_len: int, hop: int) -> int:
     return (n_samples - frame_len) // hop + 1
 
 
 def stft_windows(windows: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """STFTs of the rows of (n, samples), each row framed on its own:
-    (n, frames, fft_size//2 + 1), from one batched real FFT."""
+    """Hamming-windowed STFTs of the rows of (n, samples), each row
+    framed on its own: (n, frames, fft_size//2 + 1), from one batched
+    real FFT."""
     m, hop = cfg.frame_len, cfg.hop
     if windows.shape[-1] < m:
         raise ValueError("clip shorter than one frame")
     n_frames = frame_count(windows.shape[-1], m, hop)
     idx = np.arange(m)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = windows[:, idx]
-    frames *= _window(cfg)
+    frames *= hamming_window(m)
     return np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
 
 
-def log_power(x: np.ndarray, floor_db: float = FLOOR_DB) -> np.ndarray:
-    """20 log10 |X|, clamped below at floor_db (zero magnitudes included)."""
+def log_power(x: np.ndarray) -> np.ndarray:
+    """20 log10 |X|, clamped below at FLOOR_DB (zero magnitudes included)."""
     mag = np.abs(x)
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(mag)
-    return np.maximum(db, floor_db)
+    return np.maximum(db, FLOOR_DB)
 
 
-def power_db(power: np.ndarray, floor_db: float = FLOOR_DB) -> np.ndarray:
+def power_db(power: np.ndarray) -> np.ndarray:
     """10 log10 of a power quantity with the same floor rule."""
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(power)
-    return np.maximum(db, floor_db)
+    return np.maximum(db, FLOOR_DB)
 
 
 def mel_frequency(f):
@@ -152,13 +141,12 @@ def erb_bandwidth(fc):
     return ERB_SCALE * (fc / ERB_Q + ERB_MIN_BW)
 
 
-def gammatone_ir(t, fc: float, a: int = GAMMATONE_ORDER,
-                 b: float | None = None):
-    """Gammatone impulse response t^(a-1) e^(-2 pi b t) cos(2 pi fc t), zero for t < 0."""
+def gammatone_ir(t, fc: float, b: float):
+    """Gammatone impulse response t^(a-1) e^(-2 pi b t) cos(2 pi fc t) of
+    order a = GAMMATONE_ORDER, zero for t < 0."""
     if fc <= 0:
         raise ValueError("center frequency must be positive")
-    if b is None:
-        b = float(erb_bandwidth(fc))
+    a = GAMMATONE_ORDER
     t = np.asarray(t, dtype=np.float64)
     env = np.where(t >= 0, np.power(np.maximum(t, 0.0), a - 1)
                    * np.exp(-2.0 * np.pi * b * np.maximum(t, 0.0)), 0.0)
@@ -167,10 +155,10 @@ def gammatone_ir(t, fc: float, a: int = GAMMATONE_ORDER,
 
 @dataclass
 class GammatoneFilterbank:
-    """Bank of gammatone filters with ERB-rule bandwidths."""
+    """Bank of order-GAMMATONE_ORDER gammatone filters with ERB-rule
+    bandwidths."""
 
     center_freqs: np.ndarray
-    order: int = GAMMATONE_ORDER
     bandwidths: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -182,30 +170,33 @@ class GammatoneFilterbank:
         self.bandwidths = erb_bandwidth(self.center_freqs)
 
     @classmethod
-    def design(cls, n_channels: int = 32, sample_rate: float = 44100.0,
-               f_min: float = 200.0) -> "GammatoneFilterbank":
-        """Center frequencies equally spaced on the ERB-rate axis up to 0.9 Nyquist."""
+    def design(cls, n_channels: int = 32,
+               sample_rate: float = 44100.0) -> "GammatoneFilterbank":
+        """Center frequencies equally spaced on the ERB-rate axis from
+        200 Hz up to 0.9 Nyquist."""
         f_max = 0.9 * sample_rate / 2.0
         erb_rate = lambda f: 21.4 * np.log10(4.37e-3 * f + 1.0)  # noqa: E731
         inv = lambda e: (10.0 ** (e / 21.4) - 1.0) / 4.37e-3  # noqa: E731
-        rates = np.linspace(erb_rate(f_min), erb_rate(f_max), n_channels)
+        rates = np.linspace(erb_rate(200.0), erb_rate(f_max), n_channels)
         return cls(center_freqs=inv(rates))
 
-    def impulse_response(self, channel: int, sample_rate: float,
-                         envelope_cutoff: float = 1e-5) -> np.ndarray:
-        """Sampled IR truncated where the envelope falls below a fraction of its peak."""
+    def impulse_response(self, channel: int,
+                         sample_rate: float) -> np.ndarray:
+        """Sampled IR truncated where the envelope falls below 1e-5 of
+        its peak."""
         fc = self.center_freqs[channel]
         b = self.bandwidths[channel]
         lam = 2.0 * np.pi * b
-        # envelope t e^(-lam t) peaks at t = 1/lam (order 2)
-        t_peak = (self.order - 1) / lam
-        peak = t_peak ** (self.order - 1) * np.exp(-(self.order - 1))
+        a = GAMMATONE_ORDER
+        # envelope t^(a-1) e^(-lam t) peaks at t = (a-1)/lam
+        t_peak = (a - 1) / lam
+        peak = t_peak ** (a - 1) * np.exp(-(a - 1))
         t = t_peak
-        while t ** (self.order - 1) * np.exp(-lam * t) > envelope_cutoff * peak:
+        while t ** (a - 1) * np.exp(-lam * t) > 1e-5 * peak:
             t *= 1.5
         n = int(np.ceil(t * sample_rate)) + 1
         ts = np.arange(n) / sample_rate
-        return gammatone_ir(ts, fc, self.order, b)
+        return gammatone_ir(ts, fc, b)
 
 
 def gammatone_weights(filterbank: GammatoneFilterbank, sample_rate: float,

@@ -57,20 +57,20 @@ def scores(pred, truth, ignore_mask=None) -> SegScores:
     )
 
 
-def compare_table(column_names: list, rows: list,
-                  value_fmt: str = "{:.1f}") -> str:
-    """Aligned text table of named score rows plus an average row.
+def compare_table(column_names: list, rows: list) -> str:
+    """Aligned text table of named score rows, one decimal each, plus an
+    average row.
 
     rows: list of (name, values) with len(values) == len(column_names).
     A single row renders without the average.
     """
     if not rows:
         raise ValueError("need at least one row")
-    body = [(name, [value_fmt.format(v) for v in values])
+    body = [(name, [f"{v:.1f}" for v in values])
             for name, values in rows]
     if len(rows) > 1:
         avg = np.mean([values for _, values in rows], axis=0)
-        body.append(("Average", [value_fmt.format(v) for v in avg]))
+        body.append(("Average", [f"{v:.1f}" for v in avg]))
     name_w = max(len(n) for n, _ in body)
     col_ws = [max(len(c), max(len(vals[i]) for _, vals in body))
               for i, c in enumerate(column_names)]

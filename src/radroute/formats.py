@@ -163,9 +163,9 @@ def read_exact(f, n: int, what: str) -> bytes:
     return f.read(n)
 
 
-def write_csv(path, header: str, rows: np.ndarray, fmt: str = "%.9f"):
+def write_csv(path, header: str, rows: np.ndarray):
     np.savetxt(path, rows, delimiter=",", header=header, comments="",
-               fmt=fmt)
+               fmt="%.9f")
 
 
 def read_csv(path) -> np.ndarray:

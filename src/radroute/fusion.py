@@ -84,18 +84,17 @@ def ekf_update(state: EkfState, gps) -> EkfState:
     return EkfState(mean=mean, covariance=p_new, timestamp=state.timestamp)
 
 
-def default_process_noise(vo_trans_sigma: float = 0.01,
-                          vo_yaw_sigma: float = 0.002) -> np.ndarray:
+def default_process_noise(vo_trans_sigma: float,
+                          vo_yaw_sigma: float) -> np.ndarray:
     """Per-step Q built directly from the configured VO noise levels."""
     return np.diag([vo_trans_sigma ** 2, vo_trans_sigma ** 2,
                     vo_yaw_sigma ** 2])
 
 
 def fuse(vo_stream: np.ndarray, gps_stream: np.ndarray, init_pose,
-         q: np.ndarray | None = None,
-         init_covariance: np.ndarray | None = None,
-         yaw_drift_rate: float = 0.0) -> np.ndarray:
-    """Event-ordered predict/update sweep.
+         q: np.ndarray, yaw_drift_rate: float = 0.0) -> np.ndarray:
+    """Event-ordered predict/update sweep from init_pose, with covariance
+    diag(0.01, 0.01, 1e-4), and per-step process noise q.
 
     vo_stream rows: (timestamp, dx, dy, dyaw); gps rows: (t, x, y, sigma).
     Emits one state row (timestamp, x, y, yaw) per VO timestamp. GPS fixes
@@ -109,17 +108,13 @@ def fuse(vo_stream: np.ndarray, gps_stream: np.ndarray, init_pose,
         raise InputError("VO timestamps must be strictly increasing")
     if len(gps_stream) and np.any(np.diff(gps_stream[:, 0]) < 0):
         raise InputError("GPS timestamps must be sorted")
-    if q is None:
-        q = default_process_noise()
-    if init_covariance is None:
-        init_covariance = np.diag([0.01, 0.01, 1e-4])
     if yaw_drift_rate != 0.0:
         vo_stream = vo_stream.copy()
         dts = np.diff(vo_stream[:, 0])
         dt0 = float(np.median(dts)) if len(dts) else 0.0
         vo_stream[:, 3] -= yaw_drift_rate * np.concatenate([[dt0], dts])
     state = EkfState(mean=np.asarray(init_pose, dtype=np.float64),
-                     covariance=init_covariance,
+                     covariance=np.diag([0.01, 0.01, 1e-4]),
                      timestamp=float(vo_stream[0, 0]) - 1e-9)
     out = np.empty((len(vo_stream), 4))
     gi = 0
@@ -150,14 +145,14 @@ class LabeledTrajectory:
 ASSOCIATION_WINDOW_S = 0.25  # half an audio clip
 
 
-def label_trajectory(trajectory: np.ndarray, predictions,
-                     window_s: float = ASSOCIATION_WINDOW_S
-                     ) -> LabeledTrajectory:
+def label_trajectory(trajectory: np.ndarray,
+                     predictions) -> LabeledTrajectory:
     """Join terrain predictions to the nearest trajectory pose in time.
 
     trajectory rows: (timestamp, x, y, yaw). predictions: iterable of
     objects with .timestamp, .terrain (int) and .probabilities.
-    Predictions further than window_s from any pose are dropped.
+    Predictions further than ASSOCIATION_WINDOW_S from any pose are
+    dropped.
     """
     trajectory = np.atleast_2d(np.asarray(trajectory, dtype=np.float64))
     predictions = list(predictions)
@@ -167,7 +162,7 @@ def label_trajectory(trajectory: np.ndarray, predictions,
     rows, dropped = [], 0
     for pred in predictions:
         i = int(np.argmin(np.abs(traj_t - pred.timestamp)))
-        if abs(traj_t[i] - pred.timestamp) > window_s:
+        if abs(traj_t[i] - pred.timestamp) > ASSOCIATION_WINDOW_S:
             dropped += 1
             continue
         rows.append((pred.timestamp, trajectory[i, 1], trajectory[i, 2],

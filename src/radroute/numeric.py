@@ -39,7 +39,7 @@ import struct
 
 import numpy as np
 
-from .errors import DegenerateBatchError, NumericError, ShapeError
+from .errors import DegenerateBatchError, InputError, NumericError, ShapeError
 from .formats import read_exact
 
 
@@ -504,24 +504,15 @@ class Softmax(Layer):
 
 class Sequential(Layer):
     def __init__(self, layers: list):
-        super().__init__()
-        self.layers = layers
+        self.layers = layers  # no Layer.__init__: params are the layers'
 
     @property
     def params(self):
         return [p for layer in self.layers for p in layer.params]
 
-    @params.setter
-    def params(self, value):  # base-class __init__ assigns []
-        pass
-
     @property
     def grads(self):
         return [g for layer in self.layers for g in layer.grads]
-
-    @grads.setter
-    def grads(self, value):
-        pass
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -648,19 +639,35 @@ def load_weights(path) -> list[tuple[str, np.ndarray]]:
         return out
 
 
-def load_params(path, named_params: list[tuple[str, np.ndarray]]):
-    """Fill named parameters in place from a weights file.
+def positive_ints(values, count: int) -> bool:
+    """values is a list or tuple of `count` positive integers: the sizes
+    a model header may declare."""
+    return (isinstance(values, (list, tuple)) and len(values) == count
+            and all(type(v) is int and v >= 1 for v in values))
 
-    Names and shapes must match exactly; ShapeError names the tensor.
-    """
-    loaded = dict(load_weights(path))
-    missing = sorted({name for name, _ in named_params} - set(loaded))
-    extra = sorted(set(loaded) - {name for name, _ in named_params})
+
+def check_tensors(path, tensors: list, expected: list):
+    """InputError naming the tensors missing, unexpected or of another
+    shape unless tensors, the load_weights list of the file at path, hold
+    exactly the (name, shape) pairs of expected. Loaders run it on the
+    shapes a model header gives before building a layer, so that no header
+    makes them allocate more than the weights file holds."""
+    shapes, want = {name: t.shape for name, t in tensors}, dict(expected)
+    missing = sorted(want.keys() - shapes.keys())
+    extra = sorted(shapes.keys() - want.keys())
     if missing or extra:
-        raise ShapeError(f"weights file {path} does not match the model: "
+        raise InputError(f"weights file {path} does not match the model: "
                          f"missing {missing}, unexpected {extra}")
+    for name, shape in want.items():
+        if shapes[name] != shape:
+            raise InputError(f"tensor {name} of {path}: file shape "
+                             f"{shapes[name]}, model shape {shape}")
+
+
+def load_params(path, tensors: list, named_params: list):
+    """Fill named parameters in place from tensors, the load_weights list
+    of the file at path, which must hold exactly their names and shapes."""
+    check_tensors(path, tensors, [(name, p.shape) for name, p in named_params])
+    loaded = dict(tensors)
     for name, p in named_params:
-        if loaded[name].shape != p.shape:
-            raise ShapeError(f"tensor {name}: file shape "
-                             f"{loaded[name].shape}, model shape {p.shape}")
         p[...] = loaded[name]

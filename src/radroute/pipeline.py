@@ -175,10 +175,9 @@ def resolve_config(user: dict | None) -> dict:
     return cfg
 
 
-def sim_config(cfg: dict, profile: str = "short") -> SimConfig:
+def sim_config(cfg: dict, profile: str) -> SimConfig:
     sw = cfg["simworld"]
     return SimConfig(
-        seed=cfg["seed"],
         radar_profile=profile,
         grid_size=sw["grid_size"],
         cell_size=sw["cell_size"],
@@ -238,7 +237,7 @@ def run_simulate(cfg: dict, out: str):
         worlds[name] = (simworld.generate_world(world_seed, sc), sc,
                         world_seed)
     world, sc, world_seed = worlds["train"]
-    truth = simworld.plan_traverse(world, derive_seed(seed, 21), sc)
+    truth = simworld.plan_traverse(world, sc)
     interval = cfg["simworld"]["scan_interval_s"]
     scan_times = np.arange(truth.timestamps[0] + interval,
                            truth.timestamps[-1], interval)
@@ -303,7 +302,7 @@ def run_simulate(cfg: dict, out: str):
     # held-out evaluation scans at ground-truth poses
     for name in ("eval_short", "eval_long"):
         world, sc, world_seed = worlds[name]
-        truth_e = simworld.plan_traverse(world, derive_seed(seed, 24), sc)
+        truth_e = simworld.plan_traverse(world, sc)
         scatt = simworld.scene_scatterers(world, sc, world_seed)
         n_eval = cfg["eval"]["eval_scans_per_world"]
         idx = np.linspace(0, len(truth_e.poses) - 1, n_eval).astype(int)
@@ -393,7 +392,9 @@ def run_train_audio(cfg: dict, out: str):
 
 def _load_audio_model(cfg: dict, out: str):
     """The saved classifier and its representation; ConfigurationError if
-    it was trained on a framing other than the config's dsp section."""
+    it was trained on a framing other than the config's dsp section,
+    InputError if its header's input_shape does not describe its weights
+    (audio.load_model)."""
     with open(os.path.join(out, "audio_model.json")) as f:
         header = json.load(f)
     framing = stft_config(cfg)
@@ -403,8 +404,8 @@ def _load_audio_model(cfg: dict, out: str):
         raise ConfigurationError(
             f"config section dsp {expected} does not match the framing "
             f"{header.get('dsp')} the audio model was trained with")
-    model = audio.build_model(tuple(header["input_shape"]))
-    audio.load_model_weights(os.path.join(out, "audio_model.kowt"), model)
+    model = audio.load_model(os.path.join(out, "audio_model.kowt"),
+                             header.get("input_shape"))
     return model, header["representation"]
 
 
@@ -490,15 +491,38 @@ def run_paint(cfg: dict, out: str):
 
 
 def _read_predictions(path):
-    preds = []
+    """The predictions of an audio.predictions_csv file. InputError names
+    the file, the row (the header is row 1) and the column of a row with
+    the wrong column count, an unknown class, a value that is not a
+    finite number, or a timestamp not after the row before."""
+    columns, preds = audio.PREDICTION_COLUMNS, []
     with open(path) as f:
-        next(f)
-        for line in f:
-            t, name, pg, pv, pa = line.strip().split(",")
-            probs = np.array([float(pg), float(pv), float(pa)])
+        f.readline()  # the header
+        for row, line in enumerate(f, start=2):
+            fields, where = line.strip().split(","), f"{path} row {row}"
+            if len(fields) != len(columns):
+                raise InputError(f"{where}: {len(fields)} columns, "
+                                 f"expected {len(columns)}")
+            values = dict(zip(columns, fields))
+            terrain = simworld.TERRAIN_BY_NAME.get(values.pop("class"))
+            if terrain is None:
+                raise InputError(f"{where} column class: unknown terrain "
+                                 f"class {fields[1]!r}")
+            for column, text in values.items():
+                try:
+                    values[column] = float(text)
+                except ValueError:
+                    values[column] = math.nan
+                if not math.isfinite(values[column]):
+                    raise InputError(f"{where} column {column}: {text!r} "
+                                     f"is not a finite number")
+            t = values.pop("timestamp")
+            if preds and t <= preds[-1].timestamp:
+                raise InputError(f"{where} column timestamp: {t} is not "
+                                 f"after {preds[-1].timestamp}")
             preds.append(audio.TerrainPrediction(
-                terrain=int(simworld.TERRAIN_BY_NAME[name]),
-                probabilities=probs, timestamp=float(t)))
+                terrain=int(terrain), timestamp=t,
+                probabilities=np.array(list(values.values()))))
     return preds
 
 
@@ -604,14 +628,14 @@ def run_propagate(cfg: dict, out: str):
     return report
 
 
-def run_segment(cfg: dict, out: str, scans_subdir: str = "scans_eval_short",
-                model_name: str = "seg_stage2"):
-    model = segmentation.load_unet(os.path.join(out, f"{model_name}.kowt"),
-                                   os.path.join(out, f"{model_name}.json"))
-    scans = _read_scans(cfg, out, scans_subdir)
-    pred_dir = _ensure_dir(os.path.join(out, f"pred_{scans_subdir}"))
-    for i, scan in enumerate(scans):
-        pred = segmentation.segment(model, scan.image)
+def run_segment(cfg: dict, out: str, scans: str, model: str):
+    """Segment the scans of subdirectory `scans` with the U-Net `model`."""
+    unet = segmentation.load_unet(os.path.join(out, f"{model}.kowt"),
+                                  os.path.join(out, f"{model}.json"))
+    images = [scan.image for scan in _read_scans(cfg, out, scans)]
+    pred_dir = _ensure_dir(os.path.join(out, f"pred_{scans}"))
+    for i, image in enumerate(images):
+        pred = segmentation.segment(unet, image)
         formats.write_pgm(os.path.join(pred_dir, f"pred_{i:03d}.pgm"),
                           (pred * 255).astype(np.uint8))
 
@@ -760,8 +784,7 @@ STAGES = {s.name: s for s in (
                          f"{report['side_path_recall']:.3f}, grass false "
                          f"positive rate "
                          f"{report['grass_false_positive_rate']:.3f}"),
-    Stage("segment",
-          lambda cfg, out, scans, model: run_segment(cfg, out, scans, model),
+    Stage("segment", run_segment,
           lambda scans, model: (f"{model}.kowt", f"{model}.json", scans),
           lambda _, scans, model: f"segmented {scans}",
           options=(("--scans", {"default": "scans_eval_short",

@@ -7,13 +7,13 @@ regions, and stage 2 fine-tunes on full scans with the densified masks.
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import formats, numeric
 from .canvas import Label
-from .errors import NumericError, SamplingError, ShapeError
+from .errors import InputError, NumericError, SamplingError, ShapeError
 
 
 def prepare_scan_image(power_image: np.ndarray) -> np.ndarray:
@@ -23,6 +23,17 @@ def prepare_scan_image(power_image: np.ndarray) -> np.ndarray:
     if std < 1e-12:
         return np.zeros_like(x)
     return (x - x.mean()) / std
+
+
+def _stage_channels(depth: int, base_channels: int,
+                    in_channels: int) -> list:
+    """(in, out) channels of the first 3x3 conv of each U-Net stage, in
+    order: depth encoder stages, the bottleneck, then depth decoder stages,
+    whose first conv reads the skip map and the 2x upsampled map of twice
+    its channels concatenated. A stage's second conv maps out to out."""
+    widths = [base_channels * 2 ** d for d in range(depth + 1)]
+    return (list(zip([in_channels] + widths[:-1], widths))
+            + [(3 * c, c) for c in reversed(widths[:-1])])
 
 
 class UNet:
@@ -40,31 +51,18 @@ class UNet:
         self.in_channels = in_channels
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0E7]))
         conv = numeric.Conv2d
-        self.enc = []
-        c_in = in_channels
-        for d in range(depth):
-            c = base_channels * (2 ** d)
-            self.enc.append([conv(c_in, c, 3, padding=1, rng=rng),
-                             numeric.ReLU(),
-                             conv(c, c, 3, padding=1, rng=rng),
-                             numeric.ReLU()])
-            c_in = c
+        blocks = []
+        for stage, (c_in, c) in enumerate(
+                _stage_channels(depth, base_channels, in_channels)):
+            if stage > depth:  # decoder: skip map + upsampled coarse map
+                first = numeric.UpsampleConcatConv2d(c, c_in - c, c, rng=rng)
+            else:
+                first = conv(c_in, c, 3, padding=1, rng=rng)
+            blocks.append([first, numeric.ReLU(),
+                           conv(c, c, 3, padding=1, rng=rng), numeric.ReLU()])
+        self.enc, self.bottleneck = blocks[:depth], blocks[depth]
+        self.dec = blocks[depth + 1:]
         self.pools = [numeric.MaxPool2d(2) for _ in range(depth)]
-        c_mid = base_channels * (2 ** depth)
-        self.bottleneck = [conv(c_in, c_mid, 3, padding=1, rng=rng),
-                           numeric.ReLU(),
-                           conv(c_mid, c_mid, 3, padding=1, rng=rng),
-                           numeric.ReLU()]
-        self.dec = []
-        c_up = c_mid
-        for d in reversed(range(depth)):
-            c_skip = base_channels * (2 ** d)
-            self.dec.append([numeric.UpsampleConcatConv2d(c_skip, c_up, c_skip,
-                                                          rng=rng),
-                             numeric.ReLU(),
-                             conv(c_skip, c_skip, 3, padding=1, rng=rng),
-                             numeric.ReLU()])
-            c_up = c_skip
         self.head = conv(base_channels, 1, 1, zero_init=True, rng=rng)
         self.sigmoid = numeric.Sigmoid()
 
@@ -87,8 +85,6 @@ class UNet:
     def zero_grad(self):
         for layer in self._blocks():
             layer.zero_grad()
-        for pool in self.pools:
-            pool.zero_grad()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Sigmoid path probabilities, computed in the dtype of x."""
@@ -153,12 +149,34 @@ def save_unet(weights_path, header_path, model: UNet):
     formats.write_json(header_path, header)
 
 
+def _param_shapes(depth: int, base_channels: int, in_channels: int) -> list:
+    """(name, shape) of each tensor of UNet(depth, base_channels,
+    in_channels).named_params(), worked out without building a layer: a
+    ReLU follows every conv but the head."""
+    convs = [conv for c_in, c in _stage_channels(depth, base_channels,
+                                                 in_channels)
+             for conv in ((c, c_in, 3), (c, c, 3))] + [(1, base_channels, 1)]
+    return [(f"layer{2 * i}.p{j}", shape) for i, (o, c, k) in enumerate(convs)
+            for j, shape in enumerate(((o, c, k, k), (o,)))]
+
+
 def load_unet(weights_path, header_path) -> UNet:
+    """The U-Net of a save_unet weights file and header. The weights are
+    read first, and InputError is raised before any layer is built unless
+    the header's depth, base_channels and in_channels are positive
+    integers that give exactly the file's tensor names and shapes."""
+    tensors = numeric.load_weights(weights_path)
     with open(header_path) as f:
         header = json.load(f)
-    model = UNet(depth=header["depth"], base_channels=header["base_channels"],
-                 in_channels=header["in_channels"])
-    numeric.load_params(weights_path, model.named_params())
+    dims = [header.get(k) for k in ("depth", "base_channels", "in_channels")]
+    # a depth needs 8 * depth + 6 tensors; the bound keeps the list of
+    # expected tensors no longer than the file's
+    if not numeric.positive_ints(dims, 3) or dims[0] > len(tensors):
+        raise InputError(f"header {header_path} {header} does not describe "
+                         f"the {len(tensors)} tensors of {weights_path}")
+    numeric.check_tensors(weights_path, tensors, _param_shapes(*dims))
+    model = UNet(*dims)
+    numeric.load_params(weights_path, tensors, model.named_params())
     return model
 
 
@@ -346,15 +364,15 @@ def sample_crops(scan_image: np.ndarray, mask: np.ndarray, n: int,
 
 @dataclass
 class SegTrainConfig:
-    learning_rate: float = 0.1
-    batch_size: int = 8
-    steps: int = 400
-    seed: int = 0
+    learning_rate: float
+    batch_size: int
+    steps: int
+    seed: int
 
 
 @dataclass
 class SegTrainLog:
-    losses: list = field(default_factory=list)
+    losses: list
     skipped_batches: int = 0
     augment_fallbacks: int = 0  # stage-1 crops used unaugmented
 
@@ -383,8 +401,7 @@ def _train_batches(model: UNet, batches, lr: float, log: SegTrainLog):
 
 
 def stage1_train(scan_images: list, masks: list, model: UNet,
-                 cfg: SegTrainConfig, crop: int = 64,
-                 crops_per_scan: int = 200):
+                 cfg: SegTrainConfig, crop: int, crops_per_scan: int):
     """Curriculum stage 1: masked BCE on augmented crops around labels."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57A6]))
     pool = []
@@ -396,7 +413,7 @@ def stage1_train(scan_images: list, masks: list, model: UNet,
             continue
     if not pool:
         raise SamplingError("no labeled scans to train on")
-    log = SegTrainLog()
+    log = SegTrainLog(losses=[])
 
     def batches():
         for _ in range(cfg.steps):
@@ -530,7 +547,7 @@ def stage2_finetune(model: UNet, scan_images: list, masks: list,
                     cfg: SegTrainConfig):
     """Curriculum stage 2: masked BCE on full scans with densified masks."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF17E]))
-    log = SegTrainLog()
+    log = SegTrainLog(losses=[])
 
     def batches():
         for _ in range(cfg.steps):

@@ -17,7 +17,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 from .dsp import AudioClip
 from .formats import read_pgm, write_json, write_pgm
 
@@ -42,16 +42,18 @@ TERRAIN_AUDIO_BANDS = {
 AUDIO_BAND_BOOST = 31.622776601683793  # +30 dB amplitude in-band
 SYNTH_BLOCK_SAMPLES = 1 << 19  # per synth_audio_blocks block: 4 MB arrays
 
-DEFAULT_REFLECTIVITY = {
+# radar reflectivity per terrain class, and the power factor beyond a
+# scatterer within its angular sector
+TERRAIN_REFLECTIVITY = {
     TerrainClass.GRASS: 1.0,
     TerrainClass.GRAVEL: 6.0,
     TerrainClass.ASPHALT: 3.0,
 }
+SHADOW_ATTENUATION = 0.15
 
 
 @dataclass
 class SimConfig:
-    seed: int = 0
     radar_profile: str = "short"
     grid_size: int = 256
     cell_size: float = 0.4
@@ -64,11 +66,8 @@ class SimConfig:
     speed: float = 1.0
     vo_dt: float = 0.1
     sample_rate: float = 44100.0
-    terrain_reflectivity: dict = field(
-        default_factory=lambda: dict(DEFAULT_REFLECTIVITY))
     speckle_on: bool = True
     scatterer_density: float = 2000.0  # count per km^2
-    shadow_attenuation: float = 0.15
 
     def __post_init__(self):
         if self.radar_profile not in RANGE_RESOLUTION:
@@ -197,10 +196,9 @@ def _side_path_vertices(rng: np.random.Generator, main: np.ndarray,
     return np.column_stack([xs, ys])
 
 
-def generate_world(seed: int, config: SimConfig | None = None) -> TerrainMap:
+def generate_world(seed: int, config: SimConfig) -> TerrainMap:
     """Grass world with two gravel paths: the main path, which the robot
     traverses, and a side path flagged untraversed."""
-    config = config or SimConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     extent = config.extent_m
     main = _main_path_vertices(rng, extent)
@@ -252,18 +250,15 @@ def _chord_resample(vertices: np.ndarray, step: float) -> np.ndarray:
     return np.array(pts)
 
 
-def plan_traverse(terrain_map: TerrainMap, seed: int,
-                  config: SimConfig | None = None) -> GroundTruth:
+def plan_traverse(terrain_map: TerrainMap, config: SimConfig) -> GroundTruth:
     """Drive the traversed path at fixed speed with one grass excursion.
 
     The excursion loops below the main path (the untraversed branch goes
     up), so the planned route never enters the untraversed path.
     """
-    config = config or SimConfig()
     traversed = [p for p in terrain_map.path_polylines if not p.untraversed]
     if not traversed:
         raise ConfigurationError("no traversable path in map")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7AE5]))
     main = traversed[0].vertices
     extent = terrain_map.extent_m
 
@@ -301,7 +296,6 @@ def plan_traverse(terrain_map: TerrainMap, seed: int,
             if np.any(on_branch & ~junction):
                 raise ConfigurationError(
                     "planned traverse enters untraversed path")
-    del rng
     return GroundTruth(timestamps=timestamps,
                        poses=np.column_stack([pts, yaw]),
                        terrain_at_pose=terrain)
@@ -362,15 +356,15 @@ def radar_bin_count(config: SimConfig) -> int:
 
 
 def synth_radar(terrain_map: TerrainMap, pose, config: SimConfig, seed: int,
-                scatterers: np.ndarray | None = None,
-                n_azimuths: int = 400, timestamp: float = 0.0):
+                scatterers: np.ndarray | None = None, timestamp: float = 0.0):
     """One polar scan at a pose: reflectivity x unit-mean exponential speckle.
 
-    Azimuth index a looks along world angle yaw + 2*pi*a/A. Scatterers
-    produce a bright return and attenuate all power beyond them within
-    their angular sector. Returns a canvas.PolarScan.
+    Azimuth index a looks along world angle yaw + 2*pi*a/A, with A =
+    canvas.N_AZIMUTHS. Scatterers produce a bright return and attenuate
+    all power beyond them within their angular sector by
+    SHADOW_ATTENUATION. Returns a canvas.PolarScan.
     """
-    from .canvas import PolarScan  # local import to avoid a cycle
+    from .canvas import N_AZIMUTHS, PolarScan  # local: avoids a cycle
 
     x0, y0, yaw = float(pose[0]), float(pose[1]), float(pose[2])
     if not terrain_map.contains(x0, y0):
@@ -379,7 +373,7 @@ def synth_radar(terrain_map: TerrainMap, pose, config: SimConfig, seed: int,
         scatterers = np.zeros((0, 2))
     res = config.range_resolution
     n_bins = radar_bin_count(config)
-    angles = yaw + 2.0 * np.pi * np.arange(n_azimuths) / n_azimuths
+    angles = yaw + 2.0 * np.pi * np.arange(N_AZIMUTHS) / N_AZIMUTHS
     ranges = (np.arange(n_bins) + 0.5) * res
     px = x0 + np.cos(angles)[:, None] * ranges[None, :]
     py = y0 + np.sin(angles)[:, None] * ranges[None, :]
@@ -387,7 +381,7 @@ def synth_radar(terrain_map: TerrainMap, pose, config: SimConfig, seed: int,
     # indices clipped onto the pad (terrain_at's grass off the grid)
     h, w = terrain_map.grid.shape
     values = np.zeros(len(TerrainClass))
-    for cls, value in config.terrain_reflectivity.items():
+    for cls, value in TERRAIN_REFLECTIVITY.items():
         values[int(cls)] = value
     raster = values[np.pad(terrain_map.grid, 1,
                            constant_values=int(TerrainClass.GRASS))]
@@ -412,7 +406,7 @@ def synth_radar(terrain_map: TerrainMap, pose, config: SimConfig, seed: int,
                 continue
             bin_idx = int(r / res)
             refl[hit, bin_idx] = 20.0  # bright scatterer return
-            refl[hit, bin_idx + 1:] *= config.shadow_attenuation
+            refl[hit, bin_idx + 1:] *= SHADOW_ATTENUATION
 
     if config.speckle_on:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4ADA]))
@@ -518,8 +512,14 @@ def save_world(terrain_map: TerrainMap, json_path, pgm_path):
 
 
 def load_world(json_path) -> TerrainMap:
+    """The world of a save_world file; InputError unless its cell_size is
+    a positive number."""
     with open(json_path) as f:
         meta = json.load(f)
+    cell_size = meta["cell_size"]
+    if type(cell_size) not in (int, float) or not 0 < cell_size < np.inf:
+        raise InputError(f"{json_path}: cell_size must be a positive "
+                         f"number, got {cell_size!r}")
     pgm = os.path.join(os.path.dirname(str(json_path)), meta["grid_pgm"])
     grid = read_pgm(pgm).astype(np.int8)
     polylines = [
@@ -527,7 +527,7 @@ def load_world(json_path) -> TerrainMap:
                      width=p["width"], untraversed=p["untraversed"])
         for p in meta["paths"]
     ]
-    return TerrainMap(grid=grid, cell_size=meta["cell_size"],
+    return TerrainMap(grid=grid, cell_size=cell_size,
                       path_polylines=polylines)
 
 

@@ -25,9 +25,9 @@ import numpy as np
 from scipy import ndimage
 from scipy.signal import fftconvolve
 
-from radroute.dsp import (FLOOR_DB, AudioClip, GammatoneFilterbank,
-                          StftConfig, frame_count, gammatone_weights,
-                          log_power, mel_filterbank, power_db, stft_windows)
+from radroute.dsp import (AudioClip, GammatoneFilterbank, StftConfig,
+                          frame_count, gammatone_weights, log_power,
+                          mel_filterbank, power_db, stft_windows)
 from radroute.errors import DegenerateBatchError, ShapeError
 from radroute.fusion import LabeledTrajectory
 from radroute.numeric import EPS_PROB, Layer
@@ -43,7 +43,6 @@ class TimeFrequencyImage:
     values: np.ndarray
     channel_freqs: np.ndarray
     axis_kind: str
-    floor_db: float = FLOOR_DB
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -71,22 +70,20 @@ def stft_freqs(cfg: StftConfig, sample_rate: float) -> np.ndarray:
     return np.fft.rfftfreq(cfg.fft_size, d=1.0 / sample_rate)
 
 
-def spectrogram(clip: AudioClip, cfg: StftConfig | None = None,
-                floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
+def spectrogram(clip: AudioClip,
+                cfg: StftConfig | None = None) -> TimeFrequencyImage:
     """Log-power spectrogram of the Hamming-windowed STFT, linear frequency axis."""
     cfg = cfg or StftConfig()
     x = stft(clip, cfg)
     return TimeFrequencyImage(
-        values=log_power(x, floor_db),
+        values=log_power(x),
         channel_freqs=stft_freqs(cfg, clip.sample_rate),
         axis_kind="linear",
-        floor_db=floor_db,
     )
 
 
 def mel_spectrogram(clip: AudioClip, cfg: StftConfig | None = None,
-                    n_channels: int = 64,
-                    floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
+                    n_channels: int = 64) -> TimeFrequencyImage:
     """Mel-warped power spectrogram in dB."""
     cfg = cfg or StftConfig()
     x = stft(clip, cfg)
@@ -95,16 +92,14 @@ def mel_spectrogram(clip: AudioClip, cfg: StftConfig | None = None,
         n_channels, power.shape[0], clip.sample_rate, cfg.fft_size)
     mel_power = weights @ power
     return TimeFrequencyImage(
-        values=power_db(mel_power, floor_db),
+        values=power_db(mel_power),
         channel_freqs=centers,
         axis_kind="mel",
-        floor_db=floor_db,
     )
 
 
 def gammatonegram_fast(clip: AudioClip, filterbank: GammatoneFilterbank,
-                       cfg: StftConfig | None = None,
-                       floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
+                       cfg: StftConfig | None = None) -> TimeFrequencyImage:
     """Gammatonegram approximated by weighting a linear power spectrogram.
 
     Per frame, (1/N) sum_k |X_k|^2 |G_k|^2 approximates the framed output
@@ -119,16 +114,14 @@ def gammatonegram_fast(clip: AudioClip, filterbank: GammatoneFilterbank,
     weights = gammatone_weights(filterbank, clip.sample_rate, cfg.fft_size)
     energy = (weights @ full) / cfg.fft_size
     return TimeFrequencyImage(
-        values=power_db(energy, floor_db),
+        values=power_db(energy),
         channel_freqs=filterbank.center_freqs,
         axis_kind="gammatone",
-        floor_db=floor_db,
     )
 
 
 def gammatonegram_direct(clip: AudioClip, filterbank: GammatoneFilterbank,
-                         frame_len: int = 441,
-                         floor_db: float = FLOOR_DB) -> TimeFrequencyImage:
+                         frame_len: int = 441) -> TimeFrequencyImage:
     """Gammatonegram by direct per-channel convolution and framed energy sums."""
     if frame_len < 1:
         raise ValueError("frame_len must be >= 1")
@@ -143,12 +136,11 @@ def gammatonegram_direct(clip: AudioClip, filterbank: GammatoneFilterbank,
         ir = filterbank.impulse_response(i, clip.sample_rate)
         y = fftconvolve(x, ir)[:n_used]
         energy = (y ** 2).reshape(n_frames, frame_len).sum(axis=1)
-        values[i] = power_db(energy, floor_db)
+        values[i] = power_db(energy)
     return TimeFrequencyImage(
         values=values,
         channel_freqs=filterbank.center_freqs,
         axis_kind="gammatone",
-        floor_db=floor_db,
     )
 
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import radroute
-from radroute import (audio, canvas, cli, formats, pipeline, segmentation,
-                      simworld)
-from radroute.errors import ConfigurationError
+from radroute import (audio, canvas, cli, dsp, formats, pipeline,
+                      segmentation, simworld)
+from radroute.errors import ConfigurationError, InputError
 
 
 class TestConfig:
@@ -269,10 +269,12 @@ def gate9_audio_run(tmp_path_factory):
 
 
 class TestAudioWindowCount:
-    def test_matches_dataset_train_audio_builds(self, gate9_audio_run):
+    def test_matches_dataset_train_audio_builds(self, gate9_audio_run,
+                                                monkeypatch):
         cfg, _, out = gate9_audio_run
+        monkeypatch.setattr(audio, "REPRESENTATIONS", ("gammatone",))
         datasets = audio.build_datasets(
-            pipeline._class_recordings(str(out)), ("gammatone",),
+            pipeline._class_recordings(str(out)),
             cfg=pipeline.stft_config(cfg))
         assert len(datasets["gammatone"]) == pipeline.audio_window_count(
             cfg) == 120
@@ -425,7 +427,7 @@ SMALL_TRAIN = {"simworld": {"grid_size": 64, "scatterer_density": 0.0},
 def write_train_fixture(out, cfg, n_masks):
     """A training world with two scans, a stage-1 model and n_masks
     all-unlabeled initial masks."""
-    sc = pipeline.sim_config(cfg)
+    sc = pipeline.sim_config(cfg, "short")
     seed = pipeline.derive_seed(cfg["seed"], pipeline.WORLD_TAGS["train"])
     world = simworld.generate_world(seed, sc)
     os.makedirs(out)
@@ -649,3 +651,135 @@ class TestThreads:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [
             cli.EXIT_MISSING_INPUT, ["3"]]
+
+
+# A child process with its address space capped: a loader that builds
+# layers from a bad header before checking it fails there with
+# MemoryError, instead of taking the memory of the host.
+CAPPED_CLI = textwrap.dedent("""
+    import resource, sys
+    cap = 512 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    from radroute.cli import main
+    sys.exit(main(sys.argv[1:]))
+""")
+
+
+def run_capped_cli(*argv):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(radroute.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestModelHeaders:
+    @pytest.mark.parametrize("change", [
+        {}, {"depth": 30}, {"depth": 2}, {"depth": "x"},
+        {"base_channels": 1 << 20}, {"in_channels": 0}],
+        ids=["valid", "depth-30", "depth-2", "depth-x", "huge-base",
+             "no-input"])
+    def test_unet_header_checked_before_any_layer(self, tmp_path, change):
+        out = tmp_path / "run"
+        os.makedirs(out / "scans")
+        segmentation.save_unet(out / "m.kowt", out / "m.json",
+                               segmentation.UNet(depth=1, base_channels=2))
+        header = json.loads((out / "m.json").read_text())
+        (out / "m.json").write_text(json.dumps({**header, **change}))
+        proc = run_capped_cli("--out", str(out), "segment", "--scans",
+                              "scans", "--model", "m")
+        if not change:
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+            return
+        assert proc.returncode == cli.EXIT_ERROR
+        assert "m.kowt" in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("input_shape, loads", [
+        ([1, 32, 50], True), ([1, 10 ** 6, 10 ** 6], False),
+        ([10 ** 8, 32, 50], False), ([1, 32], False), ([1, 32.0, 50], False),
+        (None, False)], ids=["valid", "huge-image", "huge-channels",
+                             "two-dims", "float", "missing"])
+    def test_audio_header_checked_before_any_layer(self, tmp_path,
+                                                   input_shape, loads):
+        out = tmp_path / "run"
+        os.makedirs(out)
+        for name in ("traverse_audio.wav", "poses_train.csv"):
+            (out / name).write_bytes(b"")
+        audio.save_model(out / "audio_model.kowt", out / "audio_model.json",
+                         audio.build_model((1, 32, 50)), "mel", (1, 32, 50),
+                         dsp.StftConfig())
+        header = json.loads((out / "audio_model.json").read_text())
+        header["input_shape"] = input_shape
+        (out / "audio_model.json").write_text(json.dumps(header))
+        proc = run_capped_cli("--out", str(out), "eval-audio")
+        assert proc.returncode == cli.EXIT_ERROR
+        if loads:  # the empty WAV is what fails
+            assert "traverse_audio.wav" in proc.stderr, proc.stderr
+        else:
+            assert "audio_model.kowt" in proc.stderr, proc.stderr
+
+
+PREDICTIONS_HEADER = "timestamp,class,p_grass,p_gravel,p_asphalt\n"
+GOOD_ROW = "0.250000,grass,0.900000,0.050000,0.050000\n"
+
+
+class TestPredictionsReader:
+    @pytest.mark.parametrize("rows, where", [
+        ([GOOD_ROW, "0.750000,gravel,0.1\n"], "row 3: 3 columns"),
+        (["0.250000,mud,0.9,0.05,0.05\n"], "row 2 column class"),
+        (["0.250000,grass,nan,0.05,0.05\n"], "row 2 column p_grass"),
+        (["0.250000,grass,0.9,inf,0.05\n"], "row 2 column p_gravel"),
+        (["0.250000,grass,0.9,0.05,x\n"], "row 2 column p_asphalt"),
+        ([GOOD_ROW, GOOD_ROW], "row 3 column timestamp"),
+        (["0.750000,grass,0.9,0.05,0.05\n", GOOD_ROW],
+         "row 3 column timestamp")],
+        ids=["truncated-row", "unknown-class", "nan", "inf", "not-a-number",
+             "repeated-time", "earlier-time"])
+    def test_bad_row_exits_1_naming_row_and_column(self, tmp_path, capsys,
+                                                   rows, where):
+        out = tmp_path / "run"
+        os.makedirs(out / "scans_train")
+        formats.write_csv(out / "fused.csv", "timestamp,x,y,yaw",
+                          np.array([[0.25, 1.0, 2.0, 0.0]]))
+        path = out / "predictions.csv"
+        path.write_text(PREDICTIONS_HEADER + "".join(rows))
+        with pytest.raises(InputError, match=where):
+            pipeline._read_predictions(str(path))
+        assert cli.main(["--out", str(out), "paint"]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{path} {where}" in err
+
+    def test_written_predictions_read_back(self, tmp_path):
+        preds = [audio.TerrainPrediction(
+            terrain=t, probabilities=np.eye(3)[t], timestamp=0.25 + 0.5 * t)
+            for t in range(3)]
+        audio.predictions_csv(tmp_path / "p.csv", preds)
+        back = pipeline._read_predictions(str(tmp_path / "p.csv"))
+        assert [(p.terrain, p.timestamp) for p in back] == [
+            (0, 0.25), (1, 0.75), (2, 1.25)]
+        np.testing.assert_array_equal([p.probabilities for p in back],
+                                      np.eye(3))
+
+
+class TestWorldReader:
+    @pytest.mark.parametrize("cell_size", [0, -0.4, None, "0.4"])
+    def test_bad_cell_size_exits_1(self, tmp_path, capsys, cell_size):
+        out = str(tmp_path / "run")
+        write_train_fixture(out, pipeline.resolve_config(SMALL_TRAIN), 2)
+        path = os.path.join(out, "world_train.json")
+        with open(path) as f:
+            meta = json.load(f)
+        meta["cell_size"] = cell_size
+        with open(path, "w") as f:
+            json.dump(meta, f)
+        with pytest.raises(InputError, match="cell_size"):
+            simworld.load_world(path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_TRAIN))
+        rc = cli.main(["--config", str(cfg_path), "--out", out, "propagate"])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{path}: cell_size must be a positive number" in err
+        assert not os.path.exists(os.path.join(out,
+                                               "propagation_report.json"))

@@ -9,6 +9,9 @@ from radroute.simworld import SimConfig, TerrainClass
 
 from oracles import load_labeled_trajectory_csv
 
+# the process noise of fuse's callers at the default VO noise levels
+Q = fusion.default_process_noise(0.01, 0.002)
+
 
 def fresh_state(mean=(0.0, 0.0, 0.0), cov=None, t=0.0):
     cov = np.eye(3) * 0.5 if cov is None else cov
@@ -95,10 +98,9 @@ class TestFuse:
         cfg = SimConfig(grid_size=64, vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
                         vo_yaw_drift=0.0, gps_sigma=1e-6)
         world = simworld.generate_world(0, cfg)
-        truth = simworld.plan_traverse(world, 0, cfg)
+        truth = simworld.plan_traverse(world, cfg)
         vo = simworld.synth_vo(truth, cfg, 0)
-        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0],
-                    q=np.zeros((3, 3)), init_covariance=np.zeros((3, 3)))
+        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0], q=np.zeros((3, 3)))
         np.testing.assert_allclose(traj[:, 1:3], truth.poses[1:, :2],
                                    atol=1e-9)
         dyaw = wrap_angle(traj[:, 3] - truth.poses[1:, 2])
@@ -109,7 +111,7 @@ class TestFuse:
         # the 60-degree drift scenario run in the acceptance suite)
         cfg = SimConfig(grid_size=64)
         world = simworld.generate_world(0, cfg)
-        truth = simworld.plan_traverse(world, 0, cfg)
+        truth = simworld.plan_traverse(world, cfg)
         wins = 0
         for seed in range(3):
             vo = simworld.synth_vo(truth, cfg, seed)
@@ -141,7 +143,7 @@ class TestFuse:
         cfg = SimConfig(grid_size=64, vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
                         vo_yaw_drift=0.0)
         vo = simworld.synth_vo(truth, cfg, 0)
-        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0])
+        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0], Q)
         assert np.all(traj[:, 3] > -np.pi) and np.all(traj[:, 3] <= np.pi)
         steps = wrap_angle(np.diff(traj[:, 3]))
         assert np.abs(steps).max() < np.pi / 8
@@ -149,19 +151,19 @@ class TestFuse:
     def test_unordered_streams_rejected(self):
         vo = np.array([[0.1, 0, 0, 0], [0.05, 0, 0, 0]])
         with pytest.raises(InputError):
-            fuse(vo, np.zeros((0, 4)), (0, 0, 0))
+            fuse(vo, np.zeros((0, 4)), (0, 0, 0), Q)
         vo_ok = np.array([[0.1, 0, 0, 0], [0.2, 0, 0, 0]])
         gps = np.array([[1.0, 0, 0, 1.0], [0.5, 0, 0, 1.0]])
         with pytest.raises(InputError):
-            fuse(vo_ok, gps, (0, 0, 0))
+            fuse(vo_ok, gps, (0, 0, 0), Q)
 
     def test_deterministic(self):
         cfg = SimConfig(grid_size=64)
         truth = straight_truth(30.0)
         vo = simworld.synth_vo(truth, cfg, 1)
         gps = simworld.synth_gps(truth, cfg, 1)
-        a = fuse(vo, gps, truth.poses[0])
-        b = fuse(vo, gps, truth.poses[0])
+        a = fuse(vo, gps, truth.poses[0], Q)
+        b = fuse(vo, gps, truth.poses[0], Q)
         assert np.array_equal(a, b)
 
 
@@ -204,10 +206,9 @@ class TestLabelTrajectory:
         cfg = SimConfig(grid_size=64, vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
                         vo_yaw_drift=0.0)
         world = simworld.generate_world(2, cfg)
-        truth = simworld.plan_traverse(world, 2, cfg)
+        truth = simworld.plan_traverse(world, cfg)
         vo = simworld.synth_vo(truth, cfg, 0)
-        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0],
-                    q=np.zeros((3, 3)), init_covariance=np.zeros((3, 3)))
+        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0], q=np.zeros((3, 3)))
         times = np.arange(0.25, truth.timestamps[-1], 0.5)
         preds = [Pred(t, terrain=int(world.terrain_at(
             np.interp(t, truth.timestamps, truth.poses[:, 0]),

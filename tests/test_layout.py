@@ -1,12 +1,22 @@
-"""Layout guards: no public `src/` code without a caller in `src/`, and
-no test-only dependency (scipy) in the package's import graph or in any
-stage of a run.
+"""Layout guards: no public `src/` code and no option without a caller in
+`src/`, and no test-only dependency (scipy) in the package's import graph
+or in any stage of a run.
 
 Every public module-level function or class of `radroute` must be named
 somewhere in `src/` outside its own definition: loaded by name in its own
 module, read as `module.name`, or imported with `from .module import name`.
 A mention in a docstring or comment does not count, and nothing is exempt:
 code that only tests call lives in `tests/oracles.py`.
+
+Every defaulted parameter of a function or method, and every defaulted
+dataclass field (`default_factory` included), must be set by some call in
+`src/`. Calls are matched by callee name (`f(...)`, `obj.f(...)`, a
+local alias `g = mod.f` then `g(...)`, and a class name for its
+`__init__` or its dataclass fields); a keyword, a positional argument
+that reaches the parameter, and any `*args` or `**kwargs` count as
+setting it. A field also counts as set when `src/` assigns to it as an
+attribute. A value only tests set is a constant, which tests reach by
+monkeypatch; nothing is exempt.
 """
 
 import ast
@@ -15,6 +25,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
+from typing import NamedTuple
 
 from test_acceptance import GATE9_CONFIG
 
@@ -53,6 +65,180 @@ def test_every_public_definition_has_a_caller_in_src():
             if not outside and (module, node.name) not in qualified:
                 uncalled.add(f"{module}.{node.name}")
     assert sorted(uncalled) == []
+
+
+class _Option(NamedTuple):
+    label: str       # module.Class.function(parameter) or module.Class.field
+    callees: tuple   # names a call setting it is made through
+    name: str        # the keyword that sets it
+    position: int | None  # index among a call's positional arguments
+    field: bool      # a dataclass field, also set by an attribute store
+
+
+def _decorator_names(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        yield target.attr if isinstance(target, ast.Attribute) else target.id
+
+
+def _function_options(label, node, callees, offset):
+    """Defaulted parameters of a def whose calls pass `offset` leading
+    positional parameters implicitly (self or cls)."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield _Option(f"{label}({arg.arg})", callees, arg.arg, i - offset,
+                      False)
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield _Option(f"{label}({arg.arg})", callees, arg.arg, None,
+                          False)
+
+
+def _class_options(label, node):
+    """Defaulted fields of a dataclass (plain and default_factory); a
+    construction passes fields positionally in declaration order."""
+    fields = [stmt for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and "ClassVar" not in ast.unparse(stmt.annotation)]
+    for i, stmt in enumerate(fields):
+        if stmt.value is not None:
+            yield _Option(f"{label}.{stmt.target.id}", (node.name,),
+                          stmt.target.id, i, True)
+
+
+def _options(trees):
+    """Every defaulted parameter of a function or method, and every
+    defaulted dataclass field, defined in the trees."""
+    options = []
+
+    def visit(node, label, cls=None):
+        for child in ast.iter_child_nodes(node):
+            name = f"{label}.{getattr(child, 'name', '')}"
+            if isinstance(child, ast.ClassDef):
+                if "dataclass" in _decorator_names(child):
+                    options.extend(_class_options(name, child))
+                visit(child, name, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callees = (child.name,)
+                if cls is not None and child.name == "__init__":
+                    callees += (cls.name,)
+                bound = (cls is not None
+                         and "staticmethod" not in _decorator_names(child))
+                options.extend(_function_options(name, child, callees,
+                                                 int(bound)))
+                visit(child, name)
+            else:
+                visit(child, label, cls)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return options
+
+
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _settings(trees):
+    """What the trees set: for each callee name, the (keywords, count of
+    positional arguments, star, double star) of every call made through
+    it, resolving a local alias such as `conv = numeric.Conv2d`; and the
+    attribute names that are assigned."""
+    aliases, calls, stores = {}, [], set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and _callee(node.value) is not None):
+                aliases[node.targets[0].id] = _callee(node.value)
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)):
+                stores.add(node.attr)
+    settings = {}
+    for call in calls:
+        name = _callee(call.func)
+        entry = ({k.arg for k in call.keywords if k.arg is not None},
+                 sum(not isinstance(a, ast.Starred) for a in call.args),
+                 any(isinstance(a, ast.Starred) for a in call.args),
+                 any(k.arg is None for k in call.keywords))
+        for callee in {name, aliases.get(name)} - {None}:
+            settings.setdefault(callee, []).append(entry)
+    return settings, stores
+
+
+def _is_set(option, settings, stores):
+    if option.field and option.name in stores:
+        return True
+    for callee in option.callees:
+        for keywords, n_positional, star, double_star in settings.get(
+                callee, ()):
+            if double_star or option.name in keywords:
+                return True
+            if option.position is not None and (
+                    star or 0 <= option.position < n_positional):
+                return True
+    return False
+
+
+def _unset(trees):
+    settings, stores = _settings(trees)
+    return sorted(option.label for option in _options(trees)
+                  if not _is_set(option, settings, stores))
+
+
+def test_every_default_is_set_by_a_call_in_src():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert _unset(trees) == []
+
+
+def test_default_guard_on_a_synthetic_module():
+    source = textwrap.dedent("""
+        from dataclasses import dataclass, field
+
+        @dataclass
+        class Config:
+            size: int
+            by_position: int = 1
+            unset_plain: int = 2
+            unset_factory: list = field(default_factory=list)
+            by_keyword: int = 3
+            by_store: int = 4
+
+        class Layer:
+            def __init__(self, width, by_class_call=0):
+                pass
+
+            def run(self, x, unset_param=None, *, by_kw=2):
+                pass
+
+        def helper(a, unset_param=0):
+            pass
+
+        def spread(a, by_star=1, by_double_star=2):
+            pass
+
+        def caller(cfg, options):
+            Config(5, 1, by_keyword=1)
+            cfg.by_store += 1
+            layer = Layer
+            obj = layer(4, 1)
+            obj.run(1, by_kw=3)
+            helper(1)
+            spread(*options)
+            spread(1, **options)
+        """)
+    assert _unset({"m": ast.parse(source)}) == [
+        "m.Config.unset_factory", "m.Config.unset_plain",
+        "m.Layer.run(unset_param)", "m.helper(unset_param)"]
 
 
 def _run_python(code, *args):

@@ -3,7 +3,7 @@ import pytest
 
 from radroute import formats, numeric, pipeline, segmentation
 from radroute.canvas import Label
-from radroute.errors import SamplingError, ShapeError
+from radroute.errors import InputError, SamplingError, ShapeError
 from radroute.segmentation import (CropSample, PropagationConfig,
                                    ResampleNeeded, SegTrainConfig, UNet,
                                    augment, propagate_labels, sample_crops,
@@ -142,6 +142,13 @@ class TestUNetForward:
         x = np.random.default_rng(1).normal(size=(1, 1, 32, 32))
         np.testing.assert_array_equal(back.forward(x), model.forward(x))
 
+    @pytest.mark.parametrize("dims", [(1, 2, 1), (3, 8, 1), (2, 3, 4)])
+    def test_header_shapes_are_the_built_model(self, dims):
+        # load_unet checks a file against these before building a layer
+        assert segmentation._param_shapes(*dims) == [
+            (name, p.shape) for name, p in
+            segmentation.UNet(*dims).named_params()]
+
     def test_loads_concat_layout_weights(self, tmp_path):
         # a model saved before the decoder entry folded the upsample: same
         # tensor names, shapes and order, and the same function
@@ -182,16 +189,16 @@ class TestUNetForward:
         def alter(named):
             named[0] = (named[0][0], named[0][1][:1])
             return named
-        with pytest.raises(ShapeError, match="layer0.p0"):
+        with pytest.raises(InputError, match="layer0.p0"):
             self._load_altered(tmp_path, alter)
 
     def test_load_rejects_missing_name(self, tmp_path):
-        with pytest.raises(ShapeError, match="missing.*layer0.p1"):
+        with pytest.raises(InputError, match="missing.*layer0.p1"):
             self._load_altered(tmp_path, lambda named: [
                 (n, p) for n, p in named if n != "layer0.p1"])
 
     def test_load_rejects_extra_name(self, tmp_path):
-        with pytest.raises(ShapeError, match="unexpected.*stray"):
+        with pytest.raises(InputError, match="unexpected.*stray"):
             self._load_altered(tmp_path, lambda named: named + [
                 ("stray", np.zeros(3))])
 
@@ -587,7 +594,8 @@ class TestStage1:
         model = tiny_model(zero_head=False)
         model, log = stage1_train(
             [image], [mask], model=model,
-            cfg=SegTrainConfig(steps=30, batch_size=4, learning_rate=0.2),
+            cfg=SegTrainConfig(learning_rate=0.2, batch_size=4, steps=30,
+                               seed=0),
             crop=32, crops_per_scan=40)
         assert len(log.losses) == 30
         assert np.mean(log.losses[-5:]) < np.mean(log.losses[:5])
@@ -598,7 +606,8 @@ class TestStage1:
         def run():
             model, _ = stage1_train(
                 [image], [mask], model=tiny_model(zero_head=False),
-                cfg=SegTrainConfig(steps=4, batch_size=2),
+                cfg=SegTrainConfig(learning_rate=0.1, batch_size=2, steps=4,
+                                   seed=0),
                 crop=32, crops_per_scan=10)
             return b"".join(p.tobytes() for p in model.params)
 
@@ -612,7 +621,8 @@ class TestStage1:
         image, mask = stripe_scene()
         _, log = stage1_train(
             [image], [mask], model=tiny_model(),
-            cfg=SegTrainConfig(steps=3, batch_size=2),
+            cfg=SegTrainConfig(learning_rate=0.1, batch_size=2, steps=3,
+                               seed=0),
             crop=32, crops_per_scan=10)
         assert log.augment_fallbacks == 6
         assert len(log.losses) == 3
@@ -622,7 +632,8 @@ class TestStage1:
         image, mask = stripe_scene()
         _, log = stage1_train(
             [image], [mask], model=tiny_model(),
-            cfg=SegTrainConfig(steps=2, batch_size=2),
+            cfg=SegTrainConfig(learning_rate=0.1, batch_size=2, steps=2,
+                               seed=0),
             crop=32, crops_per_scan=10)
         assert log.augment_fallbacks == 0
 
@@ -631,7 +642,9 @@ class TestStage1:
             stage1_train([np.zeros((64, 64))],
                          [np.full((64, 64), U, np.uint8)],
                          model=tiny_model(),
-                         cfg=SegTrainConfig(steps=1), crops_per_scan=5)
+                         cfg=SegTrainConfig(learning_rate=0.1, batch_size=8,
+                                            steps=1, seed=0),
+                         crop=64, crops_per_scan=5)
 
 
 @pytest.fixture(scope="module")
@@ -642,7 +655,8 @@ def stripe_model():
         mp.setattr(segmentation, "augment", rigid_augment)
         model, _ = stage1_train(
             [image], [mask], model=tiny_model(zero_head=False),
-            cfg=SegTrainConfig(steps=60, batch_size=4, learning_rate=0.2),
+            cfg=SegTrainConfig(learning_rate=0.2, batch_size=4, steps=60,
+                               seed=0),
             crop=32, crops_per_scan=60)
     return model
 
@@ -734,7 +748,8 @@ class TestStage2:
         def run():
             model, _ = stage2_finetune(
                 tiny_model(zero_head=False), [image], [mask],
-                cfg=SegTrainConfig(steps=3, learning_rate=0.05))
+                cfg=SegTrainConfig(learning_rate=0.05, batch_size=8, steps=3,
+                                   seed=0))
             return b"".join(p.tobytes() for p in model.params)
 
         assert run() == run()
@@ -750,8 +765,9 @@ class TestStage2:
 
         model = copy.deepcopy(stripe_model)
         model, _ = stage2_finetune(model, [image], [dense],
-                                   cfg=SegTrainConfig(steps=20,
-                                                      learning_rate=0.05))
+                                   cfg=SegTrainConfig(learning_rate=0.05,
+                                                      batch_size=8, steps=20,
+                                                      seed=0))
         after = segment(model, image)
 
         def iou(pred):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radroute import pipeline, simworld
+from radroute import canvas, pipeline, simworld
 from radroute.errors import ConfigurationError
 from radroute.simworld import (SimConfig, TerrainClass, generate_world,
                                plan_traverse, synth_audio, synth_gps,
@@ -123,7 +123,7 @@ class TestPlanTraverse:
     def test_poses_inside_map(self):
         cfg = small_config()
         world = generate_world(1, cfg)
-        truth = plan_traverse(world, 1, cfg)
+        truth = plan_traverse(world, cfg)
         x, y = truth.poses[:, 0], truth.poses[:, 1]
         assert np.all((x >= 0) & (x < world.extent_m))
         assert np.all((y >= 0) & (y < world.extent_m))
@@ -131,14 +131,14 @@ class TestPlanTraverse:
     def test_two_terrain_classes_present(self):
         cfg = small_config()
         world = generate_world(1, cfg)
-        truth = plan_traverse(world, 1, cfg)
+        truth = plan_traverse(world, cfg)
         classes = set(truth.terrain_at_pose.tolist())
         assert {int(TerrainClass.GRASS), int(TerrainClass.GRAVEL)} <= classes
 
     def test_constant_step_length(self):
         cfg = small_config()
         world = generate_world(2, cfg)
-        truth = plan_traverse(world, 2, cfg)
+        truth = plan_traverse(world, cfg)
         steps = np.linalg.norm(np.diff(truth.poses[:, :2], axis=0), axis=1)
         dt = np.diff(truth.timestamps)
         assert np.abs(steps - cfg.speed * dt).max() < 1e-9
@@ -146,7 +146,7 @@ class TestPlanTraverse:
     def test_avoids_untraversed_branch(self):
         cfg = small_config()
         world = generate_world(4, cfg)
-        truth = plan_traverse(world, 4, cfg)
+        truth = plan_traverse(world, cfg)
         branch = [p for p in world.path_polylines if p.untraversed][0]
         # distance from each pose to the branch, skipping the junction end
         far_vertex = branch.vertices[-1]
@@ -272,7 +272,7 @@ class TestSynthRadar:
         world.grid[:] = int(TerrainClass.GRASS)
         pose = (world.extent_m / 2, world.extent_m / 2, 0.0)
         scan = synth_radar(world, pose, cfg, 0)
-        grass = cfg.terrain_reflectivity[TerrainClass.GRASS]
+        grass = simworld.TERRAIN_REFLECTIVITY[TerrainClass.GRASS]
         vals = np.unique(scan.power)
         assert set(vals.tolist()) <= {0.0, grass}
         assert (scan.power == grass).mean() > 0.5
@@ -324,7 +324,7 @@ class TestSynthRadar:
         scatter_bin = int(5.0 / res)
         beyond = slice(scatter_bin + 1, None)
         assert np.all(shadowed.power[0, beyond]
-                      <= cfg.shadow_attenuation * plain.power[0, beyond]
+                      <= simworld.SHADOW_ATTENUATION * plain.power[0, beyond]
                       + 1e-12)
         assert shadowed.power[0, scatter_bin] > plain.power[0, scatter_bin]
 
@@ -335,9 +335,10 @@ class TestSynthRadar:
             synth_radar(world, (-1.0, 5.0, 0.0), cfg, 0)
 
 
-def reflectivity_oracle(world, pose, cfg, n_azimuths=400):
+def reflectivity_oracle(world, pose, cfg):
     """Per-class masks over terrain_at (grass off the grid), zero beyond
-    extent_m."""
+    extent_m, at canvas.N_AZIMUTHS azimuths."""
+    n_azimuths = canvas.N_AZIMUTHS
     ranges = (np.arange(simworld.radar_bin_count(cfg)) + 0.5) \
         * cfg.range_resolution
     angles = pose[2] + 2.0 * np.pi * np.arange(n_azimuths) / n_azimuths
@@ -345,7 +346,7 @@ def reflectivity_oracle(world, pose, cfg, n_azimuths=400):
     py = pose[1] + np.sin(angles)[:, None] * ranges[None, :]
     terrain = world.terrain_at(px, py)
     refl = np.zeros(terrain.shape)
-    for cls, value in cfg.terrain_reflectivity.items():
+    for cls, value in simworld.TERRAIN_REFLECTIVITY.items():
         refl[terrain == int(cls)] = value
     inside = ((px >= 0) & (px < world.extent_m)
               & (py >= 0) & (py < world.extent_m))
@@ -355,7 +356,9 @@ def reflectivity_oracle(world, pose, cfg, n_azimuths=400):
 
 class TestRadarReflectivityLookup:
     @pytest.mark.parametrize("cell_size", [0.4, 0.1, 0.37])
-    def test_matches_terrain_at_oracle_near_every_edge(self, cell_size):
+    def test_matches_terrain_at_oracle_near_every_edge(self, cell_size,
+                                                       monkeypatch):
+        monkeypatch.setattr(canvas, "N_AZIMUTHS", 90)
         cfg = small_config(cell_size=cell_size, speckle_on=False,
                            radar_profile="long")
         world = generate_world(2, cfg)
@@ -367,8 +370,8 @@ class TestRadarReflectivityLookup:
                  (0.05, 0.05, 0.3), (e - 0.2, e - 0.3, 4.0),
                  (e / 3, e / 4, 0.0)]
         for pose in poses:
-            got = synth_radar(world, pose, cfg, 0, n_azimuths=90).power
-            want = reflectivity_oracle(world, pose, cfg, n_azimuths=90)
+            got = synth_radar(world, pose, cfg, 0).power
+            want = reflectivity_oracle(world, pose, cfg)
             assert (want == 0).any()  # beams leave the grid
             assert np.array_equal(got, want), pose
 
@@ -386,7 +389,7 @@ class TestRadarReflectivityLookup:
         k = next(k for k, r in enumerate(ranges) if (x - r) + r == x)
         pose = (x - ranges[k], world.extent_m / 2, 0.0)  # azimuth 0 is +x
         power = synth_radar(world, pose, cfg, 0).power
-        assert power[0, k] == cfg.terrain_reflectivity[TerrainClass.GRASS]
+        assert power[0, k] == simworld.TERRAIN_REFLECTIVITY[TerrainClass.GRASS]
         assert np.array_equal(power, reflectivity_oracle(world, pose, cfg))
 
     def test_speckle_multiplies_the_same_reflectivity(self):
@@ -423,7 +426,7 @@ class TestVoGps:
         cfg = small_config(vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
                            vo_yaw_drift=0.0)
         world = generate_world(0, cfg)
-        truth = plan_traverse(world, 0, cfg)
+        truth = plan_traverse(world, cfg)
         vo = synth_vo(truth, cfg, 0)
         x, y, yaw = dead_reckon(vo, truth.poses[0])
         assert abs(x - truth.poses[-1, 0]) < 1e-9
@@ -516,7 +519,7 @@ class TestWorldIo:
     def test_poses_roundtrip(self, tmp_path):
         cfg = small_config()
         world = generate_world(6, cfg)
-        truth = plan_traverse(world, 6, cfg)
+        truth = plan_traverse(world, cfg)
         simworld.save_poses_csv(tmp_path / "poses.csv", truth)
         loaded = simworld.load_poses_csv(tmp_path / "poses.csv")
         np.testing.assert_allclose(loaded.timestamps, truth.timestamps,

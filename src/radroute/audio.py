@@ -111,13 +111,19 @@ def standardize(image: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AudioDataset:
-    images: np.ndarray  # (n, 1, channels, frames) float32
+    images: np.ndarray  # (n, channels, frames, 1) float32
     labels: np.ndarray  # (n,) TerrainClass ints
     representation: str
     skipped_short: int = 0
 
     def __len__(self):
         return len(self.labels)
+
+    @property
+    def input_shape(self):
+        """(1, channels, frames), as build_model and the header take it."""
+        _, h, w, c = self.images.shape
+        return c, h, w
 
 
 def slice_clip(clip: AudioClip):
@@ -173,15 +179,15 @@ def build_datasets(clips_by_terrain: dict, seed: int = 0,
 
 
 def _permuted(parts: list, order: np.ndarray) -> np.ndarray:
-    """np.concatenate(parts)[order, None], filled part by part and each
-    part dropped once placed, so no second copy is ever whole."""
+    """np.concatenate(parts)[order, ..., None], filled part by part and
+    each part dropped once placed, so no second copy is ever whole."""
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    out = np.empty((len(order), 1, *parts[0].shape[1:]), parts[0].dtype)
+    out = np.empty((len(order), *parts[0].shape[1:], 1), parts[0].dtype)
     start = 0
     while parts:
         part = parts.pop(0)
-        out[rank[start:start + len(part)], 0] = part
+        out[rank[start:start + len(part)], ..., 0] = part
         start += len(part)
     return out
 
@@ -217,7 +223,8 @@ def _layout(chans: int, h: int, w: int):
 
 def build_model(input_shape,
                 rng: np.random.Generator | None = None) -> numeric.Sequential:
-    """3x (conv 3x3 + maxpool 2x2 + relu) -> dense -> softmax.
+    """3x (conv 3x3 + maxpool 2x2 + relu) -> dense -> softmax over
+    (N, channels, frames, 1) images of input_shape (1, channels, frames).
 
     Pooling before ReLU gives the same values (up to the sign of a zero)
     and routes the same gradient, as max and ReLU commute, but runs ReLU on
@@ -251,7 +258,7 @@ def train_classifier(dataset: AudioDataset, indices: np.ndarray,
     if len(indices) == 0:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7EA1]))
-    model = build_model(dataset.images.shape[1:], rng=rng)
+    model = build_model(dataset.input_shape, rng=rng)
     log = TrainLog(epoch_loss=[], epoch_accuracy=[])
     n = len(indices)
     labels = dataset.labels[indices]
@@ -268,7 +275,7 @@ def train_classifier(dataset: AudioDataset, indices: np.ndarray,
             if not np.isfinite(loss):
                 raise NumericError("training diverged (non-finite loss)")
             model.zero_grad()
-            model.backward(grad, input_grad=False)
+            model.backward(grad)
             numeric.sgd_step(model.params, model.grads, cfg.learning_rate)
             losses.append(loss)
             correct += int((probs.argmax(axis=1) == labels[batch]).sum())
@@ -301,8 +308,8 @@ def classify_stream(model: numeric.Sequential, stream, representation: str,
                     cfg: StftConfig | None = None):
     """2 Hz predictions over consecutive 0.5 s windows of a long recording.
 
-    stream is an AudioClip or an open formats.WavReader; it is read and
-    featurised WINDOW_BLOCK windows at a time, and a trailing partial
+    stream is an open formats.WavReader; it is read and featurised
+    WINDOW_BLOCK windows at a time, and a trailing partial
     window is dropped. The network takes CLASSIFY_BATCH windows a pass
     whatever the block size, as a float32 dense layer's last bits depend
     on its batch size. Prediction i is stamped at the center of window i,
@@ -311,7 +318,7 @@ def classify_stream(model: numeric.Sequential, stream, representation: str,
     images = _stream_images(stream, representation, cfg)
     batches = iter(lambda: list(itertools.islice(images, CLASSIFY_BATCH)),
                    [])
-    probs = [_class_probabilities(model, np.stack(batch)[:, None])
+    probs = [_class_probabilities(model, np.stack(batch)[..., None])
              for batch in batches]
     if not probs:
         raise ValueError("stream shorter than one 0.5 s window")

@@ -27,7 +27,6 @@ class Label(IntEnum):
 LABEL_TO_GRAY = {Label.UNLABELED: 0, Label.NOT_PATH: 128, Label.PATH: 255}
 GRAY_TO_LABEL = {v: k for k, v in LABEL_TO_GRAY.items()}
 
-DEFAULT_FOOTPRINT_RADIUS_M = 0.33  # half a Husky's width
 N_AZIMUTHS = 400
 
 
@@ -153,7 +152,7 @@ def range_ignore_mask(image_size: int, metres_per_pixel: float,
 
 
 def paint_labels(scan: CartesianScan, labeled_trajectory,
-                 footprint_radius_m: float = DEFAULT_FOOTPRINT_RADIUS_M,
+                 footprint_radius_m: float,
                  use_negatives: bool = True) -> np.ndarray:
     """Paint trajectory terrain labels onto the scan as a label mask.
 

@@ -31,12 +31,6 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
-    def blocks(self, frames: int):
-        """The samples, `frames` at a time, as formats.WavReader.blocks
-        reads them from a file."""
-        for start in range(0, len(self.samples), frames):
-            yield self.samples[start:start + frames]
-
 
 @dataclass
 class StftConfig:

@@ -1,11 +1,14 @@
 """Small binary/text format helpers: PGM, PPM, WAV, CSV streams."""
 
 import json
+import math
 import os
 import re
 import wave
 
 import numpy as np
+
+from .errors import InputError
 
 WAV_CHUNK = 1 << 16  # samples quantized and written per write_wav step
 
@@ -163,10 +166,54 @@ def read_exact(f, n: int, what: str) -> bytes:
     return f.read(n)
 
 
-def write_csv(path, header: str, rows: np.ndarray):
-    np.savetxt(path, rows, delimiter=",", header=header, comments="",
-               fmt="%.9f")
+def write_csv(path, columns, rows: np.ndarray):
+    np.savetxt(path, rows, delimiter=",", header=",".join(columns),
+               comments="", fmt="%.9f")
 
 
-def read_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+def finite_number(text: str, where: str) -> float:
+    """text as a float, or InputError naming where unless it is a finite
+    number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise InputError(f"{where}: {text!r} is not a finite number")
+    return value
+
+
+def csv_rows(path, columns):
+    """(where, fields) of each data row of a CSV file whose header is
+    columns and whose first column is a timestamp; where names the file
+    and the row (the header is row 1). InputError names the file, the row
+    and the column of a wrong header, a row with another column count, a
+    timestamp that is not a finite number or not after the row before,
+    and a file with no data rows."""
+    header, last = ",".join(columns), None
+    # a byte that is not ASCII reads as U+FFFD, which no check accepts
+    with open(path, encoding="ascii", errors="replace") as f:
+        if f.readline().strip() != header:
+            raise InputError(f"{path} row 1: header is not {header!r}")
+        for row, line in enumerate(f, start=2):
+            fields, where = line.strip().split(","), f"{path} row {row}"
+            if len(fields) != len(columns):
+                raise InputError(f"{where}: {len(fields)} columns, "
+                                 f"expected {len(columns)}")
+            t = finite_number(fields[0], f"{where} column {columns[0]}")
+            if last is not None and t <= last:
+                raise InputError(f"{where} column {columns[0]}: {t} is not "
+                                 f"after {last}")
+            last = t
+            yield where, fields
+    if last is None:
+        raise InputError(f"{path}: no data rows")
+
+
+def read_csv(path, columns) -> np.ndarray:
+    """The (rows, columns) values of a write_csv file with these columns,
+    the first a timestamp: InputError as csv_rows, or naming the row and
+    column of a value that is not a finite number."""
+    return np.array([[finite_number(text, f"{where} column {name}")
+                      for name, text in zip(columns, fields)]
+                     for where, fields in csv_rows(path, columns)])

@@ -1,29 +1,32 @@
 """Minimal tensor/layer toolkit with explicit forward and backward passes.
 
-Layers operate on numpy arrays shaped (N, C, H, W) for spatial ops and
-(N, F) for dense ops. Parameters and their gradient accumulators are
-float64 master copies; every layer computes in the dtype of its input
-(float32 for training, float64 for gradient checks), casting its parameters to
-that dtype on use (mixed-precision training, Micikevicius et al. 2018).
+Spatial layers take and return channel-last numpy arrays, (N, H, W, C);
+dense layers take (N, F). Flatten alone permutes an activation: it turns
+(N, H, W, C) into features in (C, H, W) order, the order the audio CNN's
+Dense weights assume. Weights keep the (O, C, k, k) layout that `.kowt`
+files store. Parameters and their gradient accumulators are float64 master
+copies; every layer computes in the dtype of its input (float32 for
+training, float64 for gradient checks), casting its parameters to that
+dtype on use (mixed-precision training, Micikevicius et al. 2018).
 Every layer exposes forward(x), backward(grad), backward_params(grad) (the
 parameter gradients without dX), and `params` / `grads` lists of
 same-shaped arrays. No autodiff: gradients are hand-derived and
 verified against central differences by the tests.
 
-Conv2d keeps the (N, C, H, W) interface but computes channel-last, in one
-of two GEMM formulations chosen by its input channel count alone:
-- C > 1: k GEMMs over row views of one kernel-row panel of a padded
-  (N, H, W, C) array (Anderson et al. 2017), not the k*k-times-larger
-  im2col matrix; forward, dW and dX share it.
+Conv2d runs one of two GEMM formulations chosen by its input channel
+count alone:
+- C > 1: k GEMMs over row views of one kernel-row panel of the padded
+  input (Anderson et al. 2017), not the k*k-times-larger im2col matrix;
+  forward, dW and dX share it.
 - C == 1: plain im2col (Chellapilla et al. 2006), one GEMM against the
   (k*k, N*oh*ow) matrix of the k*k shifted input copies; dW is one GEMM
   against the same matrix. There the panel's GEMMs have K = k and its
-  copies k-element inner loops: at 16x1x221x50 (the audio CNN) im2col's
-  copies and GEMM take 1.8 ms against the panel's 3.7, and at 1x1x256x256
-  (the U-Net) 0.8 against 2.4. From C = 2 on the panel wins: 16x2x221x50
-  4.3 against 4.6 ms, 1x8x256x256 4.2 against 12.3 ms (forward, float32,
+  copies k-element inner loops: at 16x221x50x1 (the audio CNN) im2col's
+  copies and GEMM take 1.8 ms against the panel's 3.7, and at 1x256x256x1
+  (the U-Net) 0.8 against 2.4. From C = 2 on the panel wins: 16x221x50x2
+  4.3 against 4.6 ms, 1x256x256x8 4.2 against 12.3 ms (forward, float32,
   one BLAS thread, 2-vCPU x86 host).
-Both return transpose views of channel-last memory, and dX of both is the
+Both return C-contiguous (N, oh, ow, O) arrays, and dX of both is the
 kernel-row correlation. Inference runs the same layers' forward on float32
 input.
 
@@ -141,13 +144,13 @@ class Conv2d(Layer):
     """2-D stride-1 convolution (cross-correlation), square kernel, zero
     padding.
 
-    A one-channel input runs im2col (_taps), any other the kernel-row
-    panel (conv_nhwc); see the module docstring. forward keeps only the
-    padded NHWC input on both paths; backward rebuilds the panel or the
-    taps from it, since keeping them would hold k or k*k input copies.
+    forward takes (N, H, W, in_channels) and returns (N, oh, ow,
+    out_channels). A one-channel input runs im2col (_taps), any other the
+    kernel-row panel (conv_nhwc); see the module docstring. forward keeps
+    only the padded input on both paths; backward rebuilds the panel or
+    the taps from it, since keeping them would hold k or k*k input copies.
     backward_params computes dW and d_bias alone, for a network's first
-    layer, whose dX no step reads. The output is a transpose view of NHWC
-    memory on both paths, which ReLU and MaxPool2d preserve.
+    layer, whose dX no step reads.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -179,10 +182,10 @@ class Conv2d(Layer):
         self._xp = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(
-                f"conv2d expected (N,{self.in_channels},H,W), got {x.shape}")
-        self._xp = pad_nhwc(x.transpose(0, 2, 3, 1), self.padding)
+                f"conv2d expected (N,H,W,{self.in_channels}), got {x.shape}")
+        self._xp = pad_nhwc(x, self.padding)
         wmat = conv_matrix(self.weight).astype(x.dtype)
         if self.in_channels == 1:
             n, h, w, _ = self._xp.shape
@@ -191,13 +194,11 @@ class Conv2d(Layer):
         else:
             out = conv_nhwc(self._xp, wmat, self.k)
         _add_bias(out, self.bias.astype(x.dtype))
-        return out.transpose(0, 3, 1, 2)
+        return out
 
-    def _accumulate(self, grad: np.ndarray) -> np.ndarray:
-        """Add dW and d_bias; returns grad channel-last, (N, oh*ow, O)."""
-        n, _, oh, ow = grad.shape
-        g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(
-            n, oh * ow, self.out_channels)
+    def backward_params(self, grad: np.ndarray) -> None:
+        n, oh, ow, o = grad.shape
+        g = grad.reshape(n, oh * ow, o)
         if self.in_channels == 1:
             dw = _taps(self._xp, self.k) @ g.reshape(-1, g.shape[2])
             dw = dw.reshape(self.k, self.k, 1, -1)
@@ -205,17 +206,10 @@ class Conv2d(Layer):
             dw = _weight_grad(self._xp, g, self.k)
         self.d_weight += dw.transpose(3, 2, 0, 1)
         self.d_bias += _bias_grad(g)
-        return g
-
-    def backward_params(self, grad: np.ndarray) -> None:
-        self._accumulate(grad)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, _, oh, ow = grad.shape
-        g = self._accumulate(grad)
-        dx = _input_grad(g.reshape(n, oh, ow, -1),
-                         self.weight.astype(grad.dtype), self.padding)
-        return dx.transpose(0, 3, 1, 2)
+        self.backward_params(grad)
+        return _input_grad(grad, self.weight.astype(grad.dtype), self.padding)
 
 
 def _weight_grad(xp: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
@@ -291,8 +285,8 @@ class UpsampleConcatConv2d(Layer):
     on the coarse grid (upsampled_conv_nhwc). The fold is linear, so that
     half's dW is the parity kernels' dW folded back through the same taps,
     and d_coarse is the sum of the four transposed parity convolutions.
-    forward(skip, coarse) returns the output; backward(grad) returns
-    (d_skip, d_coarse). Outputs are transpose views of NHWC memory.
+    forward(skip (N, 2h, 2w, C_skip), coarse (N, h, w, C_up)) returns the
+    (N, 2h, 2w, O) output; backward(grad) returns (d_skip, d_coarse).
     """
 
     def __init__(self, skip_channels: int, up_channels: int,
@@ -310,58 +304,57 @@ class UpsampleConcatConv2d(Layer):
 
     def forward(self, skip: np.ndarray, coarse: np.ndarray) -> np.ndarray:
         cs, cu = self.skip_channels, self.up_channels
-        if skip.ndim != 4 or skip.shape[1] != cs:
-            raise ShapeError(f"decoder entry expected skip (N,{cs},2h,2w), "
+        if skip.ndim != 4 or skip.shape[3] != cs:
+            raise ShapeError(f"decoder entry expected skip (N,2h,2w,{cs}), "
                              f"got {skip.shape}")
-        n, _, h, w = skip.shape
-        if h % 2 or w % 2 or coarse.shape != (n, cu, h // 2, w // 2):
-            raise ShapeError(f"decoder entry expected coarse (N,{cu},h,w) "
+        n, h, w, _ = skip.shape
+        if h % 2 or w % 2 or coarse.shape != (n, h // 2, w // 2, cu):
+            raise ShapeError(f"decoder entry expected coarse (N,h,w,{cu}) "
                              f"for skip {skip.shape}, got {coarse.shape}")
-        self._skip = pad_nhwc(skip.transpose(0, 2, 3, 1), 1)
-        self._coarse = pad_nhwc(coarse.transpose(0, 2, 3, 1), 1)
+        self._skip = pad_nhwc(skip, 1)
+        self._coarse = pad_nhwc(coarse, 1)
         out = conv_nhwc(self._skip,
                         conv_matrix(self.weight[:, :cs]).astype(skip.dtype),
                         3)
         _add_bias(out, self.bias.astype(skip.dtype))
         upsampled_conv_nhwc(self._coarse, parity_kernels(
             self.weight[:, cs:]).astype(skip.dtype), out)
-        return out.transpose(0, 3, 1, 2)
+        return out
 
     def backward(self, grad: np.ndarray):
-        cs, o = self.skip_channels, self.out_channels
-        n, _, h, w = grad.shape
+        cs = self.skip_channels
+        n, h, w, o = grad.shape
         ch, cw = h // 2, w // 2
-        g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1))
-        self.d_bias += _bias_grad(g)
+        self.d_bias += _bias_grad(grad)
         self.d_weight[:, :cs] += _weight_grad(
-            self._skip, g.reshape(n, h * w, o), 3).transpose(3, 2, 0, 1)
+            self._skip, grad.reshape(n, h * w, o), 3).transpose(3, 2, 0, 1)
         kernels = parity_kernels(self.weight[:, cs:]).astype(grad.dtype)
         dk = np.empty(kernels.shape, dtype=grad.dtype)
         dzp = np.zeros(self._coarse.shape, dtype=grad.dtype)
         for a in (0, 1):
             for b in (0, 1):
-                gab = np.ascontiguousarray(g[:, a::2, b::2])
+                gab = grad[:, a::2, b::2]
                 window = self._coarse[:, a:a + ch + 1, b:b + cw + 1]
                 dk[a, b] = _weight_grad(window, gab.reshape(n, ch * cw, o), 2)
                 dzp[:, a:a + ch + 1, b:b + cw + 1] += _input_grad(
                     gab, kernels[a, b].transpose(3, 2, 0, 1), 0)
         self.d_weight[:, cs:] += (dk.reshape(16, -1).T @ _PARITY_FOLD).reshape(
             self.up_channels, o, 3, 3).transpose(1, 0, 2, 3)
-        d_skip = _input_grad(g, self.weight[:, :cs].astype(grad.dtype), 1)
-        return (d_skip.transpose(0, 3, 1, 2),
-                dzp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2))
+        d_skip = _input_grad(grad, self.weight[:, :cs].astype(grad.dtype), 1)
+        return d_skip, dzp[:, 1:-1, 1:-1]
 
 
 class MaxPool2d(Layer):
-    """Max pooling with kernel == stride; trailing rows/cols are dropped.
+    """Max pooling of (N, H, W, C) over H and W with kernel == stride;
+    trailing rows/cols are dropped.
 
-    Copies each of the k*k strided tap views x[:, :, u::k, v::k] once, in
-    the input's memory order, so that every later pass runs over dense
-    memory rather than C-element runs of channel-last input. The winning
-    tap is the one argmax would pick: the first maximum in row-major (u, v)
-    order, or the first NaN. Values move through integer bit masks rather
-    than data-dependent selects, so the output and dX keep every bit of the
-    chosen values (a signed zero keeps its sign).
+    Copies each of the k*k strided tap views x[:, u::k, v::k] once, so
+    that every later pass runs over dense memory rather than C-element
+    runs. The winning tap is the one argmax would pick: the first maximum
+    in row-major (u, v) order, or the first NaN. Values move through
+    integer bit masks rather than data-dependent selects, so the output
+    and dX keep every bit of the chosen values (a signed zero keeps its
+    sign).
     """
 
     def __init__(self, kernel_size: int = 2):
@@ -371,15 +364,16 @@ class MaxPool2d(Layer):
 
     def _taps(self, x: np.ndarray):
         k = self.k
-        oh, ow = x.shape[2] // k, x.shape[3] // k
-        return [x[:, :, u:oh * k:k, v:ow * k:k]
+        oh, ow = x.shape[1] // k, x.shape[2] // k
+        return [x[:, u:oh * k:k, v:ow * k:k]
                 for u in range(k) for v in range(k)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         k = self.k
-        if x.shape[2] // k < 1 or x.shape[3] // k < 1:
-            raise ShapeError(f"input {x.shape} too small for pool k={k}")
-        taps = [tap.copy(order="K") for tap in self._taps(x)]
+        if x.ndim != 4 or x.shape[1] // k < 1 or x.shape[2] // k < 1:
+            raise ShapeError(f"input {x.shape} is not (N, H, W, C) with H "
+                             f"and W at least the pool size {k}")
+        taps = [tap.copy() for tap in self._taps(x)]
         last = len(taps) - 1
         out = taps[last]
         bits = out.view(f"i{out.itemsize}")
@@ -396,8 +390,8 @@ class MaxPool2d(Layer):
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        (n, c, h, w), idx = self._cache
-        dx = np.zeros((n, h, w, c), dtype=grad.dtype).transpose(0, 3, 1, 2)
+        shape, idx = self._cache
+        dx = np.zeros(shape, dtype=grad.dtype)
         g = grad.view(f"i{grad.itemsize}")
         for i, tap in enumerate(self._taps(dx)):
             tap.view(g.dtype)[...] = g & -(idx == i).astype(g.dtype)
@@ -405,10 +399,11 @@ class MaxPool2d(Layer):
 
 
 class ReLU(Layer):
-    """max(x, 0) in one pass; backward passes the gradient where the
-    output is positive, i.e. where x > 0 (not at a NaN), and +0 elsewhere
-    whatever the gradient's sign, as MaxPool2d.backward writes a tap it
-    does not route to."""
+    """max(x, 0) of an array of any shape, (N, H, W, C) in the networks, in
+    one pass; backward passes the gradient where the output is positive,
+    i.e. where x > 0 (not at a NaN), and +0 elsewhere whatever the
+    gradient's sign, as MaxPool2d.backward writes a tap it does not route
+    to."""
 
     def __init__(self):
         super().__init__()
@@ -425,7 +420,8 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
-    """Logistic function from exp(-|x|), which cannot overflow."""
+    """Logistic function of an array of any shape, (N, H, W, 1) in the
+    U-Net, from exp(-|x|), which cannot overflow."""
 
     def __init__(self):
         super().__init__()
@@ -471,16 +467,23 @@ class Dense(Layer):
 
 
 class Flatten(Layer):
+    """(N, H, W, C) -> (N, C*H*W) features in (C, H, W) order, the order
+    the audio CNN's Dense weights (and so its `.kowt` files) assume: the
+    one layer that permutes an activation."""
+
     def __init__(self):
         super().__init__()
         self._shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 4:
+            raise ShapeError(f"flatten expected (N,H,W,C), got {x.shape}")
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad.reshape(self._shape)
+        n, h, w, c = self._shape
+        return grad.reshape(n, c, h, w).transpose(0, 2, 3, 1)
 
 
 class Softmax(Layer):
@@ -519,16 +522,13 @@ class Sequential(Layer):
             x = layer.forward(x)
         return x
 
-    def backward(self, grad: np.ndarray, input_grad: bool = True):
-        """dX of the input, or None with input_grad=False, which leaves
-        out the first layer's dX (a training step reads none)."""
+    def backward(self, grad: np.ndarray) -> None:
+        """Accumulate every layer's parameter gradients. The first layer's
+        dX, which no training step reads, is not computed."""
         first, *rest = self.layers
         for layer in reversed(rest):
             grad = layer.backward(grad)
-        if input_grad:
-            return first.backward(grad)
         first.backward_params(grad)
-        return None
 
     def zero_grad(self):
         for layer in self.layers:

@@ -62,7 +62,7 @@ DEFAULT_CONFIG = {
     "canvas": {
         "image_size": 256,
         "metres_per_pixel": 0.4,
-        "footprint_radius_m": 0.33,
+        "footprint_radius_m": 0.33,  # half a Husky's width
         "use_negatives": True,
     },
     "segmentation": {
@@ -214,6 +214,11 @@ def _ensure_dir(path):
 
 WORLD_TAGS = {"train": 11, "eval_short": 12, "eval_long": 13}
 
+# The columns of the sensor and fused-pose CSV files, as written and read.
+VO_COLUMNS = ("timestamp", "dx", "dy", "dyaw")
+GPS_COLUMNS = ("timestamp", "x", "y", "sigma")
+FUSED_COLUMNS = ("timestamp", "x", "y", "yaw")
+
 
 def write_resolved_config(cfg: dict, out: str):
     """Record the fully-resolved settings next to the outputs.
@@ -256,9 +261,8 @@ def run_simulate(cfg: dict, out: str):
     simworld.save_poses_csv(os.path.join(out, "poses_train.csv"), truth)
     vo = simworld.synth_vo(truth, sc, derive_seed(seed, 22))
     gps = simworld.synth_gps(truth, sc, derive_seed(seed, 23))
-    formats.write_csv(os.path.join(out, "vo.csv"), "timestamp,dx,dy,dyaw", vo)
-    formats.write_csv(os.path.join(out, "gps.csv"), "timestamp,x,y,sigma",
-                      gps)
+    formats.write_csv(os.path.join(out, "vo.csv"), VO_COLUMNS, vo)
+    formats.write_csv(os.path.join(out, "gps.csv"), GPS_COLUMNS, gps)
 
     # radar scans along the traverse
     scan_dir = _ensure_dir(os.path.join(out, "scans_train"))
@@ -370,7 +374,7 @@ def run_train_audio(cfg: dict, out: str):
             accuracies[rep].append(acc)
             if rep == acfg["representation"] and trial == 0:
                 final_model = model
-                final_shape = dataset.images.shape[1:]
+                final_shape = dataset.input_shape
     rows = [(f"Trial {i + 1}",
              [100.0 * accuracies[rep][i] for rep in audio.REPRESENTATIONS])
             for i in range(acfg["trials"])]
@@ -432,16 +436,15 @@ def run_eval_audio(cfg: dict, out: str):
 
 
 def run_fuse(cfg: dict, out: str):
-    vo = formats.read_csv(os.path.join(out, "vo.csv"))
-    gps = formats.read_csv(os.path.join(out, "gps.csv"))
+    vo = formats.read_csv(os.path.join(out, "vo.csv"), VO_COLUMNS)
+    gps = formats.read_csv(os.path.join(out, "gps.csv"), GPS_COLUMNS)
     truth = simworld.load_poses_csv(os.path.join(out, "poses_train.csv"))
     sw = cfg["simworld"]
     q = fusion.default_process_noise(sw["vo_trans_sigma"],
                                      sw["vo_yaw_sigma"])
     fused = fusion.fuse(vo, gps, truth.poses[0], q=q,
                         yaw_drift_rate=np.deg2rad(sw["vo_yaw_drift_deg_s"]))
-    formats.write_csv(os.path.join(out, "fused.csv"), "timestamp,x,y,yaw",
-                      fused)
+    formats.write_csv(os.path.join(out, "fused.csv"), FUSED_COLUMNS, fused)
     return fused
 
 
@@ -471,7 +474,7 @@ def _read_scans(cfg: dict, out: str, subdir: str) -> list:
 def run_paint(cfg: dict, out: str):
     """Label the fused trajectory and paint per-scan supervision masks."""
     ccfg = cfg["canvas"]
-    fused = formats.read_csv(os.path.join(out, "fused.csv"))
+    fused = formats.read_csv(os.path.join(out, "fused.csv"), FUSED_COLUMNS)
     predictions = _read_predictions(os.path.join(out, "predictions.csv"))
     scans = _read_scans(cfg, out, "scans_train")
     lt = fusion.label_trajectory(fused, predictions)
@@ -492,37 +495,21 @@ def run_paint(cfg: dict, out: str):
 
 def _read_predictions(path):
     """The predictions of an audio.predictions_csv file. InputError names
-    the file, the row (the header is row 1) and the column of a row with
-    the wrong column count, an unknown class, a value that is not a
-    finite number, or a timestamp not after the row before."""
+    the file, the row (the header is row 1) and the column of a wrong
+    header or column count, an unknown class, a value that is not a
+    finite number, or a timestamp not after the row before
+    (formats.csv_rows)."""
     columns, preds = audio.PREDICTION_COLUMNS, []
-    with open(path) as f:
-        f.readline()  # the header
-        for row, line in enumerate(f, start=2):
-            fields, where = line.strip().split(","), f"{path} row {row}"
-            if len(fields) != len(columns):
-                raise InputError(f"{where}: {len(fields)} columns, "
-                                 f"expected {len(columns)}")
-            values = dict(zip(columns, fields))
-            terrain = simworld.TERRAIN_BY_NAME.get(values.pop("class"))
-            if terrain is None:
-                raise InputError(f"{where} column class: unknown terrain "
-                                 f"class {fields[1]!r}")
-            for column, text in values.items():
-                try:
-                    values[column] = float(text)
-                except ValueError:
-                    values[column] = math.nan
-                if not math.isfinite(values[column]):
-                    raise InputError(f"{where} column {column}: {text!r} "
-                                     f"is not a finite number")
-            t = values.pop("timestamp")
-            if preds and t <= preds[-1].timestamp:
-                raise InputError(f"{where} column timestamp: {t} is not "
-                                 f"after {preds[-1].timestamp}")
-            preds.append(audio.TerrainPrediction(
-                terrain=int(terrain), timestamp=t,
-                probabilities=np.array(list(values.values()))))
+    for where, fields in formats.csv_rows(path, columns):
+        terrain = simworld.TERRAIN_BY_NAME.get(fields[1])
+        if terrain is None:
+            raise InputError(f"{where} column class: unknown terrain "
+                             f"class {fields[1]!r}")
+        t, *probs = [formats.finite_number(text, f"{where} column {name}")
+                     for name, text in zip(columns, fields)
+                     if name != "class"]
+        preds.append(audio.TerrainPrediction(
+            terrain=int(terrain), timestamp=t, probabilities=np.array(probs)))
     return preds
 
 

@@ -39,9 +39,10 @@ def _stage_channels(depth: int, base_channels: int,
 class UNet:
     """Encoder/decoder with skip connections and a 1-channel sigmoid head.
 
-    depth D downsampling stages, base_channels C doubling per stage. The
-    head conv is zero-initialized, so an untrained model outputs
-    probability 0.5 everywhere.
+    depth D downsampling stages, base_channels C doubling per stage. It
+    maps (N, H, W, in_channels) images to (N, H, W, 1) outputs. The head
+    conv is zero-initialized, so an untrained model outputs probability
+    0.5 everywhere.
     """
 
     def __init__(self, depth: int = 3, base_channels: int = 8,
@@ -90,14 +91,12 @@ class UNet:
         """Sigmoid path probabilities, computed in the dtype of x."""
         return self.sigmoid.forward(self.logits(x))
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return self.backward_logits(self.sigmoid.backward(grad))
-
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Pre-sigmoid head output, computed in the dtype of x."""
-        if x.ndim != 4:
-            raise ShapeError("U-Net input must be (N, C, H, W)")
-        if x.shape[2] % (2 ** self.depth) or x.shape[3] % (2 ** self.depth):
+        if x.ndim != 4 or x.shape[3] != self.in_channels:
+            raise ShapeError(f"U-Net input must be (N, H, W, "
+                             f"{self.in_channels}), got {x.shape}")
+        if x.shape[1] % (2 ** self.depth) or x.shape[2] % (2 ** self.depth):
             raise ShapeError(
                 f"spatial size must be divisible by {2 ** self.depth}")
         skips = []
@@ -114,9 +113,10 @@ class UNet:
                 x = layer.forward(x)
         return self.head.forward(x)
 
-    def backward_logits(self, grad: np.ndarray, input_grad: bool = True):
-        """dX of the input, or None with input_grad=False, which leaves
-        out the first conv's dX (a training step reads none)."""
+    def backward_logits(self, grad: np.ndarray) -> None:
+        """Accumulate the parameter gradients of the logits for their
+        gradient grad. The first conv's dX, which no training step reads,
+        is not computed."""
         first = self.enc[0][0]
         grad = self.head.backward(grad)
         skip_grads = []
@@ -132,11 +132,10 @@ class UNet:
                                        reversed(skip_grads)):
             grad = pool.backward(grad) + g_skip
             for layer in reversed(block):
-                if layer is first and not input_grad:
+                if layer is first:
                     first.backward_params(grad)
-                    return None
-                grad = layer.backward(grad)
-        return grad
+                else:
+                    grad = layer.backward(grad)
 
     def named_params(self):
         return numeric.named_params(self._blocks())
@@ -395,7 +394,7 @@ def _train_batches(model: UNet, batches, lr: float, log: SegTrainLog):
         if not np.isfinite(loss):
             raise NumericError("training diverged (non-finite loss)")
         model.zero_grad()
-        model.backward_logits(grad, input_grad=False)
+        model.backward_logits(grad)
         numeric.sgd_step(model.params, model.grads, lr)
         log.losses.append(loss)
 
@@ -433,8 +432,8 @@ def stage1_train(scan_images: list, masks: list, model: UNet,
                 ims.append(sample.image)
                 labs.append(labeled)
                 tgts.append(target)
-            yield (np.stack(ims)[:, None], np.stack(labs)[:, None],
-                   np.stack(tgts)[:, None])
+            yield (np.stack(ims)[..., None], np.stack(labs)[..., None],
+                   np.stack(tgts)[..., None])
 
     _train_batches(model, batches(), cfg.learning_rate, log)
     return model, log
@@ -442,11 +441,11 @@ def stage1_train(scan_images: list, masks: list, model: UNet,
 
 @dataclass
 class PropagationConfig:
-    tile_size: int = 64
-    n_rotations: int = 5
-    vote_threshold: float = 0.6
-    probability_threshold: float = 0.5
-    seed: int = 0
+    tile_size: int
+    n_rotations: int
+    vote_threshold: float
+    probability_threshold: float
+    seed: int
 
     def __post_init__(self):
         if self.n_rotations < 1:
@@ -471,7 +470,8 @@ def _tiled_inference(model: UNet, image: np.ndarray,
         for c in range(0, padded.shape[1], tile):
             tiles.append(padded[r:r + tile, c:c + tile])
             positions.append((r, c))
-    probs = model.forward(np.stack(tiles)[:, None].astype(np.float32))[:, 0]
+    probs = model.forward(
+        np.stack(tiles)[..., None].astype(np.float32))[..., 0]
     out = np.zeros(padded.shape, dtype=np.float32)
     for (r, c), p in zip(positions, probs):
         out[r:r + tile, c:c + tile] = p
@@ -553,8 +553,8 @@ def stage2_finetune(model: UNet, scan_images: list, masks: list,
         for _ in range(cfg.steps):
             k = int(rng.integers(len(scan_images)))
             labeled, target = _mask_to_target(masks[k])
-            yield (scan_images[k][None, None], labeled[None, None],
-                   target[None, None])
+            yield (scan_images[k][None, ..., None], labeled[None, ..., None],
+                   target[None, ..., None])
 
     _train_batches(model, batches(), cfg.learning_rate, log)
     return model, log
@@ -562,5 +562,5 @@ def stage2_finetune(model: UNet, scan_images: list, masks: list,
 
 def segment(model: UNet, scan_image: np.ndarray) -> np.ndarray:
     """Binary path mask of a full scan: float32 probability above 0.5."""
-    probs = model.forward(scan_image[None, None].astype(np.float32))[0, 0]
-    return (probs > 0.5).astype(np.uint8)
+    probs = model.forward(scan_image[None, ..., None].astype(np.float32))
+    return (probs[0, ..., 0] > 0.5).astype(np.uint8)

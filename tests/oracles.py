@@ -9,7 +9,8 @@ tests call, nor the imports that only this code needs (`scipy.signal`,
   `gammatonegram_fast`, `gammatonegram_direct`), the oracles of the batched
   feature path in `audio`;
 - `gradcheck` with the loss it checks the U-Net through
-  (`masked_binary_cross_entropy`) and `Upsample2x`, which with channel
+  (`masked_binary_cross_entropy`), the adapter it checks the U-Net
+  through (`UNetPath`), and `Upsample2x`, which with channel
   concatenation and `Conv2d` is the oracle of `UpsampleConcatConv2d`;
 - `ndimage_rotate`, `ndimage_map_coordinates`,
   `ndimage_displacement_field` and `textbook_warp_coords`, the oracles of
@@ -148,14 +149,40 @@ def gammatonegram_direct(clip: AudioClip, filterbank: GammatoneFilterbank,
 
 
 class Upsample2x(Layer):
-    """Nearest-neighbour 2x spatial upsampling."""
+    """Nearest-neighbour 2x spatial upsampling of (N, H, W, C)."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x.repeat(2, axis=2).repeat(2, axis=3)
+        return x.repeat(2, axis=1).repeat(2, axis=2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, c, h, w = grad.shape
-        return grad.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+        n, h, w, c = grad.shape
+        return grad.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4))
+
+
+class UNetPath:
+    """A U-Net's probabilities, or with logits=True its logits, as a layer
+    for gradcheck. backward only accumulates the parameter gradients, as
+    UNet.backward_logits does, so check it with check_input=False; every
+    layer's dX is checked on its own."""
+
+    def __init__(self, model, logits: bool = False):
+        self.model = model
+        self.logits = logits
+        self.params = model.params
+        self.grads = model.grads
+
+    def zero_grad(self):
+        self.model.zero_grad()
+
+    def forward(self, x):
+        if self.logits:
+            return self.model.logits(x)
+        return self.model.forward(x)
+
+    def backward(self, grad):
+        if not self.logits:
+            grad = self.model.sigmoid.backward(grad)
+        self.model.backward_logits(grad)
 
 
 def masked_binary_cross_entropy(pred: np.ndarray, target: np.ndarray,

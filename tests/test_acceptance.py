@@ -19,9 +19,9 @@ from radroute import (canvas, dsp, evaluate, formats, fusion, numeric,
 from radroute.dsp import AudioClip, GammatoneFilterbank, StftConfig
 from radroute.simworld import SimConfig, TerrainClass
 
-from oracles import (Upsample2x, gammatonegram_direct, gammatonegram_fast,
-                     gradcheck, masked_binary_cross_entropy, mel_spectrogram,
-                     stft)
+from oracles import (UNetPath, Upsample2x, gammatonegram_direct,
+                     gammatonegram_fast, gradcheck,
+                     masked_binary_cross_entropy, mel_spectrogram, stft)
 
 
 def report(capsys, num, name, ok, detail=""):
@@ -138,15 +138,15 @@ def test_gate_03_gradient_checks(capsys):
     for seed in range(20):
         rng = np.random.default_rng(seed)
         cases = [
-            (numeric.Conv2d(2, 3, 3, padding=1, rng=rng), (2, 2, 6, 6)),
-            (numeric.Conv2d(1, 2, 3, padding=0, rng=rng), (1, 1, 7, 7)),
-            (numeric.MaxPool2d(2), (2, 2, 6, 6)),
-            (numeric.ReLU(), (2, 3, 4, 4)),
-            (numeric.Sigmoid(), (2, 3, 4, 4)),
+            (numeric.Conv2d(2, 3, 3, padding=1, rng=rng), (2, 6, 6, 2)),
+            (numeric.Conv2d(1, 2, 3, padding=0, rng=rng), (1, 7, 7, 1)),
+            (numeric.MaxPool2d(2), (2, 6, 6, 2)),
+            (numeric.ReLU(), (2, 4, 4, 3)),
+            (numeric.Sigmoid(), (2, 4, 4, 3)),
             (numeric.Dense(6, 4, rng=rng), (3, 6)),
-            (numeric.Flatten(), (2, 3, 4, 4)),
+            (numeric.Flatten(), (2, 4, 4, 3)),
             (numeric.Softmax(), (3, 5)),
-            (Upsample2x(), (1, 2, 3, 3)),
+            (Upsample2x(), (1, 3, 3, 2)),
         ]
         for layer, shape in cases:
             x = rng.normal(size=shape)
@@ -154,14 +154,15 @@ def test_gate_03_gradient_checks(capsys):
             worst = max(worst, err)
 
         model = segmentation.UNet(depth=2, base_channels=4, seed=seed)
-        x = rng.normal(size=(1, 1, 16, 16))
-        target = (rng.random((1, 1, 16, 16)) < 0.5).astype(float)
-        labeled = rng.random((1, 1, 16, 16)) < 0.7
+        x = rng.normal(size=(1, 16, 16, 1))
+        target = (rng.random((1, 16, 16, 1)) < 0.5).astype(float)
+        labeled = rng.random((1, 16, 16, 1)) < 0.7
 
         def loss_fn(probs):
             return masked_binary_cross_entropy(probs, target, labeled)
 
-        err = gradcheck(model, x, loss_fn, eps=1e-6, rng=rng,
+        # the network's parameters; every layer's dX is checked above
+        err = gradcheck(UNetPath(model), x, loss_fn, eps=1e-6, rng=rng,
                         check_input=False)
         worst = max(worst, err)
 

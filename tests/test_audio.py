@@ -8,7 +8,7 @@ from radroute.audio import (AudioDataset, TrainConfig, build_datasets,
                             build_model, classify_stream, extract_features,
                             slice_clip, train_classifier)
 from radroute.dsp import AudioClip, GammatoneFilterbank, StftConfig
-from radroute.errors import NumericError
+from radroute.errors import NumericError, ShapeError
 from radroute.simworld import TerrainClass, synth_audio
 from test_numeric import cached_arrays
 
@@ -18,6 +18,17 @@ from oracles import gammatonegram_fast, mel_spectrogram, spectrogram
 def clips(terrain, n, seed0=0, duration=0.5):
     return [synth_audio(terrain, duration, 44100.0, seed0 + i)
             for i in range(n)]
+
+
+class ClipStream:
+    """An AudioClip read as classify_stream reads a formats.WavReader."""
+
+    def __init__(self, clip):
+        self.samples, self.sample_rate = clip.samples, clip.sample_rate
+
+    def blocks(self, frames):
+        for start in range(0, len(self.samples), frames):
+            yield self.samples[start:start + frames]
 
 
 def two_class_dataset(n=3, representation="spectrogram"):
@@ -50,7 +61,8 @@ class TestBuildDataset:
     def test_shapes_and_balance(self):
         ds = two_class_dataset(n=3)
         assert len(ds) == 6
-        assert ds.images.shape == (6, 1, 221, 50)
+        assert ds.images.shape == (6, 221, 50, 1)
+        assert ds.input_shape == (1, 221, 50)
         counts = np.bincount(ds.labels)
         assert counts[int(TerrainClass.GRASS)] == 3
         assert counts[int(TerrainClass.GRAVEL)] == 3
@@ -249,13 +261,14 @@ class TestFloat32:
     def test_float32_pass_stays_float32(self):
         rng = np.random.default_rng(3)
         model = build_model((1, 32, 50), rng=rng)
-        x = rng.normal(size=(4, 1, 32, 50)).astype(np.float32)
+        x = rng.normal(size=(4, 32, 50, 1)).astype(np.float32)
         probs = model.forward(x)
         _, grad = numeric.cross_entropy(probs, audio.one_hot(
             np.array([0, 1, 2, 0])))
         assert probs.dtype == np.float32 and grad.dtype == np.float32
-        dx = model.backward(grad)
-        assert dx.dtype == np.float32
+        for layer in reversed(model.layers):
+            grad = layer.backward(grad)
+            assert grad.dtype == np.float32
         convs = [layer for layer in model.layers
                  if isinstance(layer, numeric.Conv2d)]
         # the first conv runs im2col, the others the kernel-row panel
@@ -268,7 +281,7 @@ class TestFloat32:
     def test_matches_float64_pass(self):
         rng = np.random.default_rng(4)
         model = build_model((1, 32, 50), rng=rng)
-        x = rng.normal(size=(4, 1, 32, 50))
+        x = rng.normal(size=(4, 32, 50, 1))
         p64 = model.forward(x)
         p32 = model.forward(x.astype(np.float32))
         assert np.abs(p32 - p64).max() < 1e-5
@@ -286,20 +299,20 @@ def model():
 class TestPredictAndStream:
     def test_probabilities_sum_to_one(self, model):
         clip = clips(TerrainClass.GRASS, 1)[0]
-        [pred] = classify_stream(model, clip, "spectrogram")
+        [pred] = classify_stream(model, ClipStream(clip), "spectrogram")
         assert abs(pred.probabilities.sum() - 1.0) < 1e-9
         assert pred.terrain == int(np.argmax(pred.probabilities))
 
     def test_gain_invariant_class(self, model):
         clip = clips(TerrainClass.GRAVEL, 1)[0]
         half = AudioClip(clip.samples * 0.5, clip.sample_rate)
-        [a] = classify_stream(model, clip, "spectrogram")
-        [b] = classify_stream(model, half, "spectrogram")
+        [a] = classify_stream(model, ClipStream(clip), "spectrogram")
+        [b] = classify_stream(model, ClipStream(half), "spectrogram")
         assert a.terrain == b.terrain
 
     def test_stream_rate_and_timestamps(self, model):
         stream = synth_audio(TerrainClass.GRASS, 10.0, 44100.0, 0)
-        preds = classify_stream(model, stream, "spectrogram")
+        preds = classify_stream(model, ClipStream(stream), "spectrogram")
         assert len(preds) == 20
         times = [p.timestamp for p in preds]
         np.testing.assert_allclose(times, (np.arange(20) + 0.5) * 0.5,
@@ -307,8 +320,17 @@ class TestPredictAndStream:
 
     def test_stream_too_short(self, model):
         with pytest.raises(ValueError):
-            classify_stream(model, AudioClip(np.zeros(100), 44100.0),
+            classify_stream(model,
+                            ClipStream(AudioClip(np.zeros(100), 44100.0)),
                             "spectrogram")
+
+    def test_channel_first_rejected(self, model):
+        clip = clips(TerrainClass.GRASS, 1)[0]
+        images = audio.window_features(clip.samples[None], clip.sample_rate,
+                                       ("spectrogram",))["spectrogram"]
+        model.forward(images[..., None])
+        with pytest.raises(ShapeError):
+            model.forward(images[:, None])
 
 
 class StubModel:
@@ -327,7 +349,7 @@ class StubModel:
 class TestEvaluate:
     def dataset(self, labels):
         labels = np.asarray(labels)
-        return AudioDataset(images=np.zeros((len(labels), 1, 4, 4)),
+        return AudioDataset(images=np.zeros((len(labels), 4, 4, 1)),
                             labels=labels, representation="mel")
 
     def test_all_correct(self):
@@ -365,8 +387,8 @@ class TestModelIo:
             ds, np.arange(len(ds)),
             TrainConfig(learning_rate=0.02, batch_size=16, epochs=1, seed=0))
         audio.save_model(tmp_path / "m.kowt", tmp_path / "m.json", model,
-                         "spectrogram", ds.images.shape[1:], StftConfig())
-        fresh = audio.load_model(tmp_path / "m.kowt", ds.images.shape[1:])
+                         "spectrogram", ds.input_shape, StftConfig())
+        fresh = audio.load_model(tmp_path / "m.kowt", ds.input_shape)
         x = ds.images[:2]
         np.testing.assert_array_equal(fresh.forward(x), model.forward(x))
         import json
@@ -398,7 +420,7 @@ class TestModelIo:
         numeric.save_weights(tmp_path / "old.kowt",
                              numeric.named_params(old.layers))
         fresh = audio.load_model(tmp_path / "old.kowt", shape)
-        x = np.random.default_rng(8).normal(size=(4,) + shape).astype(
+        x = np.random.default_rng(8).normal(size=(4, 221, 50, 1)).astype(
             np.float32)
         np.testing.assert_array_equal(fresh.forward(x), old.forward(x))
 

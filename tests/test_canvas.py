@@ -152,7 +152,8 @@ class TestPaintLabels:
     def test_far_entry_ignored(self):
         scan = cart()
         mask = paint_labels(scan, traj([(1000.0, 0.0)],
-                                       [int(TerrainClass.GRAVEL)]))
+                                       [int(TerrainClass.GRAVEL)]),
+                            footprint_radius_m=0.33)
         assert not mask.any()
 
     def test_disc_matches_bruteforce_exactly(self):
@@ -211,7 +212,8 @@ class TestPaintLabels:
         np.testing.assert_array_equal(a, b)
 
     def test_empty_trajectory_empty_mask(self):
-        mask = paint_labels(cart(), traj(np.zeros((0, 2)), []))
+        mask = paint_labels(cart(), traj(np.zeros((0, 2)), []),
+                            footprint_radius_m=0.33)
         assert mask.shape == (64, 64) and not mask.any()
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -740,7 +741,7 @@ class TestPredictionsReader:
                                                    rows, where):
         out = tmp_path / "run"
         os.makedirs(out / "scans_train")
-        formats.write_csv(out / "fused.csv", "timestamp,x,y,yaw",
+        formats.write_csv(out / "fused.csv", pipeline.FUSED_COLUMNS,
                           np.array([[0.25, 1.0, 2.0, 0.0]]))
         path = out / "predictions.csv"
         path.write_text(PREDICTIONS_HEADER + "".join(rows))
@@ -760,6 +761,80 @@ class TestPredictionsReader:
             (0, 0.25), (1, 0.75), (2, 1.25)]
         np.testing.assert_array_equal([p.probabilities for p in back],
                                       np.eye(3))
+
+
+@pytest.fixture(scope="module")
+def gate9_fused_run(gate9_audio_run, tmp_path_factory):
+    """A copy of gate9_audio_run's tree after eval-audio and fuse."""
+    _, cfg_path, audio_out = gate9_audio_run
+    out = tmp_path_factory.mktemp("fused") / "run"
+    shutil.copytree(audio_out, out)
+    for stage in ("eval-audio", "fuse"):
+        assert cli.main(["--config", str(cfg_path), "--out", str(out),
+                         stage]) == cli.EXIT_OK
+    return cfg_path, out
+
+
+def _damaged(lines, how):
+    """The lines of a CSV file (header first) damaged as how names."""
+    lines = list(lines)
+    if how == "nan":
+        fields = lines[2].split(",")
+        fields[1] = "nan"
+        lines[2] = ",".join(fields)
+    elif how == "short-row":
+        lines[3] = lines[3].rsplit(",", 1)[0]
+    elif how == "header-only":
+        del lines[1:]
+    elif how == "wrong-header":
+        lines[0] = lines[0].replace("timestamp", "time")
+    elif how == "unsorted":
+        lines[2], lines[3] = lines[3], lines[2]
+    return lines
+
+
+class TestSensorCsvReader:
+    # what follows the file's path in the error
+    CASES = {"nan": " row 3 column {}: 'nan' is not a finite number",
+             "short-row": " row 4: 3 columns, expected 4",
+             "header-only": ": no data rows",
+             "wrong-header": " row 1: header is not",
+             "unsorted": " row 4 column timestamp"}
+
+    @pytest.mark.parametrize("name, columns, stage, written", [
+        ("vo.csv", pipeline.VO_COLUMNS, "fuse", "fused.csv"),
+        ("gps.csv", pipeline.GPS_COLUMNS, "fuse", "fused.csv"),
+        ("fused.csv", pipeline.FUSED_COLUMNS, "paint",
+         "labeled_trajectory.csv")])
+    @pytest.mark.parametrize("how", sorted(CASES))
+    def test_damaged_file_exits_1_naming_row(self, gate9_fused_run,
+                                             tmp_path, capsys, name,
+                                             columns, stage, written, how):
+        cfg_path, fused_out = gate9_fused_run
+        out = tmp_path / "run"
+        os.makedirs(out)
+        for rel in pipeline.STAGES[stage].inputs():
+            copy = shutil.copytree if rel == "scans_train" else shutil.copy
+            copy(fused_out / rel, out / rel)
+        path = out / name
+        path.write_text("\n".join(_damaged(
+            path.read_text().splitlines(), how)) + "\n")
+        where = self.CASES[how].format(columns[1])
+        with pytest.raises(InputError, match=re.escape(where)):
+            formats.read_csv(path, columns)
+        rc = cli.main(["--config", str(cfg_path), "--out", str(out), stage])
+        assert rc == cli.EXIT_ERROR
+        assert f"{path}{where}" in capsys.readouterr().err
+        assert not (out / written).exists()
+
+    def test_written_files_read_back(self, gate9_fused_run):
+        _, out = gate9_fused_run
+        for name, columns in (("vo.csv", pipeline.VO_COLUMNS),
+                              ("gps.csv", pipeline.GPS_COLUMNS),
+                              ("fused.csv", pipeline.FUSED_COLUMNS)):
+            rows = formats.read_csv(out / name, columns)
+            np.testing.assert_array_equal(rows, np.loadtxt(
+                out / name, delimiter=",", skiprows=1, ndmin=2))
 
 
 class TestWorldReader:

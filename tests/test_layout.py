@@ -1,6 +1,6 @@
 """Layout guards: no public `src/` code and no option without a caller in
-`src/`, and no test-only dependency (scipy) in the package's import graph
-or in any stage of a run.
+`src/`, one activation layout, and no test-only dependency (scipy) in the
+package's import graph or in any stage of a run.
 
 Every public module-level function or class of `radroute` must be named
 somewhere in `src/` outside its own definition: loaded by name in its own
@@ -17,6 +17,12 @@ that reaches the parameter, and any `*args` or `**kwargs` count as
 setting it. A field also counts as set when `src/` assigns to it as an
 attribute. A value only tests set is a constant, which tests reach by
 monkeypatch; nothing is exempt.
+
+Layers exchange channel-last (N, H, W, C) arrays, so no `src/` code
+permutes between that and channel-first (N, C, H, W): a `transpose` by
+(0, 3, 1, 2) or (0, 2, 3, 1) appears only in `numeric.Flatten`, which
+orders the audio CNN's features channel-first. Transposes of the
+(O, C, k, k) weights are other permutations and stay allowed.
 """
 
 import ast
@@ -239,6 +245,61 @@ def test_default_guard_on_a_synthetic_module():
     assert _unset({"m": ast.parse(source)}) == [
         "m.Config.unset_factory", "m.Config.unset_plain",
         "m.Layer.run(unset_param)", "m.helper(unset_param)"]
+
+
+# channel-last to channel-first, and back
+ACTIVATION_PERMUTATIONS = ((0, 3, 1, 2), (0, 2, 3, 1))
+
+
+def _activation_transposes(trees):
+    """module.Class.function:line of every call of a `transpose` method or
+    function by one of ACTIVATION_PERMUTATIONS, given as arguments or as
+    one tuple or list."""
+    found = []
+
+    def visit(node, label):
+        for child in ast.iter_child_nodes(node):
+            name = label
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{label}.{child.name}"
+            elif (isinstance(child, ast.Call) and _callee(child.func)
+                    == "transpose" and child.args):
+                axes = child.args
+                if isinstance(axes[-1], (ast.Tuple, ast.List)):
+                    axes = axes[-1].elts
+                if tuple(getattr(a, "value", None)
+                         for a in axes) in ACTIVATION_PERMUTATIONS:
+                    found.append(f"{name}:{child.lineno}")
+            visit(child, name)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return found
+
+
+def test_only_flatten_permutes_activations():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert [site for site in _activation_transposes(trees)
+            if not site.startswith("numeric.Flatten.")] == []
+
+
+def test_permutation_guard_on_a_synthetic_module():
+    source = textwrap.dedent("""
+        import numpy as np
+
+        class Flatten:
+            def forward(self, x):
+                return x.transpose(0, 3, 1, 2).reshape(len(x), -1)
+
+        def layer(x, w):
+            a = x.transpose(0, 2, 3, 1)
+            b = np.transpose(x, (0, 3, 1, 2))
+            c = x.transpose([0, 2, 3, 1])
+            return w.transpose(2, 3, 1, 0), x.transpose(0, 1, 3, 2)
+        """)
+    assert _activation_transposes({"m": ast.parse(source)}) == [
+        "m.Flatten.forward:6", "m.layer:9", "m.layer:10", "m.layer:11"]
 
 
 def _run_python(code, *args):

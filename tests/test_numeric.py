@@ -7,6 +7,16 @@ from radroute.errors import (DegenerateBatchError, NumericError, ShapeError)
 from oracles import Upsample2x, gradcheck, masked_binary_cross_entropy
 
 
+def nhwc(x):
+    """A channel-first (N, C, H, W) array as the layers take it."""
+    return x.transpose(0, 2, 3, 1)
+
+
+def nchw(x):
+    """A layer's (N, H, W, C) array as the channel-first oracles take it."""
+    return x.transpose(0, 3, 1, 2)
+
+
 def conv_oracle(x, weight, bias, padding=0):
     """Naive quadruple-loop convolution (cross-correlation) oracle."""
     n, c, h, w = x.shape
@@ -49,7 +59,7 @@ class TestConv2d:
         conv = numeric.Conv2d(3, 3, 1)
         conv.weight[...] = np.eye(3)[:, :, None, None]
         conv.bias[...] = 0.0
-        x = np.random.default_rng(0).normal(size=(2, 3, 5, 5))
+        x = np.random.default_rng(0).normal(size=(2, 5, 5, 3))
         np.testing.assert_array_equal(conv.forward(x), x)
 
     def test_matches_bruteforce(self):
@@ -57,12 +67,17 @@ class TestConv2d:
         conv = numeric.Conv2d(2, 3, 3, padding=1, rng=rng)
         x = rng.normal(size=(2, 2, 4, 4))
         want = conv_oracle(x, conv.weight, conv.bias, padding=1)
-        assert np.abs(conv.forward(x) - want).max() < 1e-12
+        assert np.abs(nchw(conv.forward(nhwc(x))) - want).max() < 1e-12
 
     def test_shape_mismatch(self):
         conv = numeric.Conv2d(2, 3, 3)
         with pytest.raises(ShapeError):
-            conv.forward(np.zeros((1, 5, 8, 8)))
+            conv.forward(np.zeros((1, 8, 8, 5)))
+
+    def test_channel_first_rejected(self):
+        for c in (1, 2):
+            with pytest.raises(ShapeError, match=f"H,W,{c}"):
+                numeric.Conv2d(c, 3, 3).forward(np.zeros((1, c, 8, 8)))
 
 
 def conv_backward_oracle(x, weight, grad, padding=0):
@@ -116,12 +131,12 @@ class Conv2dOracleCases:
     @pytest.mark.parametrize("k,p", CONV_CONFIGS)
     def test_forward_and_backward_match_loops(self, k, p):
         conv, x, rng = random_conv(k, p, 10 * k + 3 * p + 1, self.C)
-        out = conv.forward(x)
+        out = nchw(conv.forward(nhwc(x)))
         want = conv_oracle(x, conv.weight, conv.bias, padding=p)
         assert out.shape == want.shape
         assert np.abs(out - want).max() <= 1e-12
         grad = rng.normal(size=out.shape)
-        dx = conv.backward(grad)
+        dx = nchw(conv.backward(nhwc(grad)))
         dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, p)
         assert dx.shape == x.shape
         assert np.abs(conv.d_weight - dw).max() <= 1e-12
@@ -134,8 +149,8 @@ class Conv2dOracleCases:
         want = conv_oracle(x, conv.weight, conv.bias, padding=p)
         grad = rng.normal(size=want.shape)
         dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, p)
-        out = conv.forward(x.astype(np.float32))
-        dx = conv.backward(grad.astype(np.float32))
+        out = nchw(conv.forward(nhwc(x).astype(np.float32)))
+        dx = nchw(conv.backward(nhwc(grad).astype(np.float32)))
         assert out.dtype == dx.dtype == np.float32
         assert all(a.dtype == np.float32 for a in cached_arrays(conv))
         for got, ref in ((out, want), (dx, dx_want), (conv.d_weight, dw),
@@ -145,12 +160,12 @@ class Conv2dOracleCases:
     @pytest.mark.parametrize("k,p", CONV_CONFIGS)
     def test_gradient_layout_does_not_matter(self, k, p):
         conv, x, rng = random_conv(k, p, 5, self.C)
-        n, o, oh, ow = conv.forward(x).shape
-        view = rng.normal(size=(n, oh, ow, o)).transpose(0, 3, 1, 2)
+        g = rng.normal(size=conv.forward(nhwc(x)).shape)
         results = []
-        for grad in (np.ascontiguousarray(view), view):
+        # channel-last memory, and the same values in channel-first memory
+        for grad in (g, nhwc(np.ascontiguousarray(nchw(g)))):
             conv.zero_grad()
-            conv.forward(x)
+            conv.forward(nhwc(x))
             dx = conv.backward(grad)
             results.append((conv.d_weight.copy(), conv.d_bias.copy(), dx))
         for a, b in zip(*results):
@@ -169,16 +184,16 @@ class TestConv2dOracle(Conv2dOracleCases):
         rng = np.random.default_rng(8)
         conv = numeric.Conv2d(4, 5, 3, padding=1, rng=rng)
         conv.bias[...] = rng.normal(size=5)
-        x = rng.normal(size=(2, 4, 8, 8))
+        x = rng.normal(size=(2, 8, 8, 4))
         want = conv.forward(x)
-        # the channel-last float32 call sequence inside Conv2d.forward
-        xt = x.transpose(0, 2, 3, 1).astype(np.float32)
+        # the float32 call sequence inside Conv2d.forward
         wmat = np.ascontiguousarray(numeric.conv_matrix(conv.weight),
                                     np.float32)
-        got = numeric.conv_nhwc(numeric.pad_nhwc(xt, 1), wmat, 3)
+        got = numeric.conv_nhwc(numeric.pad_nhwc(x.astype(np.float32), 1),
+                                wmat, 3)
         got += conv.bias.astype(np.float32)
         assert got.dtype == np.float32
-        assert np.abs(got.transpose(0, 3, 1, 2) - want).max() <= 1e-5
+        assert np.abs(got - want).max() <= 1e-5
 
 
 class TestConv2dOracleOneChannel(Conv2dOracleCases):
@@ -188,15 +203,16 @@ class TestConv2dOracleOneChannel(Conv2dOracleCases):
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_output_strides_match_kernel_row_path(self, dtype):
-        # both paths hand the next layer the same channel-last memory, so
-        # that ReLU's backward and the U-Net's skip add see one layout
+        # both paths hand the next layer C-contiguous (N, H, W, C) memory,
+        # so that ReLU's backward and the U-Net's skip add see one layout
         rng = np.random.default_rng(11)
         out = numeric.Conv2d(1, 4, 3, padding=1, rng=rng).forward(
-            np.zeros((2, 1, 8, 7), dtype))
+            np.zeros((2, 8, 7, 1), dtype))
         panel = numeric.Conv2d(2, 4, 3, padding=1, rng=rng).forward(
-            np.zeros((2, 2, 8, 7), dtype))
+            np.zeros((2, 8, 7, 2), dtype))
+        assert out.shape == panel.shape == (2, 8, 7, 4)
         assert out.strides == panel.strides
-        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert out.flags.c_contiguous
 
 
 # (kernel, padding, batch, channels): every kernel size of the kernel-row
@@ -213,12 +229,12 @@ class TestKernelRowPanel:
         conv = numeric.Conv2d(c, 3, k, padding=p, rng=rng)
         conv.bias[...] = rng.normal(size=3)
         x = rng.normal(size=(n, c, 7, 6))
-        out = conv.forward(x)
+        out = nchw(conv.forward(nhwc(x)))
         want = conv_oracle(x, conv.weight, conv.bias, padding=p)
         assert out.shape == want.shape
         assert np.abs(out - want).max() <= 1e-12
         grad = rng.normal(size=out.shape)
-        dx = conv.backward(grad)
+        dx = nchw(conv.backward(nhwc(grad)))
         dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, p)
         assert np.abs(conv.d_weight - dw).max() <= 1e-12
         assert np.abs(conv.d_bias - db).max() <= 1e-12
@@ -226,14 +242,14 @@ class TestKernelRowPanel:
         assert np.abs(dx - dx_want).max() <= 1e-12
         # the float32 training path of the same layer
         conv.zero_grad()
-        out32 = conv.forward(x.astype(np.float32))
-        dx32 = conv.backward(grad.astype(np.float32))
+        out32 = nchw(conv.forward(nhwc(x).astype(np.float32)))
+        dx32 = nchw(conv.backward(nhwc(grad).astype(np.float32)))
         assert out32.dtype == dx32.dtype == np.float32
         for got, ref in ((out32, want), (dx32, dx_want),
                          (conv.d_weight, dw), (conv.d_bias, db)):
             assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("shape", [(1, 1, 256, 256), (16, 1, 64, 64)])
+    @pytest.mark.parametrize("shape", [(1, 256, 256, 1), (16, 64, 64, 1)])
     def test_inference_matches_float64_unet(self, shape):
         # a full scan, and a batch of propagation tiles
         rng = np.random.default_rng(shape[0])
@@ -248,9 +264,9 @@ class TestKernelRowPanel:
         x = rng.normal(size=shape)
         want = model.forward(x)
         # the same inputs as one image of tiles, as propagation segments
-        n, _, t, _ = shape
+        n, t = shape[:2]
         side = int(np.sqrt(n))
-        image = x[:, 0].reshape(side, side, t, t).transpose(0, 2, 1, 3)
+        image = x[..., 0].reshape(side, side, t, t).transpose(0, 2, 1, 3)
         got = segmentation._tiled_inference(
             model, image.reshape(side * t, side * t), t)
         got = got.reshape(side, t, side, t).transpose(0, 2, 1, 3)
@@ -264,8 +280,7 @@ class TestKernelRowPanel:
         x = rng.integers(0, 4, size=(3, 8, 6, 5)).astype(np.float32)
         x[1, 3, 2, 4] = np.nan
         want = x.reshape(3, 4, 2, 3, 2, 5).max(axis=(2, 4))
-        got = numeric.MaxPool2d(2).forward(x.transpose(0, 3, 1, 2))
-        got = np.ascontiguousarray(got.transpose(0, 2, 3, 1))
+        got = numeric.MaxPool2d(2).forward(x)
         assert np.isnan(got[1, 1, 1, 4])
         np.testing.assert_array_equal(got.view(np.int32),
                                       want.view(np.int32))
@@ -274,13 +289,18 @@ class TestKernelRowPanel:
 class TestSimpleLayers:
     def test_maxpool_spot(self):
         pool = numeric.MaxPool2d(2)
-        out = pool.forward(np.array([[1.0, 2.0], [3.0, 4.0]])[None, None])
+        out = pool.forward(
+            np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None])
         assert out.reshape(-1).tolist() == [4.0]
 
     def test_maxpool_drops_trailing(self):
         pool = numeric.MaxPool2d(2)
-        x = np.arange(25, dtype=float).reshape(1, 1, 5, 5)
-        assert pool.forward(x).shape == (1, 1, 2, 2)
+        x = np.arange(50, dtype=float).reshape(1, 5, 5, 2)
+        assert pool.forward(x).shape == (1, 2, 2, 2)
+
+    def test_maxpool_needs_four_axes(self):
+        with pytest.raises(ShapeError):
+            numeric.MaxPool2d(2).forward(np.zeros((4, 4, 2)))
 
     def test_relu(self):
         relu = numeric.ReLU()
@@ -307,10 +327,10 @@ class TestSimpleLayers:
 
     def test_upsample2x(self):
         up = Upsample2x()
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, None]
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None]
         want = np.array([[1, 1, 2, 2], [1, 1, 2, 2],
                          [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float)
-        np.testing.assert_array_equal(up.forward(x)[0, 0], want)
+        np.testing.assert_array_equal(up.forward(x)[0, ..., 0], want)
 
 
 # (skip, upsampled, out channels, batch, coarse height, coarse width): the
@@ -328,11 +348,11 @@ def decoder_entry_oracle(layer, skip, coarse, grad):
     conv.weight[...] = layer.weight
     conv.bias[...] = layer.bias
     up = Upsample2x()
-    out = conv.forward(np.concatenate([skip, up.forward(coarse)], axis=1))
+    out = conv.forward(np.concatenate([skip, up.forward(coarse)], axis=3))
     dx = conv.backward(grad)
     cs = layer.skip_channels
-    return (out, conv.d_weight, conv.d_bias, dx[:, :cs],
-            up.backward(dx[:, cs:]))
+    return (out, conv.d_weight, conv.d_bias, dx[..., :cs],
+            up.backward(dx[..., cs:]))
 
 
 class TestUpsampleConcatConv2d:
@@ -342,9 +362,9 @@ class TestUpsampleConcatConv2d:
         rng = np.random.default_rng(sum(config))
         layer = numeric.UpsampleConcatConv2d(cs, cu, o, rng=rng)
         layer.bias[...] = rng.normal(size=o)
-        skip = rng.normal(size=(n, cs, 2 * h, 2 * w))
-        coarse = rng.normal(size=(n, cu, h, w))
-        grad = rng.normal(size=(n, o, 2 * h, 2 * w))
+        skip = rng.normal(size=(n, 2 * h, 2 * w, cs))
+        coarse = rng.normal(size=(n, h, w, cu))
+        grad = rng.normal(size=(n, 2 * h, 2 * w, o))
         want = decoder_entry_oracle(layer, skip, coarse, grad)
         out = layer.forward(skip.astype(dtype), coarse.astype(dtype))
         d_skip, d_coarse = layer.backward(grad.astype(dtype))
@@ -373,20 +393,22 @@ class TestUpsampleConcatConv2d:
         rng = np.random.default_rng(31)
         weight = rng.normal(size=(3, 2, 3, 3))
         coarse = rng.normal(size=(2, 4, 5, 2))
-        up = Upsample2x().forward(coarse.transpose(0, 3, 1, 2))
-        want = conv_oracle(up, weight, np.zeros(3), padding=1)
+        up = Upsample2x().forward(coarse)
+        want = conv_oracle(nchw(up), weight, np.zeros(3), padding=1)
         out = np.zeros((2, 8, 10, 3))
         numeric.upsampled_conv_nhwc(numeric.pad_nhwc(coarse, 1),
                                     numeric.parity_kernels(weight), out)
-        assert np.abs(out.transpose(0, 3, 1, 2) - want).max() <= 1e-12
+        assert np.abs(nchw(out) - want).max() <= 1e-12
 
     def test_shape_mismatch(self):
         layer = numeric.UpsampleConcatConv2d(2, 3, 4)
-        for skip, coarse in (((1, 2, 8, 8), (1, 3, 5, 5)),
-                             ((1, 2, 8, 8), (2, 3, 4, 4)),
-                             ((1, 3, 8, 8), (1, 3, 4, 4)),
-                             ((1, 2, 7, 8), (1, 3, 3, 4)),
-                             ((2, 8, 8), (3, 4, 4))):
+        for skip, coarse in (((1, 8, 8, 2), (1, 5, 5, 3)),
+                             ((1, 8, 8, 2), (2, 4, 4, 3)),
+                             ((1, 8, 8, 3), (1, 4, 4, 3)),
+                             ((1, 7, 8, 2), (1, 3, 4, 3)),
+                             ((8, 8, 2), (4, 4, 3)),
+                             # the valid pair, channel-first
+                             ((1, 2, 8, 8), (1, 3, 4, 4))):
             with pytest.raises(ShapeError):
                 layer.forward(np.zeros(skip), np.zeros(coarse))
 
@@ -469,20 +491,19 @@ class TestMaxPoolParity:
         # both signs, as ReLU writes them
         x = rng.integers(-2, 3, size=shape).astype(dtype)
         x[rng.random(shape) < 0.2] = -0.0
-        channel_last = np.ascontiguousarray(
-            x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        for xin in (x, channel_last):
+        # channel-last memory, as a conv writes it, and channel-first
+        for xin in (np.ascontiguousarray(nhwc(x)), nhwc(x)):
             pool = numeric.MaxPool2d(k)
-            out = pool.forward(xin)
+            out = nchw(pool.forward(xin))
             grad = rng.integers(-3, 4, size=out.shape).astype(dtype)
             grad[grad == 0] = -0.0
-            dx = pool.backward(grad)
-            want_out, want_dx = maxpool_reference(xin, grad, k)
+            dx = nchw(pool.backward(nhwc(grad)))
+            want_out, want_dx = maxpool_reference(x, grad, k)
             assert same_bits(out, want_out)
             assert same_bits(dx, want_dx)
 
     def test_first_nan_wins_as_in_argmax(self):
-        x = np.array([1.0, np.nan, 7.0, np.nan]).reshape(1, 1, 2, 2)
+        x = np.array([1.0, np.nan, 7.0, np.nan]).reshape(1, 2, 2, 1)
         pool = numeric.MaxPool2d(2)
         assert np.isnan(pool.forward(x)).all()
         dx = pool.backward(np.ones((1, 1, 1, 1)))
@@ -516,10 +537,8 @@ class TestPoolReluCommute:
             (2, 2, 6, 6): [np.nan] * 4}
         for (n, c, i, j), values in windows.items():
             x[n, c, i:i + 2, j:j + 2] = np.reshape(values, (2, 2))
-        channel_last = np.ascontiguousarray(
-            x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        for xin in (x, channel_last):
-            grad = rng.integers(-3, 4, size=(3, 4, 4, 5)).astype(dtype)
+        for xin in (np.ascontiguousarray(nhwc(x)), nhwc(x)):
+            grad = nhwc(rng.integers(-3, 4, size=(3, 4, 4, 5)).astype(dtype))
             grad[grad == 0] = -0.0
             out, dx = self.run([numeric.MaxPool2d(2), numeric.ReLU()],
                                xin, grad)
@@ -633,14 +652,54 @@ class TestSgdAndDeterminism:
         assert loss < 1e-3
 
 
+class FullBackward:
+    """A layer whose backward_params runs its whole backward, dX too."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def __getattr__(self, name):
+        return getattr(self.layer, name)
+
+    def backward_params(self, grad):
+        self.layer.backward(grad)
+
+
 class TestInputGradSkip:
-    """input_grad=False leaves out the first layer's dX and nothing else."""
+    """backward_params adds the same dW and d_bias as backward, and the
+    training steps, which run it on their first layer, add what a full
+    backward adds."""
 
     @staticmethod
     def grads_of(model, step):
         model.zero_grad()
-        returned = step(model)
-        return returned, [g.copy() for g in model.grads]
+        step(model)
+        return [g.copy() for g in model.grads]
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_conv_backward_params(self, c):
+        # im2col (one input channel) and the kernel-row panel, in float32
+        rng = np.random.default_rng(20 + c)
+        conv = numeric.Conv2d(c, 4, 3, padding=1, rng=rng)
+        x = rng.normal(size=(3, 9, 7, c)).astype(np.float32)
+        grad = rng.normal(size=(3, 9, 7, 4)).astype(np.float32)
+
+        def step(method):
+            def run(layer):
+                layer.forward(x)
+                return method(layer, grad)
+            return run
+
+        full = self.grads_of(conv, step(numeric.Conv2d.backward))
+        partial = self.grads_of(conv, step(numeric.Conv2d.backward_params))
+        assert all(g.any() for g in full)
+        for a, b in zip(full, partial):
+            assert same_bits(a, b)
+
+    @staticmethod
+    def full_backward(model, grad):
+        for layer in reversed(model.layers):
+            grad = layer.backward(grad)
 
     def test_sequential_step(self):
         rng = np.random.default_rng(21)
@@ -649,18 +708,17 @@ class TestInputGradSkip:
             numeric.MaxPool2d(2), numeric.Conv2d(4, 8, 3, padding=1, rng=rng),
             numeric.ReLU(), numeric.MaxPool2d(2), numeric.Flatten(),
             numeric.Dense(8 * 5 * 3, 3, rng=rng), numeric.Softmax()])
-        x = rng.normal(size=(4, 1, 21, 13)).astype(np.float32)
+        x = rng.normal(size=(4, 21, 13, 1)).astype(np.float32)
         t = np.eye(3)[[0, 1, 2, 1]]
 
-        def step(input_grad):
+        def step(backward):
             def run(m):
                 _, grad = numeric.cross_entropy(m.forward(x), t)
-                return m.backward(grad, input_grad=input_grad)
+                backward(m, grad)
             return run
 
-        dx, full = self.grads_of(model, step(True))
-        skipped, partial = self.grads_of(model, step(False))
-        assert dx.shape == x.shape and skipped is None
+        full = self.grads_of(model, step(self.full_backward))
+        partial = self.grads_of(model, step(numeric.Sequential.backward))
         for a, b in zip(full, partial):
             assert same_bits(a, b)
 
@@ -673,13 +731,14 @@ class TestInputGradSkip:
         x = rng.normal(size=(6, 5))
         t = np.eye(3)[rng.integers(0, 3, size=6)]
 
-        def run(m, input_grad):
-            _, grad = numeric.cross_entropy(m.forward(x), t)
-            return m.backward(grad, input_grad=input_grad)
+        def step(backward):
+            def run(m):
+                _, grad = numeric.cross_entropy(m.forward(x), t)
+                backward(m, grad)
+            return run
 
-        _, full = self.grads_of(model, lambda m: run(m, True))
-        skipped, partial = self.grads_of(model, lambda m: run(m, False))
-        assert skipped is None
+        full = self.grads_of(model, step(self.full_backward))
+        partial = self.grads_of(model, step(numeric.Sequential.backward))
         for a, b in zip(full, partial):
             assert same_bits(a, b)
 
@@ -687,20 +746,47 @@ class TestInputGradSkip:
         model = random_head(
             segmentation.UNet(depth=2, base_channels=4, seed=3), 3)
         rng = np.random.default_rng(23)
-        x = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
+        x = rng.normal(size=(2, 16, 16, 1)).astype(np.float32)
         target = (rng.random(x.shape) < 0.5).astype(float)
         labeled = rng.random(x.shape) < 0.7
 
-        def run(m, input_grad):
+        def run(m):
             _, grad = numeric.masked_bce_with_logits(m.logits(x), target,
                                                      labeled)
-            return m.backward_logits(grad, input_grad=input_grad)
+            m.backward_logits(grad)
 
-        dx, full = self.grads_of(model, lambda m: run(m, True))
-        skipped, partial = self.grads_of(model, lambda m: run(m, False))
-        assert dx.shape == x.shape and skipped is None
+        partial = self.grads_of(model, run)
+        model.enc[0][0] = FullBackward(model.enc[0][0])
+        full = self.grads_of(model, run)
         for a, b in zip(full, partial):
             assert same_bits(a, b)
+
+
+class TestChannelLast:
+    """The layout at the networks' boundaries: (N, H, W, C) in, and
+    Flatten the one layer that permutes."""
+
+    def test_flatten_is_channel_first_order(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(2, 3, 4, 5))
+        flat = numeric.Flatten()
+        out = flat.forward(x)
+        np.testing.assert_array_equal(
+            out, x.transpose(0, 3, 1, 2).reshape(2, -1))
+        np.testing.assert_array_equal(flat.backward(out), x)
+        grad = rng.normal(size=out.shape)
+        np.testing.assert_array_equal(flat.forward(flat.backward(grad)),
+                                      grad)
+
+    def test_flatten_needs_four_axes(self):
+        with pytest.raises(ShapeError):
+            numeric.Flatten().forward(np.zeros((2, 6)))
+
+    def test_unet_rejects_channel_first(self):
+        model = segmentation.UNet(depth=2, base_channels=4)
+        model.logits(np.zeros((1, 16, 16, 1)))
+        with pytest.raises(ShapeError, match="H, W, 1"):
+            model.logits(np.zeros((1, 1, 16, 16)))
 
 
 def ce_loss(t):
@@ -718,7 +804,9 @@ class TestGradcheck:
                                     numeric.Softmax()])
         x = rng.normal(size=(4, 5))
         t = np.eye(3)[rng.integers(0, 3, size=4)]
-        err = gradcheck(model, x, ce_loss(t), eps=1e-4, rng=rng)
+        # Sequential.backward returns no dX; every layer's is checked below
+        err = gradcheck(model, x, ce_loss(t), eps=1e-4, rng=rng,
+                        check_input=False)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(3))
@@ -731,15 +819,15 @@ class TestGradcheck:
             return float((sig ** 2).sum()), 2.0 * sig * sig * (1.0 - sig)
 
         cases = [
-            (numeric.Conv2d(2, 3, 3, padding=1, rng=rng), (2, 2, 6, 6)),
-            (numeric.Conv2d(1, 2, 3, padding=0, rng=rng), (1, 1, 7, 7)),
-            (numeric.MaxPool2d(2), (2, 2, 6, 6)),
-            (numeric.ReLU(), (2, 3, 4, 4)),
-            (numeric.Sigmoid(), (2, 3, 4, 4)),
+            (numeric.Conv2d(2, 3, 3, padding=1, rng=rng), (2, 6, 6, 2)),
+            (numeric.Conv2d(1, 2, 3, padding=0, rng=rng), (1, 7, 7, 1)),
+            (numeric.MaxPool2d(2), (2, 6, 6, 2)),
+            (numeric.ReLU(), (2, 4, 4, 3)),
+            (numeric.Sigmoid(), (2, 4, 4, 3)),
             (numeric.Dense(6, 4, rng=rng), (3, 6)),
-            (numeric.Flatten(), (2, 3, 4, 4)),
+            (numeric.Flatten(), (2, 4, 4, 3)),
             (numeric.Softmax(), (3, 5)),
-            (Upsample2x(), (1, 2, 3, 3)),
+            (Upsample2x(), (1, 3, 3, 2)),
         ]
         for layer, shape in cases:
             x = rng.normal(size=shape)

@@ -1,11 +1,15 @@
 """Seeded reader fuzz: every reader of a binary file the pipeline writes
-either loads what the damaged file declares or raises ValueError.
+either loads what the damaged file declares or raises ValueError, and the
+reader of its sensor and pose CSV files loads valid rows or raises
+InputError.
 
 Each format starts from a small valid file. The cases are that file cut at
-every byte, and FLIPS single-bit flips at seeded positions. A case that
-loads must come back with the shape its own header declares; any other
-outcome but ValueError (MemoryError, OverflowError, struct.error, a bare
-RuntimeError from `wave`) fails, and the failures are listed together.
+every byte, and FLIPS single-bit flips at seeded positions. A binary case
+that loads must come back with the shape its own header declares; any
+other outcome but ValueError (MemoryError, OverflowError, struct.error, a
+bare RuntimeError from `wave`) fails. A CSV case that loads must come back
+finite, with the header's columns and increasing timestamps; any other
+outcome but InputError fails. The failures are listed together.
 """
 
 import re
@@ -14,7 +18,8 @@ import struct
 import numpy as np
 import pytest
 
-from radroute import canvas, formats, numeric
+from radroute import canvas, formats, numeric, pipeline
+from radroute.errors import InputError
 
 FLIPS = 300
 
@@ -103,4 +108,34 @@ def test_damaged_file_loads_as_declared_or_raises_value_error(tmp_path, ext):
         if shape != declared(data):
             failures.append(f"{what}: loaded {shape}, header declares "
                             f"{declared(data)}")
+    assert failures == []
+
+
+CSV_FILES = {"vo.csv": pipeline.VO_COLUMNS, "gps.csv": pipeline.GPS_COLUMNS,
+             "fused.csv": pipeline.FUSED_COLUMNS}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_FILES))
+def test_damaged_csv_loads_valid_rows_or_raises_input_error(tmp_path, name):
+    columns = CSV_FILES[name]
+    rng = np.random.default_rng(1500 + sorted(CSV_FILES).index(name))
+    valid = tmp_path / f"valid_{name}"
+    formats.write_csv(valid, columns, np.column_stack([
+        np.cumsum(rng.uniform(0.1, 1.0, 5)),
+        rng.normal(size=(5, len(columns) - 1))]))
+    path = tmp_path / name
+    failures = []
+    for what, data in _cases(valid.read_bytes(), rng.integers(1 << 30)):
+        path.write_bytes(data)
+        try:
+            rows = formats.read_csv(path, columns)
+        except InputError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - the failure is the type
+            failures.append(f"{what}: {type(exc).__name__}: {exc}")
+            continue
+        if not (rows.ndim == 2 and rows.shape[1] == len(columns)
+                and np.isfinite(rows).all()
+                and (np.diff(rows[:, 0]) > 0).all()):
+            failures.append(f"{what}: loaded {rows!r}")
     assert failures == []

@@ -10,9 +10,10 @@ from radroute.segmentation import (CropSample, PropagationConfig,
                                    segment, stage1_train, stage2_finetune)
 from test_numeric import cached_arrays, random_head
 
-from oracles import (Upsample2x, gradcheck, masked_binary_cross_entropy,
-                     ndimage_displacement_field, ndimage_map_coordinates,
-                     ndimage_rotate, textbook_warp_coords)
+from oracles import (UNetPath, Upsample2x, gradcheck,
+                     masked_binary_cross_entropy, ndimage_displacement_field,
+                     ndimage_map_coordinates, ndimage_rotate,
+                     textbook_warp_coords)
 
 U, N, P = int(Label.UNLABELED), int(Label.NOT_PATH), int(Label.PATH)
 
@@ -22,13 +23,22 @@ def tiny_model(seed=0, zero_head=True):
     return model if zero_head else random_head(model, seed)
 
 
+def propagation_config(**changes):
+    """The default config's propagation settings at seed 0, changed."""
+    scfg = pipeline.DEFAULT_CONFIG["segmentation"]
+    keys = ("tile_size", "n_rotations", "vote_threshold",
+            "probability_threshold")
+    return PropagationConfig(**{**{k: scfg[k] for k in keys}, "seed": 0,
+                                **changes})
+
+
 def tiled_float64(model, image, tile):
     """Float64 UNet.forward over the tiles of an image whose sides are
     multiples of tile, reassembled as _tiled_inference does."""
     h, w = image.shape
     tiles = image.reshape(h // tile, tile, w // tile, tile).transpose(
-        0, 2, 1, 3).reshape(-1, 1, tile, tile)
-    probs = model.forward(tiles)[:, 0]
+        0, 2, 1, 3).reshape(-1, tile, tile, 1)
+    probs = model.forward(tiles)[..., 0]
     return probs.reshape(h // tile, w // tile, tile, tile).transpose(
         0, 2, 1, 3).reshape(h, w)
 
@@ -89,7 +99,7 @@ def concat_layout_probabilities(named, depth, x):
     x = conv_relu(conv_relu(x))
     for skip in reversed(skips):
         up = Upsample2x().forward(x)
-        x = conv_relu(conv_relu(np.concatenate([skip, up], axis=1)))
+        x = conv_relu(conv_relu(np.concatenate([skip, up], axis=3)))
     return 1.0 / (1.0 + np.exp(-conv_relu(x, relu=False)))
 
 
@@ -97,13 +107,13 @@ class TestUNetForward:
     def test_output_shape_and_range(self):
         model = tiny_model(zero_head=False)
         out = model.forward(np.random.default_rng(0).normal(
-            size=(2, 1, 64, 64)))
-        assert out.shape == (2, 1, 64, 64)
+            size=(2, 64, 64, 1)))
+        assert out.shape == (2, 64, 64, 1)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_zero_head_outputs_half(self):
         model = tiny_model()
-        out = model.forward(np.zeros((1, 1, 32, 32)))
+        out = model.forward(np.zeros((1, 32, 32, 1)))
         np.testing.assert_array_equal(out, 0.5)
 
     def test_untrained_segment_is_all_not_path(self):
@@ -117,19 +127,21 @@ class TestUNetForward:
         with pytest.raises(ShapeError):
             model.forward(np.zeros((32, 32)))
         with pytest.raises(ShapeError):
-            model.forward(np.zeros((1, 1, 30, 30)))
+            model.forward(np.zeros((1, 30, 30, 1)))
+        with pytest.raises(ShapeError):  # channel-first
+            model.forward(np.zeros((1, 1, 32, 32)))
 
     def test_gradcheck_small(self):
         rng = np.random.default_rng(3)
         model = tiny_model(seed=3, zero_head=False)
-        x = rng.normal(size=(1, 1, 16, 16))
-        target = (rng.random((1, 1, 16, 16)) < 0.5).astype(float)
-        labeled = rng.random((1, 1, 16, 16)) < 0.7
+        x = rng.normal(size=(1, 16, 16, 1))
+        target = (rng.random((1, 16, 16, 1)) < 0.5).astype(float)
+        labeled = rng.random((1, 16, 16, 1)) < 0.7
 
         def loss_fn(probs):
             return masked_binary_cross_entropy(probs, target, labeled)
 
-        err = gradcheck(model, x, loss_fn, eps=1e-6, rng=rng,
+        err = gradcheck(UNetPath(model), x, loss_fn, eps=1e-6, rng=rng,
                         check_input=False)
         assert err < 1e-4
 
@@ -139,7 +151,7 @@ class TestUNetForward:
                                model)
         back = segmentation.load_unet(tmp_path / "m.kowt",
                                       tmp_path / "m.json")
-        x = np.random.default_rng(1).normal(size=(1, 1, 32, 32))
+        x = np.random.default_rng(1).normal(size=(1, 32, 32, 1))
         np.testing.assert_array_equal(back.forward(x), model.forward(x))
 
     @pytest.mark.parametrize("dims", [(1, 2, 1), (3, 8, 1), (2, 3, 4)])
@@ -162,7 +174,7 @@ class TestUNetForward:
         model = segmentation.load_unet(tmp_path / "m.kowt",
                                        tmp_path / "m.json")
         assert [n for n, _ in model.named_params()] == [n for n, _ in named]
-        x = rng.normal(size=(2, 1, 32, 48))
+        x = rng.normal(size=(2, 32, 48, 1))
         want = concat_layout_probabilities(named, 3, x)
         assert want.min() < 0.2 and want.max() > 0.8
         got = model.forward(x)
@@ -171,9 +183,9 @@ class TestUNetForward:
         fast = model.forward(x.astype(np.float32))
         assert fast.dtype == np.float32
         assert np.abs(fast - got).max() <= 1e-5
-        clear = np.abs(got[1, 0] - 0.5) > 1e-5
-        np.testing.assert_array_equal(segment(model, x[1, 0])[clear],
-                                      got[1, 0][clear] > 0.5)
+        clear = np.abs(got[1, ..., 0] - 0.5) > 1e-5
+        np.testing.assert_array_equal(segment(model, x[1, ..., 0])[clear],
+                                      got[1, ..., 0][clear] > 0.5)
 
     def _load_altered(self, tmp_path, alter):
         model = tiny_model(seed=5)
@@ -201,24 +213,6 @@ class TestUNetForward:
         with pytest.raises(InputError, match="unexpected.*stray"):
             self._load_altered(tmp_path, lambda named: named + [
                 ("stray", np.zeros(3))])
-
-
-class LogitsOf:
-    """A U-Net's logit path as a layer, for gradcheck."""
-
-    def __init__(self, model):
-        self.model = model
-        self.params = model.params
-        self.grads = model.grads
-
-    def zero_grad(self):
-        self.model.zero_grad()
-
-    def forward(self, x):
-        return self.model.logits(x)
-
-    def backward(self, grad):
-        return self.model.backward_logits(grad)
 
 
 def step_grads(model, x, target, labeled):
@@ -257,21 +251,22 @@ class TestFloat32Training:
     def test_logit_path_gradcheck_float64(self, seed):
         rng = np.random.default_rng(seed)
         model = tiny_model(seed=seed, zero_head=False)
-        x = rng.normal(size=(1, 1, 16, 16))
+        x = rng.normal(size=(1, 16, 16, 1))
         target = (rng.random(x.shape) < 0.5).astype(float)
         labeled = rng.random(x.shape) < 0.7
 
         def loss_fn(logits):
             return numeric.masked_bce_with_logits(logits, target, labeled)
 
-        err = gradcheck(LogitsOf(model), x, loss_fn, eps=1e-6, rng=rng)
+        err = gradcheck(UNetPath(model, logits=True), x, loss_fn, eps=1e-6,
+                        rng=rng, check_input=False)
         assert err < 1e-4
 
     def test_float32_step_matches_float64_at_stage1_shape(self):
         # stage-1 shape: a batch of 8 crops of 64x64 through the desk U-Net
         rng = np.random.default_rng(4)
         model = random_head(UNet(seed=4), 4)
-        x = rng.normal(size=(8, 1, 64, 64))
+        x = rng.normal(size=(8, 64, 64, 1))
         target = (rng.random(x.shape) < 0.5).astype(float)
         labeled = rng.random(x.shape) < 0.3
         z32, loss32, _, g32 = step_grads(model, x.astype(np.float32),
@@ -306,13 +301,13 @@ class TestFloat32Training:
         rng = np.random.default_rng(5)
         model = random_head(UNet(depth=2, base_channels=4, seed=5), 5)
         seen = record_dtypes(model)
-        x = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
+        x = rng.normal(size=(2, 16, 16, 1)).astype(np.float32)
         target = (rng.random(x.shape) < 0.5).astype(float)
         labeled = rng.random(x.shape) < 0.5
         _, _, grad, _ = step_grads(model, x, target, labeled)
         assert grad.dtype == np.float32
-        probs = model.forward(x)
-        model.backward(np.ones_like(probs))
+        path = UNetPath(model)
+        path.backward(np.ones_like(path.forward(x)))
         kinds = {(name, direction) for name, direction, _, _ in seen}
         assert {("Conv2d", "backward"), ("MaxPool2d", "backward"),
                 ("UpsampleConcatConv2d", "forward"),
@@ -419,7 +414,7 @@ class TestAugment:
 def desk_angles():
     """The rotations of a default-config seed-7 propagate."""
     cfg = pipeline.resolve_config({"seed": 7})
-    return segmentation._rotation_angles(PropagationConfig(
+    return segmentation._rotation_angles(propagation_config(
         n_rotations=cfg["segmentation"]["n_rotations"],
         seed=pipeline.derive_seed(7, 80)))
 
@@ -664,7 +659,7 @@ def stripe_model():
 class TestPropagate:
     def test_single_rotation_equals_tiled_inference(self, stripe_model):
         image, mask = stripe_scene()
-        cfg = PropagationConfig(tile_size=32, n_rotations=1,
+        cfg = propagation_config(tile_size=32, n_rotations=1,
                                 vote_threshold=1.0)
         out = propagate_labels(stripe_model, image, mask, cfg)
         probs = segmentation._tiled_inference(stripe_model, image, 32)
@@ -688,7 +683,7 @@ class TestPropagate:
     def test_rotation_list_permutation_invariant(self, stripe_model,
                                                  monkeypatch):
         image, mask = stripe_scene()
-        cfg = PropagationConfig(tile_size=32, n_rotations=3)
+        cfg = propagation_config(tile_size=32, n_rotations=3)
         angles = [15.0, 120.0, 283.0]
         monkeypatch.setattr(segmentation, "_rotation_angles",
                             lambda cfg: angles)
@@ -702,7 +697,7 @@ class TestPropagate:
         image, mask = stripe_scene()
         mask = mask.copy()
         mask[30, 31] = N  # contradicts the model on a stripe pixel
-        cfg = PropagationConfig(tile_size=32, n_rotations=1)
+        cfg = propagation_config(tile_size=32, n_rotations=1)
         out = propagate_labels(stripe_model, image, mask, cfg)
         assert out[30, 31] == N
         np.testing.assert_array_equal(out[mask != U], mask[mask != U])
@@ -711,7 +706,7 @@ class TestPropagate:
         image, mask = stripe_scene()
         valid = np.zeros(image.shape, dtype=bool)
         valid[:32] = True
-        cfg = PropagationConfig(tile_size=32, n_rotations=1)
+        cfg = propagation_config(tile_size=32, n_rotations=1)
         blank = np.full(image.shape, U, dtype=np.uint8)
         out = propagate_labels(stripe_model, image, blank, cfg,
                                valid_region=valid)
@@ -720,7 +715,7 @@ class TestPropagate:
 
     def test_densifies_stripe(self, stripe_model):
         image, mask = stripe_scene()
-        cfg = PropagationConfig(tile_size=32, n_rotations=3)
+        cfg = propagation_config(tile_size=32, n_rotations=3)
         out = propagate_labels(stripe_model, image, mask, cfg)
         new = (out == P) & (mask == U)
         stripe = np.zeros(image.shape, dtype=bool)
@@ -730,11 +725,11 @@ class TestPropagate:
 
     def test_bad_configs(self):
         with pytest.raises(ValueError):
-            PropagationConfig(n_rotations=0)
+            propagation_config(n_rotations=0)
         with pytest.raises(ValueError):
-            PropagationConfig(vote_threshold=0.0)
+            propagation_config(vote_threshold=0.0)
         with pytest.raises(ValueError):
-            PropagationConfig(probability_threshold=1.0)
+            propagation_config(probability_threshold=1.0)
 
 
 class TestStage2:
@@ -793,7 +788,7 @@ class TestInferenceEngine:
         np.testing.assert_array_equal(a, b)
         # the float64 forward's mask, wherever its probability is not
         # within the float32 tolerance of the threshold
-        probs = stripe_model.forward(image[None, None])[0, 0]
+        probs = stripe_model.forward(image[None, ..., None])[0, ..., 0]
         clear = np.abs(probs - 0.5) > 1e-5
         np.testing.assert_array_equal(a[clear], probs[clear] > 0.5)
         assert set(np.unique(a)) <= {0, 1}

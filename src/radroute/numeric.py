@@ -11,7 +11,10 @@ dtype on use (mixed-precision training, Micikevicius et al. 2018).
 Every layer exposes forward(x), backward(grad), backward_params(grad) (the
 parameter gradients without dX), and `params` / `grads` lists of
 same-shaped arrays. No autodiff: gradients are hand-derived and
-verified against central differences by the tests.
+verified against central differences by the tests. Layers keep their
+inputs by reference, not as copies, so a network pass holds one copy of
+each activation: no caller may write to a layer's input between its
+forward and its backward.
 
 Conv2d runs one of two GEMM formulations chosen by its input channel
 count alone:
@@ -147,8 +150,8 @@ class Conv2d(Layer):
     forward takes (N, H, W, in_channels) and returns (N, oh, ow,
     out_channels). A one-channel input runs im2col (_taps), any other the
     kernel-row panel (conv_nhwc); see the module docstring. forward keeps
-    only the padded input on both paths; backward rebuilds the panel or
-    the taps from it, since keeping them would hold k or k*k input copies.
+    its input by reference; backward pads it again and rebuilds the panel
+    or the taps, as keeping them would hold k or k*k input copies.
     backward_params computes dW and d_bias alone, for a network's first
     layer, whose dX no step reads.
     """
@@ -179,31 +182,33 @@ class Conv2d(Layer):
         self.d_bias = np.zeros_like(self.bias)
         self.params = [self.weight, self.bias]
         self.grads = [self.d_weight, self.d_bias]
-        self._xp = None
+        self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(
                 f"conv2d expected (N,H,W,{self.in_channels}), got {x.shape}")
-        self._xp = pad_nhwc(x, self.padding)
+        self._x = x
+        xp = pad_nhwc(x, self.padding)
         wmat = conv_matrix(self.weight).astype(x.dtype)
         if self.in_channels == 1:
-            n, h, w, _ = self._xp.shape
-            out = (_taps(self._xp, self.k).T @ wmat).reshape(
+            n, h, w, _ = xp.shape
+            out = (_taps(xp, self.k).T @ wmat).reshape(
                 n, h - self.k + 1, w - self.k + 1, -1)
         else:
-            out = conv_nhwc(self._xp, wmat, self.k)
+            out = conv_nhwc(xp, wmat, self.k)
         _add_bias(out, self.bias.astype(x.dtype))
         return out
 
     def backward_params(self, grad: np.ndarray) -> None:
         n, oh, ow, o = grad.shape
         g = grad.reshape(n, oh * ow, o)
+        xp = pad_nhwc(self._x, self.padding)
         if self.in_channels == 1:
-            dw = _taps(self._xp, self.k) @ g.reshape(-1, g.shape[2])
+            dw = _taps(xp, self.k) @ g.reshape(-1, g.shape[2])
             dw = dw.reshape(self.k, self.k, 1, -1)
         else:
-            dw = _weight_grad(self._xp, g, self.k)
+            dw = _weight_grad(xp, g, self.k)
         self.d_weight += dw.transpose(3, 2, 0, 1)
         self.d_bias += _bias_grad(g)
 
@@ -286,7 +291,8 @@ class UpsampleConcatConv2d(Layer):
     half's dW is the parity kernels' dW folded back through the same taps,
     and d_coarse is the sum of the four transposed parity convolutions.
     forward(skip (N, 2h, 2w, C_skip), coarse (N, h, w, C_up)) returns the
-    (N, 2h, 2w, O) output; backward(grad) returns (d_skip, d_coarse).
+    (N, 2h, 2w, O) output; backward(grad) returns (d_skip, d_coarse). It
+    keeps skip and coarse by reference and pads both again in backward.
     """
 
     def __init__(self, skip_channels: int, up_channels: int,
@@ -311,13 +317,12 @@ class UpsampleConcatConv2d(Layer):
         if h % 2 or w % 2 or coarse.shape != (n, h // 2, w // 2, cu):
             raise ShapeError(f"decoder entry expected coarse (N,h,w,{cu}) "
                              f"for skip {skip.shape}, got {coarse.shape}")
-        self._skip = pad_nhwc(skip, 1)
-        self._coarse = pad_nhwc(coarse, 1)
-        out = conv_nhwc(self._skip,
+        self._skip, self._coarse = skip, coarse
+        out = conv_nhwc(pad_nhwc(skip, 1),
                         conv_matrix(self.weight[:, :cs]).astype(skip.dtype),
                         3)
         _add_bias(out, self.bias.astype(skip.dtype))
-        upsampled_conv_nhwc(self._coarse, parity_kernels(
+        upsampled_conv_nhwc(pad_nhwc(coarse, 1), parity_kernels(
             self.weight[:, cs:]).astype(skip.dtype), out)
         return out
 
@@ -327,14 +332,16 @@ class UpsampleConcatConv2d(Layer):
         ch, cw = h // 2, w // 2
         self.d_bias += _bias_grad(grad)
         self.d_weight[:, :cs] += _weight_grad(
-            self._skip, grad.reshape(n, h * w, o), 3).transpose(3, 2, 0, 1)
+            pad_nhwc(self._skip, 1), grad.reshape(n, h * w, o),
+            3).transpose(3, 2, 0, 1)
         kernels = parity_kernels(self.weight[:, cs:]).astype(grad.dtype)
         dk = np.empty(kernels.shape, dtype=grad.dtype)
-        dzp = np.zeros(self._coarse.shape, dtype=grad.dtype)
+        zp = pad_nhwc(self._coarse, 1)
+        dzp = np.zeros(zp.shape, dtype=grad.dtype)
         for a in (0, 1):
             for b in (0, 1):
                 gab = grad[:, a::2, b::2]
-                window = self._coarse[:, a:a + ch + 1, b:b + cw + 1]
+                window = zp[:, a:a + ch + 1, b:b + cw + 1]
                 dk[a, b] = _weight_grad(window, gab.reshape(n, ch * cw, o), 2)
                 dzp[:, a:a + ch + 1, b:b + cw + 1] += _input_grad(
                     gab, kernels[a, b].transpose(3, 2, 0, 1), 0)

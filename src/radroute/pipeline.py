@@ -357,6 +357,7 @@ def run_train_audio(cfg: dict, out: str):
                                     seed=derive_seed(seed, 60),
                                     cfg=stft_config(cfg))
     accuracies = {rep: [] for rep in audio.REPRESENTATIONS}
+    logs = {rep: [] for rep in audio.REPRESENTATIONS}
     final_model = None
     final_shape = None
     for rep in audio.REPRESENTATIONS:
@@ -369,7 +370,8 @@ def run_train_audio(cfg: dict, out: str):
                                      batch_size=acfg["batch_size"],
                                      epochs=acfg["epochs"],
                                      seed=derive_seed(seed, 62, trial))
-            model, _ = audio.train_classifier(dataset, train, tcfg)
+            model, log = audio.train_classifier(dataset, train, tcfg)
+            logs[rep].append(vars(log))
             acc = audio.evaluate(model, dataset, test)["accuracy"]
             accuracies[rep].append(acc)
             if rep == acfg["representation"] and trial == 0:
@@ -387,6 +389,7 @@ def run_train_audio(cfg: dict, out: str):
                     "mean": float(np.mean(accuracies[rep]))}
               for rep in audio.REPRESENTATIONS}
     formats.write_json(os.path.join(out, "audio_report.json"), report)
+    formats.write_json(os.path.join(out, "audio_train_log.json"), logs)
     audio.save_model(os.path.join(out, "audio_model.kowt"),
                      os.path.join(out, "audio_model.json"),
                      final_model, acfg["representation"], final_shape,
@@ -437,7 +440,12 @@ def run_eval_audio(cfg: dict, out: str):
 
 def run_fuse(cfg: dict, out: str):
     vo = formats.read_csv(os.path.join(out, "vo.csv"), VO_COLUMNS)
-    gps = formats.read_csv(os.path.join(out, "gps.csv"), GPS_COLUMNS)
+    gps_path = os.path.join(out, "gps.csv")
+    gps = formats.read_csv(gps_path, GPS_COLUMNS)
+    bad = np.flatnonzero(gps[:, 3] <= 0)
+    if bad.size:  # the EKF squares sigma, so a sign error would pass
+        raise InputError(f"{gps_path} row {bad[0] + 2} column sigma: "
+                         f"{gps[bad[0], 3]} is not positive")
     truth = simworld.load_poses_csv(os.path.join(out, "poses_train.csv"))
     sw = cfg["simworld"]
     q = fusion.default_process_noise(sw["vo_trans_sigma"],

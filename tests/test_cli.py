@@ -281,6 +281,30 @@ class TestAudioWindowCount:
             cfg) == 120
 
 
+class TestAudioTrainLog:
+    def test_one_finite_entry_per_epoch_and_trial(self, gate9_audio_run,
+                                                   tmp_path):
+        _, cfg_path, audio_out = gate9_audio_run
+        out = tmp_path / "run"
+        shutil.copytree(audio_out, out)
+        user = json.loads(cfg_path.read_text())
+        user["audio"] = {**user["audio"], "epochs": 3, "trials": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(user))
+        assert cli.main(["--config", str(cfg_path), "--out", str(out),
+                         "train-audio"]) == cli.EXIT_OK
+        log = json.loads((out / "audio_train_log.json").read_text())
+        assert sorted(log) == sorted(audio.REPRESENTATIONS)
+        for trials in log.values():
+            assert len(trials) == 2
+            for trial in trials:
+                assert sorted(trial) == ["epoch_accuracy", "epoch_loss"]
+                assert len(trial["epoch_loss"]) == 3
+                assert len(trial["epoch_accuracy"]) == 3
+                assert np.isfinite(trial["epoch_loss"]).all()
+                assert all(0.0 <= a <= 1.0 for a in trial["epoch_accuracy"])
+
+
 class TestEvalAudioBlocks:
     # the traverse stream of gate 9's sizes holds 100 windows
     @pytest.mark.parametrize("block", [1, 3, 1000])
@@ -826,6 +850,25 @@ class TestSensorCsvReader:
         assert rc == cli.EXIT_ERROR
         assert f"{path}{where}" in capsys.readouterr().err
         assert not (out / written).exists()
+
+    @pytest.mark.parametrize("sigma", ["0.000000000", "-2.000000000"])
+    def test_sigma_not_positive_exits_1_naming_row(self, gate9_fused_run,
+                                                   tmp_path, capsys, sigma):
+        # the EKF squares sigma, so without the check a negative one fuses
+        cfg_path, fused_out = gate9_fused_run
+        out = tmp_path / "run"
+        os.makedirs(out)
+        for rel in pipeline.STAGES["fuse"].inputs():
+            shutil.copy(fused_out / rel, out / rel)
+        path = out / "gps.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + sigma
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["--config", str(cfg_path), "--out", str(out), "fuse"])
+        assert rc == cli.EXIT_ERROR
+        assert (f"{path} row 3 column sigma: {float(sigma)} is not positive"
+                in capsys.readouterr().err)
+        assert not (out / "fused.csv").exists()
 
     def test_written_files_read_back(self, gate9_fused_run):
         _, out = gate9_fused_run

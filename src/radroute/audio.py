@@ -57,10 +57,9 @@ def _filter_weights(representation: str, sample_rate: float,
     return weights, cfg.fft_size
 
 
-def window_features(windows, sample_rate: float,
-                    representations=REPRESENTATIONS,
-                    cfg: StftConfig | None = None,
-                    dtype=np.float64, banks: dict | None = None) -> dict:
+def window_features(windows, sample_rate: float, representations,
+                    cfg: StftConfig, dtype=np.float64,
+                    banks: dict | None = None) -> dict:
     """Standardized dB images of equal-length windows, per representation.
 
     windows is an (n, samples) array or a sequence of equal-length 1-D
@@ -69,7 +68,6 @@ def window_features(windows, sample_rate: float,
     The filterbanks are built into banks; calls at one sample rate and
     framing that share a banks dict build them once.
     """
-    cfg = cfg or StftConfig()
     banks = {} if banks is None else banks
     for rep in representations:
         if rep not in banks:
@@ -96,7 +94,7 @@ def window_features(windows, sample_rate: float,
 
 
 def extract_features(clip: AudioClip, representation: str,
-                     cfg: StftConfig | None = None) -> np.ndarray:
+                     cfg: StftConfig) -> np.ndarray:
     """Standardized (zero-mean, unit-variance) dB image of a whole clip."""
     return window_features(clip.samples[None], clip.sample_rate,
                            (representation,), cfg)[representation][0]
@@ -114,7 +112,7 @@ class AudioDataset:
     images: np.ndarray  # (n, channels, frames, 1) float32
     labels: np.ndarray  # (n,) TerrainClass ints
     representation: str
-    skipped_short: int = 0
+    skipped_short: int
 
     def __len__(self):
         return len(self.labels)
@@ -135,8 +133,8 @@ def slice_clip(clip: AudioClip):
             for i in range(count)]
 
 
-def build_datasets(clips_by_terrain: dict, seed: int = 0,
-                   cfg: StftConfig | None = None) -> dict:
+def build_datasets(clips_by_terrain: dict, seed: int,
+                   cfg: StftConfig) -> dict:
     """Slice per-terrain recordings to 0.5 s windows and extract features.
 
     clips_by_terrain maps TerrainClass -> iterable of AudioClip (one per
@@ -291,7 +289,7 @@ def _class_probabilities(model: numeric.Sequential,
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def _stream_images(stream, representation: str, cfg: StftConfig | None):
+def _stream_images(stream, representation: str, cfg: StftConfig):
     """Feature images of the consecutive 0.5 s windows of stream (see
     classify_stream), one at a time, read WINDOW_BLOCK windows per block."""
     n = int(round(CLIP_LEN_S * stream.sample_rate))  # slice_clip's window
@@ -305,7 +303,7 @@ def _stream_images(stream, representation: str, cfg: StftConfig | None):
 
 
 def classify_stream(model: numeric.Sequential, stream, representation: str,
-                    cfg: StftConfig | None = None):
+                    cfg: StftConfig):
     """2 Hz predictions over consecutive 0.5 s windows of a long recording.
 
     stream is an open formats.WavReader; it is read and featurised

@@ -153,7 +153,7 @@ def range_ignore_mask(image_size: int, metres_per_pixel: float,
 
 def paint_labels(scan: CartesianScan, labeled_trajectory,
                  footprint_radius_m: float,
-                 use_negatives: bool = True) -> np.ndarray:
+                 use_negatives: bool) -> np.ndarray:
     """Paint trajectory terrain labels onto the scan as a label mask.
 
     Gravel entries paint PATH discs, grass/asphalt paint NOT_PATH (when

@@ -19,7 +19,7 @@ EXIT_GATE_FAILED = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import pipeline
+    from . import audio, pipeline
 
     parser = argparse.ArgumentParser(
         prog="radroute",
@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="WAV to time-frequency image PGM")
     p.add_argument("wav")
     p.add_argument("pgm_out")
-    p.add_argument("--representation", default="gammatone",
-                   choices=("spectrogram", "mel", "gammatone"))
+    p.add_argument("--representation", choices=audio.REPRESENTATIONS,
+                   default=pipeline.DEFAULT_CONFIG["audio"]["representation"])
     p.set_defaults(handler=run_features)
     return parser
 

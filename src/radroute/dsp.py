@@ -7,7 +7,7 @@ identical frame counts. `audio` builds the images from these blocks.
 Images are stored in dB with a hard floor so that silent cells stay finite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +34,12 @@ class AudioClip:
 
 @dataclass
 class StftConfig:
-    """Framing parameters of the Hamming-windowed STFT. Defaults give a
-    100 Hz bandwidth resolution at 44.1 kHz."""
+    """Framing parameters of the Hamming-windowed STFT, in samples: the
+    config's dsp section (pipeline.stft_config)."""
 
-    frame_len: int = 441
-    hop: int = 441
-    fft_size: int = 441
+    frame_len: int
+    hop: int
+    fft_size: int
 
     def __post_init__(self):
         if not (1 <= self.hop <= self.frame_len <= self.fft_size
@@ -153,7 +153,6 @@ class GammatoneFilterbank:
     bandwidths."""
 
     center_freqs: np.ndarray
-    bandwidths: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.center_freqs = np.asarray(self.center_freqs, dtype=np.float64)
@@ -161,11 +160,14 @@ class GammatoneFilterbank:
             raise ValueError("center frequencies must be strictly increasing")
         if np.any(self.center_freqs <= 0):
             raise ValueError("center frequencies must be positive")
-        self.bandwidths = erb_bandwidth(self.center_freqs)
+
+    @property
+    def bandwidths(self) -> np.ndarray:
+        return erb_bandwidth(self.center_freqs)
 
     @classmethod
-    def design(cls, n_channels: int = 32,
-               sample_rate: float = 44100.0) -> "GammatoneFilterbank":
+    def design(cls, n_channels: int,
+               sample_rate: float) -> "GammatoneFilterbank":
         """Center frequencies equally spaced on the ERB-rate axis from
         200 Hz up to 0.9 Nyquist."""
         f_max = 0.9 * sample_rate / 2.0

@@ -18,23 +18,19 @@ class SegScores:
     confusion: np.ndarray  # 2x2 counts, rows true (neg, pos), cols predicted
 
 
-def _validate(pred: np.ndarray, truth: np.ndarray,
-              ignore_mask: np.ndarray | None):
+def _validate(pred: np.ndarray, truth: np.ndarray, ignore_mask: np.ndarray):
     if pred.shape != truth.shape:
         raise ShapeError("prediction/truth shape mismatch")
-    if ignore_mask is None:
-        keep = np.ones(pred.shape, dtype=bool)
-    else:
-        if ignore_mask.shape != pred.shape:
-            raise ShapeError("ignore mask shape mismatch")
-        keep = ~ignore_mask.astype(bool)
+    if ignore_mask.shape != pred.shape:
+        raise ShapeError("ignore mask shape mismatch")
+    keep = ~ignore_mask.astype(bool)
     if not keep.any():
         raise UndefinedMetricError("all pixels ignored")
     return keep
 
 
 def confusion_2x2(pred: np.ndarray, truth: np.ndarray,
-                  ignore_mask: np.ndarray | None = None) -> np.ndarray:
+                  ignore_mask: np.ndarray) -> np.ndarray:
     keep = _validate(pred, truth, ignore_mask)
     p = pred.astype(bool)[keep]
     t = truth.astype(bool)[keep]
@@ -45,7 +41,7 @@ def confusion_2x2(pred: np.ndarray, truth: np.ndarray,
     return np.array([[tn, fp], [fn, tp]], dtype=np.int64)
 
 
-def scores(pred, truth, ignore_mask=None) -> SegScores:
+def scores(pred, truth, ignore_mask) -> SegScores:
     """Pixel accuracy and positive-class IoU, TP/(TP+FP+FN), over the
     pixels not ignored; IoU is 1 when both masks are empty."""
     c = confusion_2x2(pred, truth, ignore_mask)

@@ -5,7 +5,7 @@ prediction step; GPS observes position only. The fused trajectory is then
 joined with the audio terrain predictions by nearest timestamp.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ def wrap_angle(a):
 class EkfState:
     mean: np.ndarray  # (3,) x, y, yaw
     covariance: np.ndarray  # (3, 3)
-    timestamp: float = 0.0
+    timestamp: float
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64).copy()
@@ -92,7 +92,7 @@ def default_process_noise(vo_trans_sigma: float,
 
 
 def fuse(vo_stream: np.ndarray, gps_stream: np.ndarray, init_pose,
-         q: np.ndarray, yaw_drift_rate: float = 0.0) -> np.ndarray:
+         q: np.ndarray, yaw_drift_rate: float) -> np.ndarray:
     """Event-ordered predict/update sweep from init_pose, with covariance
     diag(0.01, 0.01, 1e-4), and per-step process noise q.
 
@@ -136,7 +136,7 @@ class LabeledTrajectory:
     poses: np.ndarray  # (n, 3)
     terrain: np.ndarray  # (n,) TerrainClass ints
     confidence: np.ndarray  # (n,) max class probability
-    dropped: int = 0
+    dropped: int
 
     def __len__(self):
         return len(self.timestamps)

@@ -176,23 +176,7 @@ def resolve_config(user: dict | None) -> dict:
 
 
 def sim_config(cfg: dict, profile: str) -> SimConfig:
-    sw = cfg["simworld"]
-    return SimConfig(
-        radar_profile=profile,
-        grid_size=sw["grid_size"],
-        cell_size=sw["cell_size"],
-        path_width=sw["path_width"],
-        gps_sigma=sw["gps_sigma"],
-        gps_rate=sw["gps_rate"],
-        vo_trans_sigma=sw["vo_trans_sigma"],
-        vo_yaw_sigma=sw["vo_yaw_sigma"],
-        vo_yaw_drift=np.deg2rad(sw["vo_yaw_drift_deg_s"]),
-        speed=sw["speed"],
-        vo_dt=sw["vo_dt"],
-        sample_rate=sw["sample_rate"],
-        speckle_on=sw["speckle_on"],
-        scatterer_density=sw["scatterer_density"],
-    )
+    return SimConfig(radar_profile=profile, **cfg["simworld"])
 
 
 def stft_config(cfg: dict) -> dsp.StftConfig:
@@ -243,7 +227,7 @@ def run_simulate(cfg: dict, out: str):
                         world_seed)
     world, sc, world_seed = worlds["train"]
     truth = simworld.plan_traverse(world, sc)
-    interval = cfg["simworld"]["scan_interval_s"]
+    interval = sc.scan_interval_s
     scan_times = np.arange(truth.timestamps[0] + interval,
                            truth.timestamps[-1], interval)
     if len(scan_times) == 0:

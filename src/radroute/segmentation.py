@@ -344,7 +344,7 @@ def _warp(sample: CropSample, hflip: bool, vflip: bool, angle_deg: float,
 
 
 def sample_crops(scan_image: np.ndarray, mask: np.ndarray, n: int,
-                 crop: int = 64, seed: int = 0) -> list:
+                 crop: int, seed: int) -> list:
     """Crops centered on uniformly drawn labeled pixels, clamped to bounds."""
     labeled_rows, labeled_cols = np.nonzero(mask != int(Label.UNLABELED))
     if len(labeled_rows) == 0:
@@ -510,7 +510,7 @@ def _rotation_angles(cfg: PropagationConfig) -> list:
 
 def propagate_labels(model: UNet, scan_image: np.ndarray,
                      original_mask: np.ndarray, cfg: PropagationConfig,
-                     valid_region: np.ndarray | None = None) -> np.ndarray:
+                     valid_region: np.ndarray) -> np.ndarray:
     """Rotation-ensemble label propagation.
 
     For each random global rotation, the rotated scan is tiled, segmented,
@@ -536,8 +536,7 @@ def propagate_labels(model: UNet, scan_image: np.ndarray,
     propagated = np.where(frac >= cfg.vote_threshold, int(Label.PATH),
                           int(Label.NOT_PATH)).astype(np.uint8)
     propagated[valid_votes == 0] = int(Label.UNLABELED)
-    if valid_region is not None:
-        propagated[~valid_region] = int(Label.UNLABELED)
+    propagated[~valid_region] = int(Label.UNLABELED)
     out = np.where(original_mask != int(Label.UNLABELED), original_mask,
                    propagated).astype(np.uint8)
     return out

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .dsp import AudioClip
-from .formats import read_pgm, write_json, write_pgm
+from .formats import (csv_rows, finite_number, read_pgm, write_json,
+                      write_pgm)
 
 
 class TerrainClass(IntEnum):
@@ -54,20 +55,24 @@ SHADOW_ATTENUATION = 0.15
 
 @dataclass
 class SimConfig:
-    radar_profile: str = "short"
-    grid_size: int = 256
-    cell_size: float = 0.4
-    path_width: float = 3.0
-    gps_sigma: float = 2.0
-    gps_rate: float = 1.0
-    vo_trans_sigma: float = 0.01
-    vo_yaw_sigma: float = 0.002
-    vo_yaw_drift: float = np.deg2rad(0.5)  # rad/s
-    speed: float = 1.0
-    vo_dt: float = 0.1
-    sample_rate: float = 44100.0
-    speckle_on: bool = True
-    scatterer_density: float = 2000.0  # count per km^2
+    """The world, traverse and sensor settings: the keys of the config's
+    simworld section, plus the radar profile of the scans."""
+
+    radar_profile: str  # a RANGE_RESOLUTION key
+    grid_size: int
+    cell_size: float
+    path_width: float
+    gps_sigma: float
+    gps_rate: float
+    vo_trans_sigma: float
+    vo_yaw_sigma: float
+    vo_yaw_drift_deg_s: float
+    speckle_on: bool
+    scatterer_density: float  # count per km^2
+    scan_interval_s: float
+    speed: float
+    vo_dt: float
+    sample_rate: float
 
     def __post_init__(self):
         if self.radar_profile not in RANGE_RESOLUTION:
@@ -356,7 +361,7 @@ def radar_bin_count(config: SimConfig) -> int:
 
 
 def synth_radar(terrain_map: TerrainMap, pose, config: SimConfig, seed: int,
-                scatterers: np.ndarray | None = None, timestamp: float = 0.0):
+                scatterers: np.ndarray, timestamp: float):
     """One polar scan at a pose: reflectivity x unit-mean exponential speckle.
 
     Azimuth index a looks along world angle yaw + 2*pi*a/A, with A =
@@ -369,8 +374,6 @@ def synth_radar(terrain_map: TerrainMap, pose, config: SimConfig, seed: int,
     x0, y0, yaw = float(pose[0]), float(pose[1]), float(pose[2])
     if not terrain_map.contains(x0, y0):
         raise ValueError("pose outside map")
-    if scatterers is None:
-        scatterers = np.zeros((0, 2))
     res = config.range_resolution
     n_bins = radar_bin_count(config)
     angles = yaw + 2.0 * np.pi * np.arange(N_AZIMUTHS) / N_AZIMUTHS
@@ -440,7 +443,7 @@ def synth_vo(truth: GroundTruth, config: SimConfig, seed: int) -> np.ndarray:
     dx_body = dx_body + rng.normal(0.0, config.vo_trans_sigma, n)
     dy_body = dy_body + rng.normal(0.0, config.vo_trans_sigma, n)
     dyaw = (dyaw + rng.normal(0.0, config.vo_yaw_sigma, n)
-            + config.vo_yaw_drift * dt)
+            + np.deg2rad(config.vo_yaw_drift_deg_s) * dt)
     return np.column_stack([truth.timestamps[1:], dx_body, dy_body, dyaw])
 
 
@@ -513,7 +516,8 @@ def save_world(terrain_map: TerrainMap, json_path, pgm_path):
 
 def load_world(json_path) -> TerrainMap:
     """The world of a save_world file; InputError unless its cell_size is
-    a positive number."""
+    a positive number and its grid_height and grid_width are the shape of
+    its PGM."""
     with open(json_path) as f:
         meta = json.load(f)
     cell_size = meta["cell_size"]
@@ -522,6 +526,10 @@ def load_world(json_path) -> TerrainMap:
                          f"number, got {cell_size!r}")
     pgm = os.path.join(os.path.dirname(str(json_path)), meta["grid_pgm"])
     grid = read_pgm(pgm).astype(np.int8)
+    shape = (meta["grid_height"], meta["grid_width"])
+    if grid.shape != shape:
+        raise InputError(f"{json_path}: grid_height, grid_width {shape} do "
+                         f"not match the {grid.shape} grid of {pgm}")
     polylines = [
         PathPolyline(vertices=np.asarray(p["vertices"], dtype=np.float64),
                      width=p["width"], untraversed=p["untraversed"])
@@ -531,9 +539,13 @@ def load_world(json_path) -> TerrainMap:
                       path_polylines=polylines)
 
 
+# The columns of poses_train.csv, as written and read.
+POSE_COLUMNS = ("timestamp", "x", "y", "yaw", "terrain")
+
+
 def save_poses_csv(path, truth: GroundTruth):
     with open(path, "w") as f:
-        f.write("timestamp,x,y,yaw,terrain\n")
+        f.write(",".join(POSE_COLUMNS) + "\n")
         for t, (x, y, yaw), cls in zip(truth.timestamps, truth.poses,
                                        truth.terrain_at_pose):
             name = TERRAIN_NAMES[TerrainClass(int(cls))]
@@ -541,11 +553,18 @@ def save_poses_csv(path, truth: GroundTruth):
 
 
 def load_poses_csv(path) -> GroundTruth:
-    rows = np.genfromtxt(path, delimiter=",", skip_header=1,
-                         dtype=None, encoding="utf-8")
-    rows = np.atleast_1d(rows)
-    timestamps = np.array([r[0] for r in rows])
-    poses = np.array([[r[1], r[2], r[3]] for r in rows])
-    terrain = np.array([int(TERRAIN_BY_NAME[r[4]]) for r in rows])
-    return GroundTruth(timestamps=timestamps, poses=poses,
-                       terrain_at_pose=terrain)
+    """The traverse of a save_poses_csv file. InputError names the file,
+    the row and the column as formats.csv_rows does, or of a value that
+    is not a finite number or an unknown terrain class."""
+    values, terrain = [], []
+    for where, fields in csv_rows(path, POSE_COLUMNS):
+        *numbers, name = fields
+        if name not in TERRAIN_BY_NAME:
+            raise InputError(f"{where} column terrain: unknown terrain "
+                             f"class {name!r}")
+        values.append([finite_number(text, f"{where} column {column}")
+                       for column, text in zip(POSE_COLUMNS, numbers)])
+        terrain.append(int(TERRAIN_BY_NAME[name]))
+    values = np.array(values)
+    return GroundTruth(timestamps=values[:, 0], poses=values[:, 1:],
+                       terrain_at_pose=np.array(terrain))

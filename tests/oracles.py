@@ -71,10 +71,8 @@ def stft_freqs(cfg: StftConfig, sample_rate: float) -> np.ndarray:
     return np.fft.rfftfreq(cfg.fft_size, d=1.0 / sample_rate)
 
 
-def spectrogram(clip: AudioClip,
-                cfg: StftConfig | None = None) -> TimeFrequencyImage:
+def spectrogram(clip: AudioClip, cfg: StftConfig) -> TimeFrequencyImage:
     """Log-power spectrogram of the Hamming-windowed STFT, linear frequency axis."""
-    cfg = cfg or StftConfig()
     x = stft(clip, cfg)
     return TimeFrequencyImage(
         values=log_power(x),
@@ -83,10 +81,9 @@ def spectrogram(clip: AudioClip,
     )
 
 
-def mel_spectrogram(clip: AudioClip, cfg: StftConfig | None = None,
+def mel_spectrogram(clip: AudioClip, cfg: StftConfig,
                     n_channels: int = 64) -> TimeFrequencyImage:
     """Mel-warped power spectrogram in dB."""
-    cfg = cfg or StftConfig()
     x = stft(clip, cfg)
     power = np.abs(x) ** 2
     weights, centers = mel_filterbank(
@@ -100,13 +97,12 @@ def mel_spectrogram(clip: AudioClip, cfg: StftConfig | None = None,
 
 
 def gammatonegram_fast(clip: AudioClip, filterbank: GammatoneFilterbank,
-                       cfg: StftConfig | None = None) -> TimeFrequencyImage:
+                       cfg: StftConfig) -> TimeFrequencyImage:
     """Gammatonegram approximated by weighting a linear power spectrogram.
 
     Per frame, (1/N) sum_k |X_k|^2 |G_k|^2 approximates the framed output
     energy of the direct convolution (Parseval); dB conversion follows.
     """
-    cfg = cfg or StftConfig()
     x = stft(clip, cfg)
     power = np.abs(x) ** 2
     # double the non-DC/non-Nyquist bins: rfft keeps half the spectrum
@@ -318,6 +314,7 @@ def load_labeled_trajectory_csv(path) -> LabeledTrajectory:
             poses.append([float(x), float(y), float(yaw)])
             terrain.append(int(TERRAIN_BY_NAME[name]))
             conf.append(float(c))
+    # the file records the labelled poses, not the dropped predictions
     return LabeledTrajectory(timestamps=np.array(ts), poses=np.array(poses),
                              terrain=np.array(terrain),
-                             confidence=np.array(conf))
+                             confidence=np.array(conf), dropped=0)

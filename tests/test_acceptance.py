@@ -17,7 +17,7 @@ import pytest
 from radroute import (canvas, dsp, evaluate, formats, fusion, numeric,
                       pipeline, segmentation, simworld)
 from radroute.dsp import AudioClip, GammatoneFilterbank, StftConfig
-from radroute.simworld import SimConfig, TerrainClass
+from radroute.simworld import TerrainClass
 
 from oracles import (UNetPath, Upsample2x, gammatonegram_direct,
                      gammatonegram_fast, gradcheck,
@@ -77,7 +77,7 @@ def test_gate_01_dsp_oracle_equivalence(capsys, monkeypatch):
 
     # mel filter outputs vs direct weighted summation over spectrum bins
     clip = AudioClip(rng.normal(size=22050), 44100.0)
-    scfg = StftConfig()
+    scfg = pipeline.stft_config(pipeline.DEFAULT_CONFIG)
     power = np.abs(stft(clip, scfg)) ** 2
     weights, _ = dsp.mel_filterbank(64, power.shape[0], 44100.0,
                                     scfg.fft_size)
@@ -92,7 +92,7 @@ def test_gate_01_dsp_oracle_equivalence(capsys, monkeypatch):
     # with rectangular frames, as the direct path sums unweighted energy
     monkeypatch.setattr(dsp, "hamming_window", np.ones)
     fb = GammatoneFilterbank.design(32, 44100.0)
-    gcfg = StftConfig()
+    gcfg = pipeline.stft_config(pipeline.DEFAULT_CONFIG)
     worst_r = 1.0
     for _ in range(20):
         clip = AudioClip(rng.normal(size=22050) * 0.2, 44100.0)
@@ -178,7 +178,9 @@ def test_gate_03_gradient_checks(capsys):
 
 def test_gate_05_fusion_accuracy(capsys):
     t0 = time.monotonic()
-    cfg = SimConfig(grid_size=64)  # defaults: gps 2 m @ 1 Hz, 0.5 deg/s
+    # the default simworld section: gps 2 m @ 1 Hz, 0.5 deg/s yaw drift
+    cfg = pipeline.sim_config(
+        pipeline.resolve_config({"simworld": {"grid_size": 64}}), "short")
     n_keep = int(round(100.0 / cfg.vo_dt)) + 1  # 100 s of driving
     wins = 0
     for seed in range(20):
@@ -194,7 +196,7 @@ def test_gate_05_fusion_accuracy(capsys):
             vo, gps, truth.poses[0],
             q=fusion.default_process_noise(cfg.vo_trans_sigma,
                                            cfg.vo_yaw_sigma),
-            yaw_drift_rate=cfg.vo_yaw_drift)
+            yaw_drift_rate=np.deg2rad(cfg.vo_yaw_drift_deg_s))
         fused_rmse = np.sqrt(np.mean(
             np.sum((traj[:, 1:3] - truth.poses[1:, :2]) ** 2, axis=1)))
         gx = np.interp(truth.timestamps, gps[:, 0], gps[:, 1])
@@ -245,7 +247,7 @@ def _single_entry_traj(wx, wy):
         timestamps=np.array([0.0]),
         poses=np.array([[wx, wy, 0.0]]),
         terrain=np.array([int(TerrainClass.GRAVEL)]),
-        confidence=np.ones(1))
+        confidence=np.ones(1), dropped=0)
 
 
 def test_gate_06_painting_geometry(capsys):
@@ -266,7 +268,8 @@ def test_gate_06_painting_geometry(capsys):
             image=np.zeros((size, size)), metres_per_pixel=mpp,
             timestamp=0.0, pose=np.array(pose), max_range=size * mpp)
         mask = canvas.paint_labels(scan, _single_entry_traj(wx, wy),
-                                   footprint_radius_m=0.33)
+                                   footprint_radius_m=0.33,
+                                   use_negatives=True)
         painted = np.argwhere(mask == int(canvas.Label.PATH))
         if len(painted) == 0:
             landing_ok = False
@@ -284,7 +287,8 @@ def test_gate_06_painting_geometry(capsys):
             image=np.zeros((size, size)), metres_per_pixel=mpp,
             timestamp=0.0, pose=np.zeros(3), max_range=size * mpp)
         mask = canvas.paint_labels(scan, _single_entry_traj(1.3, -2.7),
-                                   footprint_radius_m=radius)
+                                   footprint_radius_m=radius,
+                                   use_negatives=True)
         want = _disc_oracle(size, mpp, (1.3, -2.7), radius)
         disc_ok &= bool(np.array_equal(mask == int(canvas.Label.PATH),
                                        want))

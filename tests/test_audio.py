@@ -14,6 +14,9 @@ from test_numeric import cached_arrays
 
 from oracles import gammatonegram_fast, mel_spectrogram, spectrogram
 
+# the framing of the default config: 10 ms Hamming frames at 44.1 kHz
+DEFAULT_STFT = pipeline.stft_config(pipeline.DEFAULT_CONFIG)
+
 
 def clips(terrain, n, seed0=0, duration=0.5):
     return [synth_audio(terrain, duration, 44100.0, seed0 + i)
@@ -34,8 +37,8 @@ class ClipStream:
 def two_class_dataset(n=3, representation="spectrogram"):
     return build_datasets(
         {TerrainClass.GRASS: clips(TerrainClass.GRASS, n),
-         TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, n, seed0=100)}
-    )[representation]
+         TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, n, seed0=100)},
+        0, DEFAULT_STFT)[representation]
 
 
 class TestSliceClip:
@@ -70,18 +73,18 @@ class TestBuildDataset:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             build_datasets({TerrainClass.GRASS:
-                            clips(TerrainClass.GRASS, 2)})
+                            clips(TerrainClass.GRASS, 2)}, 0, DEFAULT_STFT)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_datasets({})
+            build_datasets({}, 0, DEFAULT_STFT)
 
     def test_short_clips_counted(self):
         short = AudioClip(np.zeros(1000), 44100.0)
         ds = build_datasets(
             {TerrainClass.GRASS: clips(TerrainClass.GRASS, 2) + [short],
-             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2)}
-        )["spectrogram"]
+             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2)},
+            0, DEFAULT_STFT)["spectrogram"]
         assert ds.skipped_short == 1
         assert len(ds) == 4
 
@@ -93,27 +96,29 @@ class TestBuildDataset:
 
     def test_unknown_representation(self):
         with pytest.raises(ValueError):
-            extract_features(clips(TerrainClass.GRASS, 1)[0], "cepstrum")
+            extract_features(clips(TerrainClass.GRASS, 1)[0], "cepstrum",
+                             DEFAULT_STFT)
 
 
 class TestFeatures:
     def test_standardized(self):
-        img = extract_features(clips(TerrainClass.GRAVEL, 1)[0], "mel")
+        img = extract_features(clips(TerrainClass.GRAVEL, 1)[0], "mel",
+                               DEFAULT_STFT)
         assert abs(img.mean()) < 1e-9
         assert abs(img.std() - 1.0) < 1e-9
 
     def test_gain_invariance(self):
         clip = clips(TerrainClass.GRASS, 1)[0]
         half = AudioClip(clip.samples * 0.5, clip.sample_rate)
-        a = extract_features(clip, "spectrogram")
-        b = extract_features(half, "spectrogram")
+        a = extract_features(clip, "spectrogram", DEFAULT_STFT)
+        b = extract_features(half, "spectrogram", DEFAULT_STFT)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_representation_shapes(self):
         clip = clips(TerrainClass.GRASS, 1)[0]
-        assert extract_features(clip, "spectrogram").shape == (221, 50)
-        assert extract_features(clip, "mel").shape == (64, 50)
-        assert extract_features(clip, "gammatone").shape == (32, 50)
+        for rep, shape in (("spectrogram", (221, 50)), ("mel", (64, 50)),
+                           ("gammatone", (32, 50))):
+            assert extract_features(clip, rep, DEFAULT_STFT).shape == shape
 
 
 def oracle_image(clip, representation, cfg):
@@ -136,7 +141,7 @@ class TestBatchedFeatures:
         return synth_audio(TerrainClass.GRAVEL, 33.3, 44100.0, 7)
 
     @pytest.mark.parametrize("cfg", [
-        StftConfig(), StftConfig(frame_len=441, hop=220, fft_size=512)],
+        DEFAULT_STFT, StftConfig(frame_len=441, hop=220, fft_size=512)],
         ids=["default", "hop220-fft512"])
     def test_matches_per_clip_oracles(self, recording, cfg):
         windows = slice_clip(recording)
@@ -162,10 +167,10 @@ class TestBatchedFeatures:
     def test_all_representations_match_single(self, monkeypatch):
         data = {TerrainClass.GRASS: clips(TerrainClass.GRASS, 2),
                 TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2, seed0=9)}
-        shared = audio.build_datasets(data, seed=5)
+        shared = audio.build_datasets(data, 5, DEFAULT_STFT)
         for rep in shared:
             monkeypatch.setattr(audio, "REPRESENTATIONS", (rep,))
-            single = build_datasets(data, seed=5)[rep]
+            single = build_datasets(data, 5, DEFAULT_STFT)[rep]
             np.testing.assert_array_equal(shared[rep].images, single.images)
             np.testing.assert_array_equal(shared[rep].labels, single.labels)
 
@@ -173,7 +178,8 @@ class TestBatchedFeatures:
         short = AudioClip(np.zeros(1000), 44100.0)
         datasets = audio.build_datasets(
             {TerrainClass.GRASS: clips(TerrainClass.GRASS, 2) + [short],
-             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2)})
+             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2)},
+            0, DEFAULT_STFT)
         for ds in datasets.values():
             assert ds.skipped_short == 1
             assert len(ds) == 4
@@ -182,7 +188,8 @@ class TestBatchedFeatures:
         with pytest.raises(ValueError, match="sample rates"):
             audio.build_datasets(
                 {TerrainClass.GRASS: clips(TerrainClass.GRASS, 1),
-                 TerrainClass.GRAVEL: [AudioClip(np.ones(8000), 8000.0)]})
+                 TerrainClass.GRAVEL: [AudioClip(np.ones(8000), 8000.0)]},
+                0, DEFAULT_STFT)
 
     def test_filterbanks_built_once_per_train_audio(self, tmp_path,
                                                     monkeypatch):
@@ -211,8 +218,8 @@ class TestTraining:
         train = two_class_dataset(n=8)
         test = build_datasets(
             {TerrainClass.GRASS: clips(TerrainClass.GRASS, 3, seed0=500),
-             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 3, seed0=600)}
-        )["spectrogram"]
+             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 3, seed0=600)},
+            0, DEFAULT_STFT)["spectrogram"]
         model, log = train_classifier(
             train, np.arange(len(train)),
             TrainConfig(learning_rate=0.02, batch_size=16, epochs=4, seed=0))
@@ -224,7 +231,7 @@ class TestTraining:
     def test_single_sample_overfits(self):
         ds = two_class_dataset(n=1)
         one = AudioDataset(images=ds.images[:1], labels=ds.labels[:1],
-                           representation=ds.representation)
+                           representation=ds.representation, skipped_short=0)
         model, log = train_classifier(
             one, np.arange(1),
             TrainConfig(learning_rate=0.1, batch_size=1, epochs=30, seed=0))
@@ -299,20 +306,24 @@ def model():
 class TestPredictAndStream:
     def test_probabilities_sum_to_one(self, model):
         clip = clips(TerrainClass.GRASS, 1)[0]
-        [pred] = classify_stream(model, ClipStream(clip), "spectrogram")
+        [pred] = classify_stream(model, ClipStream(clip), "spectrogram",
+                                 DEFAULT_STFT)
         assert abs(pred.probabilities.sum() - 1.0) < 1e-9
         assert pred.terrain == int(np.argmax(pred.probabilities))
 
     def test_gain_invariant_class(self, model):
         clip = clips(TerrainClass.GRAVEL, 1)[0]
         half = AudioClip(clip.samples * 0.5, clip.sample_rate)
-        [a] = classify_stream(model, ClipStream(clip), "spectrogram")
-        [b] = classify_stream(model, ClipStream(half), "spectrogram")
+        [a] = classify_stream(model, ClipStream(clip), "spectrogram",
+                              DEFAULT_STFT)
+        [b] = classify_stream(model, ClipStream(half), "spectrogram",
+                              DEFAULT_STFT)
         assert a.terrain == b.terrain
 
     def test_stream_rate_and_timestamps(self, model):
         stream = synth_audio(TerrainClass.GRASS, 10.0, 44100.0, 0)
-        preds = classify_stream(model, ClipStream(stream), "spectrogram")
+        preds = classify_stream(model, ClipStream(stream), "spectrogram",
+                                DEFAULT_STFT)
         assert len(preds) == 20
         times = [p.timestamp for p in preds]
         np.testing.assert_allclose(times, (np.arange(20) + 0.5) * 0.5,
@@ -322,12 +333,13 @@ class TestPredictAndStream:
         with pytest.raises(ValueError):
             classify_stream(model,
                             ClipStream(AudioClip(np.zeros(100), 44100.0)),
-                            "spectrogram")
+                            "spectrogram", DEFAULT_STFT)
 
     def test_channel_first_rejected(self, model):
         clip = clips(TerrainClass.GRASS, 1)[0]
         images = audio.window_features(clip.samples[None], clip.sample_rate,
-                                       ("spectrogram",))["spectrogram"]
+                                       ("spectrogram",),
+                                       DEFAULT_STFT)["spectrogram"]
         model.forward(images[..., None])
         with pytest.raises(ShapeError):
             model.forward(images[:, None])
@@ -350,7 +362,8 @@ class TestEvaluate:
     def dataset(self, labels):
         labels = np.asarray(labels)
         return AudioDataset(images=np.zeros((len(labels), 4, 4, 1)),
-                            labels=labels, representation="mel")
+                            labels=labels, representation="mel",
+                            skipped_short=0)
 
     def test_all_correct(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
@@ -387,7 +400,7 @@ class TestModelIo:
             ds, np.arange(len(ds)),
             TrainConfig(learning_rate=0.02, batch_size=16, epochs=1, seed=0))
         audio.save_model(tmp_path / "m.kowt", tmp_path / "m.json", model,
-                         "spectrogram", ds.input_shape, StftConfig())
+                         "spectrogram", ds.input_shape, DEFAULT_STFT)
         fresh = audio.load_model(tmp_path / "m.kowt", ds.input_shape)
         x = ds.images[:2]
         np.testing.assert_array_equal(fresh.forward(x), model.forward(x))

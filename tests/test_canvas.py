@@ -28,7 +28,7 @@ def traj(points, terrain):
         timestamps=np.arange(n, dtype=float),
         poses=np.column_stack([points, np.zeros(n)]),
         terrain=np.asarray(terrain, dtype=np.int64),
-        confidence=np.ones(n))
+        confidence=np.ones(n), dropped=0)
 
 
 def polar_to_cartesian_inline(scan, image_size, metres_per_pixel):
@@ -144,7 +144,7 @@ class TestPaintLabels:
         scan = cart(pose=(5.0, 7.0, 0.4))
         mask = paint_labels(scan, traj([(5.0, 7.0)],
                                        [int(TerrainClass.GRAVEL)]),
-                            footprint_radius_m=1.0)
+                            footprint_radius_m=1.0, use_negatives=True)
         want = disc_oracle(64, 0.4, (0.0, 0.0), 1.0 / 0.4 * 0.4)
         np.testing.assert_array_equal(mask == int(Label.PATH), want)
         assert mask[31:33, 31:33].min() == int(Label.PATH)
@@ -153,7 +153,7 @@ class TestPaintLabels:
         scan = cart()
         mask = paint_labels(scan, traj([(1000.0, 0.0)],
                                        [int(TerrainClass.GRAVEL)]),
-                            footprint_radius_m=0.33)
+                            footprint_radius_m=0.33, use_negatives=True)
         assert not mask.any()
 
     def test_disc_matches_bruteforce_exactly(self):
@@ -162,7 +162,8 @@ class TestPaintLabels:
         for radius in (0.33, 0.9, 2.5):
             mask = paint_labels(scan, traj([point],
                                            [int(TerrainClass.GRAVEL)]),
-                                footprint_radius_m=radius)
+                                footprint_radius_m=radius,
+                                use_negatives=True)
             want = disc_oracle(64, 0.4, point, radius)
             np.testing.assert_array_equal(mask == int(Label.PATH), want)
 
@@ -171,7 +172,8 @@ class TestPaintLabels:
         lt = traj([(0.0, 0.0), (4.0, 0.0), (-4.0, 0.0)],
                   [int(TerrainClass.GRAVEL), int(TerrainClass.GRASS),
                    int(TerrainClass.ASPHALT)])
-        mask = paint_labels(scan, lt, footprint_radius_m=0.5)
+        mask = paint_labels(scan, lt, footprint_radius_m=0.5,
+                            use_negatives=True)
         assert (mask == int(Label.PATH)).any()
         assert (mask == int(Label.NOT_PATH)).any()
         off = paint_labels(scan, lt, footprint_radius_m=0.5,
@@ -184,7 +186,8 @@ class TestPaintLabels:
         scan = cart()
         lt = traj([(0.0, 0.0), (0.0, 0.0)],
                   [int(TerrainClass.GRAVEL), int(TerrainClass.GRASS)])
-        mask = paint_labels(scan, lt, footprint_radius_m=0.5)
+        mask = paint_labels(scan, lt, footprint_radius_m=0.5,
+                            use_negatives=True)
         assert not (mask == int(Label.PATH)).any()
         assert (mask == int(Label.NOT_PATH)).any()
 
@@ -193,11 +196,12 @@ class TestPaintLabels:
         pts = [(-6.0, -6.0), (0.0, 5.0), (6.0, -3.0), (8.0, 8.0)]
         cls = [int(TerrainClass.GRAVEL), int(TerrainClass.GRASS),
                int(TerrainClass.GRAVEL), int(TerrainClass.ASPHALT)]
-        a = paint_labels(scan, traj(pts, cls), footprint_radius_m=0.8)
+        a = paint_labels(scan, traj(pts, cls), footprint_radius_m=0.8,
+                         use_negatives=True)
         order = [2, 0, 3, 1]
         b = paint_labels(scan, traj([pts[i] for i in order],
                                     [cls[i] for i in order]),
-                         footprint_radius_m=0.8)
+                         footprint_radius_m=0.8, use_negatives=True)
         np.testing.assert_array_equal(a, b)
 
     def test_rotation_equivariance(self):
@@ -205,15 +209,15 @@ class TestPaintLabels:
         pts = np.array([(2.2, 1.1), (-3.3, 0.7), (0.4, -4.6)])
         cls = [int(TerrainClass.GRAVEL)] * 3
         a = paint_labels(cart(pose=(0.0, 0.0, 0.0)), traj(pts, cls),
-                         footprint_radius_m=0.9)
+                         footprint_radius_m=0.9, use_negatives=True)
         rot = np.column_stack([-pts[:, 1], pts[:, 0]])
         b = paint_labels(cart(pose=(0.0, 0.0, np.pi / 2)), traj(rot, cls),
-                         footprint_radius_m=0.9)
+                         footprint_radius_m=0.9, use_negatives=True)
         np.testing.assert_array_equal(a, b)
 
     def test_empty_trajectory_empty_mask(self):
         mask = paint_labels(cart(), traj(np.zeros((0, 2)), []),
-                            footprint_radius_m=0.33)
+                            footprint_radius_m=0.33, use_negatives=True)
         assert mask.shape == (64, 64) and not mask.any()
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import radroute
-from radroute import (audio, canvas, cli, dsp, formats, pipeline,
-                      segmentation, simworld)
+from radroute import (audio, canvas, cli, formats, pipeline, segmentation,
+                      simworld)
 from radroute.errors import ConfigurationError, InputError
 
 
@@ -275,8 +275,8 @@ class TestAudioWindowCount:
         cfg, _, out = gate9_audio_run
         monkeypatch.setattr(audio, "REPRESENTATIONS", ("gammatone",))
         datasets = audio.build_datasets(
-            pipeline._class_recordings(str(out)),
-            cfg=pipeline.stft_config(cfg))
+            pipeline._class_recordings(str(out)), cfg["seed"],
+            pipeline.stft_config(cfg))
         assert len(datasets["gammatone"]) == pipeline.audio_window_count(
             cfg) == 120
 
@@ -396,7 +396,8 @@ def write_eval_fixture(out, cfg, perfect=True):
         simworld.save_world(world, os.path.join(out, f"world_{name}.json"),
                             os.path.join(out, f"world_{name}.pgm"))
         pose = (world.extent_m / 2, world.extent_m / 2, 0.3)
-        scan = simworld.synth_radar(world, pose, sc, seed)
+        scan = simworld.synth_radar(world, pose, sc, seed, np.zeros((0, 2)),
+                                    0.0)
         sdir = os.path.join(out, f"scans_{name}")
         os.makedirs(sdir, exist_ok=True)
         canvas.save_polar_scan(os.path.join(sdir, "scan_000.rds"), scan)
@@ -464,7 +465,8 @@ def write_train_fixture(out, cfg, n_masks):
         pose = (world.extent_m / 2, world.extent_m / 2, 0.3 * i)
         canvas.save_polar_scan(
             os.path.join(out, "scans_train", f"scan_{i:03d}.rds"),
-            simworld.synth_radar(world, pose, sc, seed + i))
+            simworld.synth_radar(world, pose, sc, seed + i, np.zeros((0, 2)),
+                                 0.0))
     size = cfg["canvas"]["image_size"]
     for i in range(n_masks):
         formats.write_pgm(
@@ -572,6 +574,23 @@ class TestFeatures:
                        "--representation", representation])
         assert rc == cli.EXIT_OK
         assert formats.read_pgm(pgm).shape == shape
+
+    def test_representation_flag_follows_the_config(self, tmp_path,
+                                                    capsys):
+        # default: the audio section's representation (gammatone, 32
+        # channels); choices: audio.REPRESENTATIONS
+        wav, pgm = self.half_second_wav(tmp_path), tmp_path / "image.pgm"
+        assert cli.main(["features", wav, str(pgm)]) == cli.EXIT_OK
+        assert formats.read_pgm(pgm).shape == (32, 50)
+        args = ["features", wav, str(pgm), "--representation"]
+        parse = cli.build_parser().parse_args
+        assert (parse(args[:-1]).representation
+                == pipeline.DEFAULT_CONFIG["audio"]["representation"])
+        for rep in audio.REPRESENTATIONS:
+            assert parse(args + [rep]).representation == rep
+        with pytest.raises(SystemExit):
+            parse(args + ["cepstrum"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_truncated_wav_exits_1(self, tmp_path, capsys):
         wav = self.half_second_wav(tmp_path)
@@ -733,7 +752,7 @@ class TestModelHeaders:
             (out / name).write_bytes(b"")
         audio.save_model(out / "audio_model.kowt", out / "audio_model.json",
                          audio.build_model((1, 32, 50)), "mel", (1, 32, 50),
-                         dsp.StftConfig())
+                         pipeline.stft_config(pipeline.DEFAULT_CONFIG))
         header = json.loads((out / "audio_model.json").read_text())
         header["input_shape"] = input_shape
         (out / "audio_model.json").write_text(json.dumps(header))
@@ -880,24 +899,81 @@ class TestSensorCsvReader:
                 out / name, delimiter=",", skiprows=1, ndmin=2))
 
 
+class TestPosesReader:
+    # what follows the path of poses_train.csv in the error
+    CASES = {"cut": " row 4: 2 columns, expected 5",
+             "nan": " row 3 column x: 'nan' is not a finite number",
+             "mud": " row 3 column terrain: unknown terrain class 'mud'"}
+
+    @pytest.mark.parametrize("how", sorted(CASES))
+    def test_damaged_file_exits_1_naming_row(self, gate9_fused_run,
+                                             tmp_path, capsys, how):
+        cfg_path, fused_out = gate9_fused_run
+        out = tmp_path / "run"
+        os.makedirs(out)
+        for rel in pipeline.STAGES["fuse"].inputs():
+            shutil.copy(fused_out / rel, out / rel)
+        path = out / "poses_train.csv"
+        rows = path.read_text().splitlines(keepends=True)
+        if how == "cut":  # the file ends inside row 4, after its x
+            rows[3:] = [",".join(rows[3].split(",")[:2])]
+        else:
+            fields = rows[2].rstrip("\n").split(",")
+            fields[1 if how == "nan" else 4] = how
+            rows[2] = ",".join(fields) + "\n"
+        path.write_text("".join(rows))
+        where = self.CASES[how]
+        with pytest.raises(InputError, match=re.escape(where)):
+            simworld.load_poses_csv(path)
+        rc = cli.main(["--config", str(cfg_path), "--out", str(out), "fuse"])
+        assert rc == cli.EXIT_ERROR
+        assert f"{path}{where}" in capsys.readouterr().err
+        assert not (out / "fused.csv").exists()
+
+    def test_written_file_reads_back(self, gate9_fused_run):
+        _, out = gate9_fused_run
+        truth = simworld.load_poses_csv(out / "poses_train.csv")
+        rows = np.loadtxt(out / "poses_train.csv", delimiter=",",
+                          skiprows=1, usecols=range(4))
+        np.testing.assert_array_equal(truth.timestamps, rows[:, 0])
+        np.testing.assert_array_equal(truth.poses, rows[:, 1:])
+
+
 class TestWorldReader:
-    @pytest.mark.parametrize("cell_size", [0, -0.4, None, "0.4"])
-    def test_bad_cell_size_exits_1(self, tmp_path, capsys, cell_size):
+    @staticmethod
+    def check_edit_exits_1(tmp_path, capsys, key, value, error):
+        """world_train.json with key set to value fails load_world and
+        propagate with error after its path, before propagate writes."""
         out = str(tmp_path / "run")
         write_train_fixture(out, pipeline.resolve_config(SMALL_TRAIN), 2)
         path = os.path.join(out, "world_train.json")
         with open(path) as f:
             meta = json.load(f)
-        meta["cell_size"] = cell_size
+        meta[key] = value
         with open(path, "w") as f:
             json.dump(meta, f)
-        with pytest.raises(InputError, match="cell_size"):
+        with pytest.raises(InputError, match=re.escape(error)):
             simworld.load_world(path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_TRAIN))
         rc = cli.main(["--config", str(cfg_path), "--out", out, "propagate"])
         assert rc == cli.EXIT_ERROR
-        err = capsys.readouterr().err
-        assert f"{path}: cell_size must be a positive number" in err
+        assert f"{path}: {error}" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out,
                                                "propagation_report.json"))
+
+    @pytest.mark.parametrize("cell_size", [0, -0.4, None, "0.4"])
+    def test_bad_cell_size_exits_1(self, tmp_path, capsys, cell_size):
+        self.check_edit_exits_1(tmp_path, capsys, "cell_size", cell_size,
+                                "cell_size must be a positive number")
+
+    @pytest.mark.parametrize("key, value, shape", [
+        ("grid_height", 63, (63, 64)), ("grid_width", 128, (64, 128)),
+        ("grid_width", "64", (64, "64"))],
+        ids=["height", "width", "width-text"])
+    def test_grid_size_not_the_pgm_shape_exits_1(self, tmp_path, capsys,
+                                                  key, value, shape):
+        self.check_edit_exits_1(
+            tmp_path, capsys, key, value,
+            f"grid_height, grid_width {shape} do not match the (64, 64) "
+            f"grid of")

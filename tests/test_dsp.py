@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from radroute import dsp
+from radroute import dsp, pipeline
 from radroute.dsp import (AudioClip, GammatoneFilterbank, StftConfig,
                           erb_bandwidth, gammatone_ir, hamming_window,
                           mel_frequency)
 
 from oracles import (gammatonegram_direct, gammatonegram_fast, mel_spectrogram,
                      spectrogram, stft)
+
+# the framing of the default config: 10 ms Hamming frames at 44.1 kHz
+DEFAULT_STFT = pipeline.stft_config(pipeline.DEFAULT_CONFIG)
 
 
 def direct_dft(frames: np.ndarray, n: int) -> np.ndarray:
@@ -74,14 +77,14 @@ class TestStft:
     def test_linearity(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=2000)
-        cfg = StftConfig()
+        cfg = DEFAULT_STFT
         a = stft(AudioClip(2 * x, 44100.0), cfg)
         b = stft(AudioClip(x, 44100.0), cfg)
         np.testing.assert_allclose(a, 2 * b, rtol=1e-12)
 
     def test_short_clip_rejected(self):
         with pytest.raises(ValueError):
-            stft(AudioClip(np.zeros(100), 44100.0), StftConfig())
+            stft(AudioClip(np.zeros(100), 44100.0), DEFAULT_STFT)
 
     def test_parseval_rectangular(self, monkeypatch):
         # per-frame energy conservation when hop = frame = fft size
@@ -107,18 +110,18 @@ class TestLogPower:
 class TestSpectrogram:
     def test_default_shape_half_second(self):
         clip = AudioClip(np.random.default_rng(0).normal(size=22050), 44100.0)
-        img = spectrogram(clip)
+        img = spectrogram(clip, DEFAULT_STFT)
         assert img.values.shape == (221, 50)
         assert img.axis_kind == "linear"
 
     def test_silent_clip_is_floor(self):
-        img = spectrogram(AudioClip(np.zeros(22050), 44100.0))
+        img = spectrogram(AudioClip(np.zeros(22050), 44100.0), DEFAULT_STFT)
         assert np.all(img.values == dsp.FLOOR_DB)
 
     def test_deterministic(self):
         clip = AudioClip(np.random.default_rng(3).normal(size=22050), 44100.0)
-        a = spectrogram(clip).values
-        b = spectrogram(clip).values
+        a = spectrogram(clip, DEFAULT_STFT).values
+        b = spectrogram(clip, DEFAULT_STFT).values
         assert np.array_equal(a, b)
 
 
@@ -146,7 +149,7 @@ class TestMel:
     def test_single_filter_direct_summation(self):
         rng = np.random.default_rng(4)
         clip = AudioClip(rng.normal(size=22050), 44100.0)
-        cfg = StftConfig()
+        cfg = DEFAULT_STFT
         power = np.abs(stft(clip, cfg)) ** 2
         weights, _ = dsp.mel_filterbank(64, power.shape[0], 44100.0, 441)
         img = mel_spectrogram(clip, cfg, 64)
@@ -159,7 +162,8 @@ class TestMel:
 
     def test_shape_64_channels(self):
         clip = AudioClip(np.random.default_rng(5).normal(size=22050), 44100.0)
-        assert mel_spectrogram(clip, n_channels=64).values.shape == (64, 50)
+        img = mel_spectrogram(clip, DEFAULT_STFT, 64)
+        assert img.values.shape == (64, 50)
 
 
 class TestGammatone:
@@ -240,7 +244,7 @@ class TestGammatone:
         monkeypatch.setattr(dsp, "hamming_window", np.ones)
         fs = 44100.0
         fb = GammatoneFilterbank.design(32, fs)
-        cfg = StftConfig()
+        cfg = DEFAULT_STFT
         rng = np.random.default_rng(6)
         for _ in range(3):
             clip = AudioClip(rng.normal(size=22050) * 0.2, fs)
@@ -253,15 +257,15 @@ class TestGammatone:
         fs = 44100.0
         fb = GammatoneFilterbank.design(32, fs)
         clip = AudioClip(np.random.default_rng(7).normal(size=22050), fs)
-        a = gammatonegram_fast(clip, fb).values
-        b = gammatonegram_fast(clip, fb).values
+        a = gammatonegram_fast(clip, fb, DEFAULT_STFT).values
+        b = gammatonegram_fast(clip, fb, DEFAULT_STFT).values
         assert np.array_equal(a, b)
 
 
 def test_frame_counts_agree_across_representations():
     fs = 44100.0
     clip = AudioClip(np.random.default_rng(8).normal(size=30000), fs)
-    cfg = StftConfig()
+    cfg = DEFAULT_STFT
     fb = GammatoneFilterbank.design(32, fs)
     spec = spectrogram(clip, cfg)
     mel = mel_spectrogram(clip, cfg, 64)

@@ -13,33 +13,38 @@ def block_mask(shape, rows, cols):
     return m
 
 
+def keep_all(mask):
+    """The ignore mask that ignores no pixel of mask."""
+    return np.zeros(mask.shape, dtype=bool)
+
+
 class TestMetrics:
     def test_perfect_prediction(self):
         truth = block_mask((8, 8), slice(2, 5), slice(1, 7))
-        s = scores(truth, truth)
+        s = scores(truth, truth, keep_all(truth))
         assert s.iou == 1.0
         assert s.pixel_accuracy == 1.0
 
     def test_disjoint_iou_zero(self):
         pred = block_mask((8, 8), slice(0, 2), slice(0, 8))
         truth = block_mask((8, 8), slice(6, 8), slice(0, 8))
-        assert scores(pred, truth).iou == 0.0
+        assert scores(pred, truth, keep_all(truth)).iou == 0.0
 
     def test_half_coverage_no_false_positives(self):
         truth = block_mask((8, 8), slice(0, 4), slice(0, 8))
         pred = block_mask((8, 8), slice(0, 2), slice(0, 8))
-        assert scores(pred, truth).iou == 0.5
+        assert scores(pred, truth, keep_all(truth)).iou == 0.5
 
     def test_both_empty_iou_one(self):
         empty = np.zeros((4, 4), dtype=np.uint8)
-        s = scores(empty, empty)
+        s = scores(empty, empty, keep_all(empty))
         assert s.iou == 1.0
         assert s.pixel_accuracy == 1.0
 
     def test_confusion_counts(self):
         pred = np.array([[1, 1], [0, 0]], dtype=np.uint8)
         truth = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-        c = confusion_2x2(pred, truth)
+        c = confusion_2x2(pred, truth, keep_all(truth))
         np.testing.assert_array_equal(c, [[1, 1], [1, 1]])
         assert c.sum() == pred.size
 
@@ -58,7 +63,8 @@ class TestMetrics:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            scores(np.zeros((2, 2)), np.zeros((3, 3)))
+            scores(np.zeros((2, 2)), np.zeros((3, 3)),
+                   np.zeros((2, 2), dtype=bool))
         with pytest.raises(ShapeError):
             scores(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 3)))
 
@@ -67,13 +73,13 @@ class TestMetrics:
         rng = np.random.default_rng(0)
         pred = (rng.random((16, 16)) < 0.4).astype(np.uint8)
         truth = (rng.random((16, 16)) < 0.4).astype(np.uint8)
-        assert (scores(pred, truth).pixel_accuracy
-                == scores(1 - pred, 1 - truth).pixel_accuracy)
+        assert (scores(pred, truth, keep_all(truth)).pixel_accuracy
+                == scores(1 - pred, 1 - truth, keep_all(truth)).pixel_accuracy)
 
     def test_scores_bundle(self):
         truth = block_mask((8, 8), slice(0, 4), slice(0, 8))
         pred = block_mask((8, 8), slice(0, 2), slice(0, 8))
-        s = scores(pred, truth)
+        s = scores(pred, truth, keep_all(truth))
         assert s.iou == 0.5
         assert s.pixel_accuracy == 0.75
         assert s.confusion.sum() == 64
@@ -87,9 +93,9 @@ class TestRegionReport:
         pred = (rng.random((10, 10)) < 0.5).astype(np.uint8)
         truth = (rng.random((10, 10)) < 0.5).astype(np.uint8)
         whole = scores(pred, truth, np.zeros((10, 10), dtype=bool))
-        direct = scores(pred, truth)
-        assert whole.iou == direct.iou
-        assert whole.pixel_accuracy == direct.pixel_accuracy
+        p, t = pred.astype(bool), truth.astype(bool)
+        assert whole.iou == (p & t).sum() / (p | t).sum()
+        assert whole.pixel_accuracy == (p == t).mean()
 
     def test_single_correct_pixel(self):
         pred = block_mask((4, 4), 1, 1)

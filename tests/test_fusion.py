@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
-from radroute import fusion, simworld
+from radroute import fusion, pipeline, simworld
 from radroute.errors import AssociationError, InputError, NumericError
 from radroute.fusion import (EkfState, ekf_predict, ekf_update, fuse,
                              label_trajectory, wrap_angle)
-from radroute.simworld import SimConfig, TerrainClass
+from radroute.simworld import TerrainClass
 
 from oracles import load_labeled_trajectory_csv
 
 # the process noise of fuse's callers at the default VO noise levels
 Q = fusion.default_process_noise(0.01, 0.002)
+
+
+def small_config(**simworld):
+    """The default simworld section on a 64-cell grid, with overrides."""
+    return pipeline.sim_config(pipeline.resolve_config(
+        {"simworld": {"grid_size": 64, **simworld}}), "short")
 
 
 def fresh_state(mean=(0.0, 0.0, 0.0), cov=None, t=0.0):
@@ -95,12 +101,13 @@ def straight_truth(duration_s, dt=0.1, speed=1.0):
 
 class TestFuse:
     def test_noise_free_recovers_truth(self):
-        cfg = SimConfig(grid_size=64, vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
-                        vo_yaw_drift=0.0, gps_sigma=1e-6)
+        cfg = small_config(vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
+                           vo_yaw_drift_deg_s=0.0, gps_sigma=1e-6)
         world = simworld.generate_world(0, cfg)
         truth = simworld.plan_traverse(world, cfg)
         vo = simworld.synth_vo(truth, cfg, 0)
-        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0], q=np.zeros((3, 3)))
+        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0], np.zeros((3, 3)),
+                    0.0)
         np.testing.assert_allclose(traj[:, 1:3], truth.poses[1:, :2],
                                    atol=1e-9)
         dyaw = wrap_angle(traj[:, 3] - truth.poses[1:, 2])
@@ -109,7 +116,7 @@ class TestFuse:
     def test_fused_beats_gps_and_bounds_yaw(self):
         # Monte Carlo at default noise over ~100 s (the 20-seed sweep and
         # the 60-degree drift scenario run in the acceptance suite)
-        cfg = SimConfig(grid_size=64)
+        cfg = small_config()
         world = simworld.generate_world(0, cfg)
         truth = simworld.plan_traverse(world, cfg)
         wins = 0
@@ -119,7 +126,7 @@ class TestFuse:
             traj = fuse(vo, gps, truth.poses[0],
                         q=fusion.default_process_noise(cfg.vo_trans_sigma,
                                                        cfg.vo_yaw_sigma),
-                        yaw_drift_rate=cfg.vo_yaw_drift)
+                        yaw_drift_rate=np.deg2rad(cfg.vo_yaw_drift_deg_s))
             fused_rmse = np.sqrt(np.mean(
                 np.sum((traj[:, 1:3] - truth.poses[1:, :2]) ** 2, axis=1)))
             gx = np.interp(truth.timestamps, gps[:, 0], gps[:, 1])
@@ -140,10 +147,10 @@ class TestFuse:
         poses = np.column_stack([np.cos(yaw), np.sin(yaw), wrap_angle(yaw)])
         truth = simworld.GroundTruth(timestamps=t, poses=poses,
                                      terrain_at_pose=np.zeros(n, np.int64))
-        cfg = SimConfig(grid_size=64, vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
-                        vo_yaw_drift=0.0)
+        cfg = small_config(vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
+                           vo_yaw_drift_deg_s=0.0)
         vo = simworld.synth_vo(truth, cfg, 0)
-        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0], Q)
+        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0], Q, 0.0)
         assert np.all(traj[:, 3] > -np.pi) and np.all(traj[:, 3] <= np.pi)
         steps = wrap_angle(np.diff(traj[:, 3]))
         assert np.abs(steps).max() < np.pi / 8
@@ -151,19 +158,19 @@ class TestFuse:
     def test_unordered_streams_rejected(self):
         vo = np.array([[0.1, 0, 0, 0], [0.05, 0, 0, 0]])
         with pytest.raises(InputError):
-            fuse(vo, np.zeros((0, 4)), (0, 0, 0), Q)
+            fuse(vo, np.zeros((0, 4)), (0, 0, 0), Q, 0.0)
         vo_ok = np.array([[0.1, 0, 0, 0], [0.2, 0, 0, 0]])
         gps = np.array([[1.0, 0, 0, 1.0], [0.5, 0, 0, 1.0]])
         with pytest.raises(InputError):
-            fuse(vo_ok, gps, (0, 0, 0), Q)
+            fuse(vo_ok, gps, (0, 0, 0), Q, 0.0)
 
     def test_deterministic(self):
-        cfg = SimConfig(grid_size=64)
+        cfg = small_config()
         truth = straight_truth(30.0)
         vo = simworld.synth_vo(truth, cfg, 1)
         gps = simworld.synth_gps(truth, cfg, 1)
-        a = fuse(vo, gps, truth.poses[0], Q)
-        b = fuse(vo, gps, truth.poses[0], Q)
+        a = fuse(vo, gps, truth.poses[0], Q, 0.0)
+        b = fuse(vo, gps, truth.poses[0], Q, 0.0)
         assert np.array_equal(a, b)
 
 
@@ -203,12 +210,13 @@ class TestLabelTrajectory:
             label_trajectory(self.traj(np.array([0.0])), [])
 
     def test_noise_free_labels_match_map_lookup(self):
-        cfg = SimConfig(grid_size=64, vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
-                        vo_yaw_drift=0.0)
+        cfg = small_config(vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
+                           vo_yaw_drift_deg_s=0.0)
         world = simworld.generate_world(2, cfg)
         truth = simworld.plan_traverse(world, cfg)
         vo = simworld.synth_vo(truth, cfg, 0)
-        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0], q=np.zeros((3, 3)))
+        traj = fuse(vo, np.zeros((0, 4)), truth.poses[0], np.zeros((3, 3)),
+                    0.0)
         times = np.arange(0.25, truth.timestamps[-1], 0.5)
         preds = [Pred(t, terrain=int(world.terrain_at(
             np.interp(t, truth.timestamps, truth.poses[:, 0]),

@@ -10,13 +10,17 @@ code that only tests call lives in `tests/oracles.py`.
 
 Every defaulted parameter of a function or method, and every defaulted
 dataclass field (`default_factory` included), must be set by some call in
-`src/`. Calls are matched by callee name (`f(...)`, `obj.f(...)`, a
-local alias `g = mod.f` then `g(...)`, and a class name for its
-`__init__` or its dataclass fields); a keyword, a positional argument
-that reaches the parameter, and any `*args` or `**kwargs` count as
-setting it. A field also counts as set when `src/` assigns to it as an
+`src/` and left in place by another: an option is a value that two
+callers need to differ. Calls are matched by callee name (`f(...)`,
+`obj.f(...)`, a local alias `g = mod.f` then `g(...)`, and a class name
+for its `__init__` or its dataclass fields); a keyword, a positional
+argument that reaches the parameter, and any `*args` or `**kwargs` count
+as setting it. A field also counts as set when `src/` assigns to it as an
 attribute. A value only tests set is a constant, which tests reach by
-monkeypatch; nothing is exempt.
+monkeypatch; a value every `src/` call sets has no default, and the
+settings of a run live in `pipeline.DEFAULT_CONFIG`. The one caller
+outside `src/` is a `[project.scripts]` entry point of `pyproject.toml`,
+which calls its function with no arguments; nothing else is exempt.
 
 Layers exchange channel-last (N, H, W, C) arrays, so no `src/` code
 permutes between that and channel-first (N, C, H, W): a `transpose` by
@@ -36,7 +40,8 @@ from typing import NamedTuple
 
 from test_acceptance import GATE9_CONFIG
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "radroute"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "radroute"
 
 def _uses(trees):
     """(module, name) pairs read as module.name or imported from module,
@@ -180,30 +185,65 @@ def _settings(trees):
     return settings, stores
 
 
-def _is_set(option, settings, stores):
-    if option.field and option.name in stores:
-        return True
-    for callee in option.callees:
-        for keywords, n_positional, star, double_star in settings.get(
-                callee, ()):
-            if double_star or option.name in keywords:
-                return True
-            if option.position is not None and (
-                    star or 0 <= option.position < n_positional):
-                return True
-    return False
+def _sets(option, call):
+    """Whether a call, as _settings records it, sets the option."""
+    keywords, n_positional, star, double_star = call
+    return (double_star or option.name in keywords
+            or (option.position is not None
+                and (star or 0 <= option.position < n_positional)))
+
+
+def _calls(option, settings):
+    """The recorded calls made through any of the option's callees."""
+    return [call for callee in option.callees
+            for call in settings.get(callee, ())]
 
 
 def _unset(trees):
+    """Options that no call sets and, for a field, no attribute store."""
     settings, stores = _settings(trees)
     return sorted(option.label for option in _options(trees)
-                  if not _is_set(option, settings, stores))
+                  if not (option.field and option.name in stores)
+                  and not any(_sets(option, call)
+                              for call in _calls(option, settings)))
+
+
+def _overridden(trees, entry_points=()):
+    """Options that every call sets: no call leaves the default in place,
+    unless the option is a parameter of an entry point (module.function),
+    which is called with no arguments."""
+    settings, _ = _settings(trees)
+    return sorted(option.label for option in _options(trees)
+                  if option.label.split("(")[0] not in entry_points
+                  and all(_sets(option, call)
+                          for call in _calls(option, settings)))
+
+
+def _entry_points():
+    """module.function of each [project.scripts] entry point, read line by
+    line, as Python 3.10 has no tomllib."""
+    points, section = [], None
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            module, function = line.split("=", 1)[1].strip(" \"'").split(":")
+            points.append(f"{module.removeprefix('radroute.')}.{function}")
+    return points
 
 
 def test_every_default_is_set_by_a_call_in_src():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert _unset(trees) == []
+
+
+def test_every_default_is_left_in_place_by_a_call_in_src():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert _entry_points() == ["cli.main"]
+    assert _overridden(trees, _entry_points()) == []
 
 
 def test_default_guard_on_a_synthetic_module():
@@ -232,6 +272,15 @@ def test_default_guard_on_a_synthetic_module():
         def spread(a, by_star=1, by_double_star=2):
             pass
 
+        def always_set(a, overridden=0):
+            pass
+
+        def sometimes_set(a, left_by_one=0):
+            pass
+
+        def main(argv=None):
+            pass
+
         def caller(cfg, options):
             Config(5, 1, by_keyword=1)
             cfg.by_store += 1
@@ -241,10 +290,22 @@ def test_default_guard_on_a_synthetic_module():
             helper(1)
             spread(*options)
             spread(1, **options)
+            always_set(1, 2)
+            always_set(1, overridden=3)
+            sometimes_set(1)
+            sometimes_set(1, left_by_one=2)
+            main(["--help"])
         """)
-    assert _unset({"m": ast.parse(source)}) == [
+    trees = {"m": ast.parse(source)}
+    assert _unset(trees) == [
         "m.Config.unset_factory", "m.Config.unset_plain",
         "m.Layer.run(unset_param)", "m.helper(unset_param)"]
+    overridden = ["m.Config.by_keyword", "m.Config.by_position",
+                  "m.Layer.__init__(by_class_call)", "m.Layer.run(by_kw)",
+                  "m.always_set(overridden)", "m.spread(by_double_star)",
+                  "m.spread(by_star)"]
+    assert _overridden(trees, ("m.main",)) == overridden
+    assert _overridden(trees) == sorted(overridden + ["m.main(argv)"])
 
 
 # channel-last to channel-first, and back

@@ -54,6 +54,11 @@ def stripe_scene(size=64, seed=0):
     return image, mask
 
 
+def whole(image):
+    """The valid region that holds every pixel of image."""
+    return np.ones(image.shape, dtype=bool)
+
+
 def concat_layout_tensors(depth, base, rng):
     """`.kowt` tensors of a U-Net in the upsample-then-concat layout: layer
     i counts every conv and ReLU of encoder, bottleneck and decoder in
@@ -550,17 +555,17 @@ class TestSampleCrops:
 
     def test_zero_crops(self):
         image, mask = stripe_scene()
-        assert sample_crops(image, mask, 0) == []
+        assert sample_crops(image, mask, 0, 64, 0) == []
 
     def test_unlabeled_mask_rejected(self):
         with pytest.raises(SamplingError):
             sample_crops(np.zeros((64, 64)),
-                         np.full((64, 64), U, np.uint8), 5)
+                         np.full((64, 64), U, np.uint8), 5, 64, 0)
 
     def test_deterministic(self):
         image, mask = stripe_scene()
-        a = sample_crops(image, mask, 10, seed=3)
-        b = sample_crops(image, mask, 10, seed=3)
+        a = sample_crops(image, mask, 10, crop=64, seed=3)
+        b = sample_crops(image, mask, 10, crop=64, seed=3)
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s.image, t.image)
             np.testing.assert_array_equal(s.mask, t.mask)
@@ -661,7 +666,8 @@ class TestPropagate:
         image, mask = stripe_scene()
         cfg = propagation_config(tile_size=32, n_rotations=1,
                                 vote_threshold=1.0)
-        out = propagate_labels(stripe_model, image, mask, cfg)
+        out = propagate_labels(stripe_model, image, mask, cfg,
+                               whole(image))
         probs = segmentation._tiled_inference(stripe_model, image, 32)
         assert np.abs(probs - tiled_float64(stripe_model, image,
                                             32)).max() <= 1e-5
@@ -687,10 +693,12 @@ class TestPropagate:
         angles = [15.0, 120.0, 283.0]
         monkeypatch.setattr(segmentation, "_rotation_angles",
                             lambda cfg: angles)
-        a = propagate_labels(stripe_model, image, mask, cfg)
+        a = propagate_labels(stripe_model, image, mask, cfg,
+                             whole(image))
         monkeypatch.setattr(segmentation, "_rotation_angles",
                             lambda cfg: angles[::-1])
-        b = propagate_labels(stripe_model, image, mask, cfg)
+        b = propagate_labels(stripe_model, image, mask, cfg,
+                             whole(image))
         np.testing.assert_array_equal(a, b)
 
     def test_original_labels_take_precedence(self, stripe_model):
@@ -698,7 +706,8 @@ class TestPropagate:
         mask = mask.copy()
         mask[30, 31] = N  # contradicts the model on a stripe pixel
         cfg = propagation_config(tile_size=32, n_rotations=1)
-        out = propagate_labels(stripe_model, image, mask, cfg)
+        out = propagate_labels(stripe_model, image, mask, cfg,
+                               whole(image))
         assert out[30, 31] == N
         np.testing.assert_array_equal(out[mask != U], mask[mask != U])
 
@@ -716,7 +725,8 @@ class TestPropagate:
     def test_densifies_stripe(self, stripe_model):
         image, mask = stripe_scene()
         cfg = propagation_config(tile_size=32, n_rotations=3)
-        out = propagate_labels(stripe_model, image, mask, cfg)
+        out = propagate_labels(stripe_model, image, mask, cfg,
+                               whole(image))
         new = (out == P) & (mask == U)
         stripe = np.zeros(image.shape, dtype=bool)
         stripe[:, 30:34] = True

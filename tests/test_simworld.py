@@ -5,13 +5,16 @@ import pytest
 
 from radroute import canvas, pipeline, simworld
 from radroute.errors import ConfigurationError
-from radroute.simworld import (SimConfig, TerrainClass, generate_world,
-                               plan_traverse, synth_audio, synth_gps,
-                               synth_radar, synth_vo)
+from radroute.simworld import (TerrainClass, generate_world, plan_traverse,
+                               synth_audio, synth_gps, synth_radar, synth_vo)
+
+NO_SCATTERERS = np.zeros((0, 2))
 
 
-def small_config(**kw):
-    return SimConfig(grid_size=64, **kw)
+def small_config(radar_profile="short", **simworld):
+    """The default simworld section on a 64-cell grid, with overrides."""
+    return pipeline.sim_config(pipeline.resolve_config(
+        {"simworld": {"grid_size": 64, **simworld}}), radar_profile)
 
 
 def capsule_fraction_oracle(terrain_map):
@@ -76,7 +79,7 @@ class TestGenerateWorld:
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(ConfigurationError):
-            SimConfig(grid_size=32)
+            small_config(grid_size=32)
 
 
 def rasterize_oracle(shape, cell_size, vertices, width):
@@ -271,7 +274,7 @@ class TestSynthRadar:
         world = generate_world(0, cfg)
         world.grid[:] = int(TerrainClass.GRASS)
         pose = (world.extent_m / 2, world.extent_m / 2, 0.0)
-        scan = synth_radar(world, pose, cfg, 0)
+        scan = synth_radar(world, pose, cfg, 0, NO_SCATTERERS, 0.0)
         grass = simworld.TERRAIN_REFLECTIVITY[TerrainClass.GRASS]
         vals = np.unique(scan.power)
         assert set(vals.tolist()) <= {0.0, grass}
@@ -282,7 +285,7 @@ class TestSynthRadar:
         cfg = small_config()
         world = generate_world(0, cfg)
         pose = (world.extent_m / 2, world.extent_m / 2, 0.0)
-        scan = synth_radar(world, pose, cfg, 3)
+        scan = synth_radar(world, pose, cfg, 3, NO_SCATTERERS, 0.0)
         # classify each bin by the underlying terrain
         res = cfg.range_resolution
         angles = pose[2] + 2 * np.pi * np.arange(400) / 400
@@ -305,7 +308,7 @@ class TestSynthRadar:
         world = generate_world(0, cfg)
         world.grid[:] = int(TerrainClass.GRASS)
         pose = (world.extent_m / 2, world.extent_m / 2, 0.0)
-        scan = synth_radar(world, pose, cfg, 1)
+        scan = synth_radar(world, pose, cfg, 1, NO_SCATTERERS, 0.0)
         vals = scan.power[scan.power > 0][:10000]
         assert len(vals) == 10000
         m, v = vals.mean(), vals.var()
@@ -318,8 +321,8 @@ class TestSynthRadar:
         center = world.extent_m / 2
         pose = (center, center, 0.0)
         scat = np.array([[center + 5.0, center]])
-        plain = synth_radar(world, pose, cfg, 0)
-        shadowed = synth_radar(world, pose, cfg, 0, scatterers=scat)
+        plain = synth_radar(world, pose, cfg, 0, NO_SCATTERERS, 0.0)
+        shadowed = synth_radar(world, pose, cfg, 0, scat, 0.0)
         res = cfg.range_resolution
         scatter_bin = int(5.0 / res)
         beyond = slice(scatter_bin + 1, None)
@@ -332,7 +335,7 @@ class TestSynthRadar:
         cfg = small_config()
         world = generate_world(0, cfg)
         with pytest.raises(ValueError):
-            synth_radar(world, (-1.0, 5.0, 0.0), cfg, 0)
+            synth_radar(world, (-1.0, 5.0, 0.0), cfg, 0, NO_SCATTERERS, 0.0)
 
 
 def reflectivity_oracle(world, pose, cfg):
@@ -370,7 +373,7 @@ class TestRadarReflectivityLookup:
                  (0.05, 0.05, 0.3), (e - 0.2, e - 0.3, 4.0),
                  (e / 3, e / 4, 0.0)]
         for pose in poses:
-            got = synth_radar(world, pose, cfg, 0).power
+            got = synth_radar(world, pose, cfg, 0, NO_SCATTERERS, 0.0).power
             want = reflectivity_oracle(world, pose, cfg)
             assert (want == 0).any()  # beams leave the grid
             assert np.array_equal(got, want), pose
@@ -379,7 +382,7 @@ class TestRadarReflectivityLookup:
         # 96 * 0.65 rounds to just above 62.4, while floor(62.4 / 0.65) is
         # 96: a beam sample at x = 62.4 lies inside extent_m but past the
         # last column, where terrain_at reads grass
-        cfg = SimConfig(grid_size=96, cell_size=0.65, speckle_on=False)
+        cfg = small_config(grid_size=96, cell_size=0.65, speckle_on=False)
         world = generate_world(1, cfg)
         world.grid[:, -1] = int(TerrainClass.GRAVEL)
         x = 62.4
@@ -388,7 +391,7 @@ class TestRadarReflectivityLookup:
             * cfg.range_resolution
         k = next(k for k, r in enumerate(ranges) if (x - r) + r == x)
         pose = (x - ranges[k], world.extent_m / 2, 0.0)  # azimuth 0 is +x
-        power = synth_radar(world, pose, cfg, 0).power
+        power = synth_radar(world, pose, cfg, 0, NO_SCATTERERS, 0.0).power
         assert power[0, k] == simworld.TERRAIN_REFLECTIVITY[TerrainClass.GRASS]
         assert np.array_equal(power, reflectivity_oracle(world, pose, cfg))
 
@@ -396,7 +399,7 @@ class TestRadarReflectivityLookup:
         cfg = small_config()
         world = generate_world(4, cfg)
         pose = (1.0, world.extent_m - 2.0, 5.5)
-        got = synth_radar(world, pose, cfg, 9).power
+        got = synth_radar(world, pose, cfg, 9, NO_SCATTERERS, 0.0).power
         rng = np.random.default_rng(np.random.SeedSequence([9, 0x4ADA]))
         want = reflectivity_oracle(world, pose, cfg)
         want = want * rng.exponential(1.0, size=want.shape)
@@ -424,7 +427,7 @@ def dead_reckon(vo, start_pose):
 class TestVoGps:
     def test_noiseless_vo_dead_reckons_exactly(self):
         cfg = small_config(vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
-                           vo_yaw_drift=0.0)
+                           vo_yaw_drift_deg_s=0.0)
         world = generate_world(0, cfg)
         truth = plan_traverse(world, cfg)
         vo = synth_vo(truth, cfg, 0)
@@ -440,7 +443,7 @@ class TestVoGps:
 
     def test_yaw_drift_integrates_to_sixty_degrees(self):
         cfg = small_config(vo_trans_sigma=0.0, vo_yaw_sigma=0.0,
-                           vo_yaw_drift=np.deg2rad(0.5))
+                           vo_yaw_drift_deg_s=0.5)
         truth = straight_truth(120.0)
         vo = synth_vo(truth, cfg, 0)
         _, _, yaw = dead_reckon(vo, truth.poses[0])

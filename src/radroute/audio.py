@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dsp, formats, numeric
 from .dsp import AudioClip, StftConfig
-from .errors import InputError, NumericError
+from .errors import NumericError
 from .simworld import TerrainClass
 
 CLIP_LEN_S = 0.5
@@ -119,7 +119,7 @@ class AudioDataset:
 
     @property
     def input_shape(self):
-        """(1, channels, frames), as build_model and the header take it."""
+        """(1, channels, frames), as build_model takes it."""
         _, h, w, c = self.images.shape
         return c, h, w
 
@@ -342,15 +342,14 @@ def evaluate(model: numeric.Sequential, dataset: AudioDataset,
 
 
 def save_model(weights_path, header_path, model: numeric.Sequential,
-               representation: str, input_shape, cfg: StftConfig):
-    """Weights, plus a header with the STFT framing the features used."""
+               representation: str, cfg: StftConfig):
+    """Weights, plus a header with the representation and STFT framing of
+    the features; with a sample rate they give the input shape."""
     numeric.save_weights(weights_path, numeric.named_params(model.layers))
     header = {
         "representation": representation,
-        "input_shape": list(input_shape),
         "class_order": [t.name.lower() for t in TerrainClass],
-        "dsp": {"frame_len": cfg.frame_len, "hop": cfg.hop,
-                "fft_size": cfg.fft_size},
+        "dsp": vars(cfg),
     }
     formats.write_json(header_path, header)
 
@@ -369,12 +368,8 @@ def _param_shapes(chans: int, h: int, w: int) -> list:
 def load_model(weights_path, input_shape) -> numeric.Sequential:
     """build_model(input_shape) holding the weights of a save_model file.
     The file is read first, and InputError is raised before any layer is
-    built unless input_shape is three positive integers that give exactly
-    its tensor names and shapes."""
+    built unless input_shape gives exactly its tensor names and shapes."""
     tensors = numeric.load_weights(weights_path)
-    if not numeric.positive_ints(input_shape, 3):
-        raise InputError(f"input_shape {input_shape!r} of {weights_path} "
-                         f"is not three positive integers")
     numeric.check_tensors(weights_path, tensors, _param_shapes(*input_shape))
     model = build_model(input_shape)
     numeric.load_params(weights_path, tensors,

@@ -8,7 +8,6 @@ pre-pass before `pipeline` (and with it numpy) is imported.
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -54,14 +53,13 @@ def _set_threads(n: int):
 
 
 def load_config(args) -> dict:
-    from . import pipeline
+    from . import formats, pipeline
 
     user = None
     if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
-        with open(args.config) as f:
-            user = json.load(f)
+        user = formats.read_json(args.config, ())
     cfg = pipeline.resolve_config(user)
     if args.seed is not None:
         cfg["seed"] = args.seed

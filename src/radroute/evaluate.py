@@ -76,13 +76,3 @@ def compare_table(column_names: list, rows: list) -> str:
         lines.append(name.ljust(name_w) + "  "
                      + "  ".join(v.rjust(w) for v, w in zip(vals, col_ws)))
     return "\n".join(lines) + "\n"
-
-
-def compare_csv(column_names: list, rows: list) -> str:
-    out = ["name," + ",".join(column_names)]
-    for name, values in rows:
-        out.append(name + "," + ",".join(f"{v:.6f}" for v in values))
-    if len(rows) > 1:
-        avg = np.mean([values for _, values in rows], axis=0)
-        out.append("Average," + ",".join(f"{v:.6f}" for v in avg))
-    return "\n".join(out) + "\n"

@@ -73,6 +73,28 @@ def write_json(path, obj):
         f.write("\n")
 
 
+def read_json(path, keys) -> dict:
+    """The object of a JSON file. InputError names the file unless it is
+    UTF-8 JSON text (json_object)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"{path}: not JSON text: {exc}") from None
+    return json_object(obj, keys, path)
+
+
+def json_object(obj, keys, where) -> dict:
+    """obj, a decoded JSON value; InputError naming where unless it is an
+    object, and the key of keys that it lacks."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"{where}: no key {key!r}")
+    return obj
+
+
 def write_wav(path, samples, sample_rate: float):
     """Mono PCM-16 WAV from an array or an iterable of arrays (each
     flattened), quantized and written WAV_CHUNK samples at a time. A
@@ -106,7 +128,7 @@ class WavReader:
     """
 
     def __init__(self, path):
-        self._file = open(path, "rb")
+        self.path, self._file = path, open(path, "rb")
         try:
             self._open(path)
         except BaseException:

@@ -646,25 +646,21 @@ def load_weights(path) -> list[tuple[str, np.ndarray]]:
         return out
 
 
-def positive_ints(values, count: int) -> bool:
-    """values is a list or tuple of `count` positive integers: the sizes
-    a model header may declare."""
-    return (isinstance(values, (list, tuple)) and len(values) == count
-            and all(type(v) is int and v >= 1 for v in values))
-
-
 def check_tensors(path, tensors: list, expected: list):
-    """InputError naming the tensors missing, unexpected or of another
-    shape unless tensors, the load_weights list of the file at path, hold
-    exactly the (name, shape) pairs of expected. Loaders run it on the
-    shapes a model header gives before building a layer, so that no header
-    makes them allocate more than the weights file holds."""
+    """InputError unless tensors, the load_weights list of the file at
+    path, hold exactly the (name, shape) pairs of expected: the message
+    counts the missing and unexpected tensors and names the first of each.
+    Loaders run it before building a layer, so that no layout they work
+    out makes them allocate more than the weights file holds."""
     shapes, want = {name: t.shape for name, t in tensors}, dict(expected)
-    missing = sorted(want.keys() - shapes.keys())
-    extra = sorted(shapes.keys() - want.keys())
+    missing = [name for name in want if name not in shapes]
+    extra = [name for name in shapes if name not in want]
     if missing or extra:
+        first = [f" (first {names[0]})" if names else ""
+                 for names in (missing, extra)]
         raise InputError(f"weights file {path} does not match the model: "
-                         f"missing {missing}, unexpected {extra}")
+                         f"{len(missing)} tensors missing{first[0]}, "
+                         f"{len(extra)} unexpected{first[1]}")
     for name, shape in want.items():
         if shapes[name] != shape:
             raise InputError(f"tensor {name} of {path}: file shape "

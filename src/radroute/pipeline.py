@@ -180,9 +180,7 @@ def sim_config(cfg: dict, profile: str) -> SimConfig:
 
 
 def stft_config(cfg: dict) -> dsp.StftConfig:
-    d = cfg["dsp"]
-    return dsp.StftConfig(frame_len=d["frame_len"], hop=d["hop"],
-                          fft_size=d["fft_size"])
+    return dsp.StftConfig(**cfg["dsp"])
 
 
 def derive_seed(seed: int, *tags: int) -> int:
@@ -343,7 +341,6 @@ def run_train_audio(cfg: dict, out: str):
     accuracies = {rep: [] for rep in audio.REPRESENTATIONS}
     logs = {rep: [] for rep in audio.REPRESENTATIONS}
     final_model = None
-    final_shape = None
     for rep in audio.REPRESENTATIONS:
         dataset = datasets.pop(rep)
         for trial in range(acfg["trials"]):
@@ -360,15 +357,12 @@ def run_train_audio(cfg: dict, out: str):
             accuracies[rep].append(acc)
             if rep == acfg["representation"] and trial == 0:
                 final_model = model
-                final_shape = dataset.input_shape
     rows = [(f"Trial {i + 1}",
              [100.0 * accuracies[rep][i] for rep in audio.REPRESENTATIONS])
             for i in range(acfg["trials"])]
     columns = ["Spectrogram", "Mel-frequency Spectrogram", "Gammatonegram"]
     with open(os.path.join(out, "audio_table.txt"), "w") as f:
         f.write(evaluate.compare_table(columns, rows))
-    with open(os.path.join(out, "audio_table.csv"), "w") as f:
-        f.write(evaluate.compare_csv(columns, rows))
     report = {rep: {"accuracies": accuracies[rep],
                     "mean": float(np.mean(accuracies[rep]))}
               for rep in audio.REPRESENTATIONS}
@@ -376,34 +370,41 @@ def run_train_audio(cfg: dict, out: str):
     formats.write_json(os.path.join(out, "audio_train_log.json"), logs)
     audio.save_model(os.path.join(out, "audio_model.kowt"),
                      os.path.join(out, "audio_model.json"),
-                     final_model, acfg["representation"], final_shape,
-                     stft_config(cfg))
+                     final_model, acfg["representation"], stft_config(cfg))
     return report
 
 
-def _load_audio_model(cfg: dict, out: str):
-    """The saved classifier and its representation; ConfigurationError if
-    it was trained on a framing other than the config's dsp section,
-    InputError if its header's input_shape does not describe its weights
-    (audio.load_model)."""
-    with open(os.path.join(out, "audio_model.json")) as f:
-        header = json.load(f)
-    framing = stft_config(cfg)
-    expected = {"frame_len": framing.frame_len, "hop": framing.hop,
-                "fft_size": framing.fft_size}
-    if header.get("dsp") != expected:
+def _load_audio_model(cfg: dict, out: str, wav: formats.WavReader):
+    """The saved classifier and its representation. InputError names the header
+    unless it has a known representation (formats.read_json), the WAV unless it
+    holds one CLIP_LEN_S window, and the weights unless they take that
+    representation's images of such a window; ConfigurationError if the model
+    was trained on a framing other than the config's dsp section."""
+    path = os.path.join(out, "audio_model.json")
+    header = formats.read_json(path, ("representation", "dsp"))
+    rep = header["representation"]
+    if rep not in audio.REPRESENTATIONS:
+        raise InputError(f"{path}: representation {rep!r} is not one of "
+                         f"{audio.REPRESENTATIONS}")
+    if header["dsp"] != cfg["dsp"]:
         raise ConfigurationError(
-            f"config section dsp {expected} does not match the framing "
-            f"{header.get('dsp')} the audio model was trained with")
+            f"config section dsp {cfg['dsp']} does not match the framing "
+            f"{header['dsp']} the audio model was trained with")
+    n = int(round(audio.CLIP_LEN_S * wav.sample_rate))
+    if n > wav.n_frames:  # the zero window would outgrow the file
+        raise InputError(f"{wav.path}: {wav.n_frames} frames, less than one "
+                         f"{audio.CLIP_LEN_S} s window")
+    image = audio.window_features(np.zeros((1, n)), wav.sample_rate, (rep,),
+                                  stft_config(cfg))[rep]
     model = audio.load_model(os.path.join(out, "audio_model.kowt"),
-                             header.get("input_shape"))
-    return model, header["representation"]
+                             (1, *image.shape[1:]))
+    return model, rep
 
 
 def run_eval_audio(cfg: dict, out: str):
     """Classify the traverse stream and score it against ground truth."""
-    model, rep = _load_audio_model(cfg, out)
     with formats.WavReader(os.path.join(out, "traverse_audio.wav")) as wav:
+        model, rep = _load_audio_model(cfg, out, wav)
         predictions = audio.classify_stream(model, wav, rep,
                                             cfg=stft_config(cfg))
     audio.predictions_csv(os.path.join(out, "predictions.csv"), predictions)
@@ -541,16 +542,14 @@ def run_train_seg(cfg: dict, out: str, stage: int):
             crops_per_scan=scfg["crops_per_scan"])
     elif stage == 2:
         masks = _scan_masks(out, "masks_propagated", len(images))
-        model = segmentation.load_unet(os.path.join(out, "seg_stage1.kowt"),
-                                       os.path.join(out, "seg_stage1.json"))
+        model = segmentation.load_unet(os.path.join(out, "seg_stage1.kowt"))
         tcfg = segmentation.SegTrainConfig(
             learning_rate=scfg["stage2_lr"], batch_size=1,
             steps=scfg["stage2_steps"], seed=derive_seed(seed, 72))
         model, log = segmentation.stage2_finetune(model, images, masks, tcfg)
     else:
         raise ConfigurationError("stage must be 1 or 2")
-    segmentation.save_unet(os.path.join(out, f"seg_stage{stage}.kowt"),
-                           os.path.join(out, f"seg_stage{stage}.json"), model)
+    segmentation.save_unet(os.path.join(out, f"seg_stage{stage}.kowt"), model)
     with open(os.path.join(out, f"seg_stage{stage}_log.json"), "w") as f:
         json.dump({"losses": log.losses,
                    "skipped_batches": log.skipped_batches,
@@ -564,8 +563,7 @@ def run_propagate(cfg: dict, out: str):
     untraversed side path was recovered."""
     scfg = cfg["segmentation"]
     ccfg = cfg["canvas"]
-    model = segmentation.load_unet(os.path.join(out, "seg_stage1.kowt"),
-                                   os.path.join(out, "seg_stage1.json"))
+    model = segmentation.load_unet(os.path.join(out, "seg_stage1.kowt"))
     scans = _read_scans(cfg, out, "scans_train")
     masks = _scan_masks(out, "masks_initial", len(scans))
     pcfg = segmentation.PropagationConfig(
@@ -609,8 +607,7 @@ def run_propagate(cfg: dict, out: str):
 
 def run_segment(cfg: dict, out: str, scans: str, model: str):
     """Segment the scans of subdirectory `scans` with the U-Net `model`."""
-    unet = segmentation.load_unet(os.path.join(out, f"{model}.kowt"),
-                                  os.path.join(out, f"{model}.json"))
+    unet = segmentation.load_unet(os.path.join(out, f"{model}.kowt"))
     images = [scan.image for scan in _read_scans(cfg, out, scans)]
     pred_dir = _ensure_dir(os.path.join(out, f"pred_{scans}"))
     for i, image in enumerate(images):
@@ -646,8 +643,7 @@ def run_render(cfg: dict, out: str):
     scans = _read_scans(cfg, out, "scans_train")
     initial = _scan_masks(out, "masks_initial", len(scans))
     propagated = _scan_masks(out, "masks_propagated", len(scans))
-    model = segmentation.load_unet(os.path.join(out, "seg_stage2.kowt"),
-                                   os.path.join(out, "seg_stage2.json"))
+    model = segmentation.load_unet(os.path.join(out, "seg_stage2.kowt"))
     render_dir = _ensure_dir(os.path.join(out, "render"))
     mid = len(scans) // 2
     image = scans[mid].image
@@ -752,19 +748,19 @@ STAGES = {s.name: s for s in (
     Stage("train-seg", run_train_seg,
           lambda stage: ("scans_train",) + (
               ("masks_initial",) if stage == 1 else
-              ("masks_propagated", "seg_stage1.kowt", "seg_stage1.json")),
+              ("masks_propagated", "seg_stage1.kowt")),
           lambda model, stage: f"stage {stage} model saved",
           options=(("--stage", {"type": int, "choices": (1, 2),
                                 "required": True}),)),
     Stage("propagate", run_propagate,
-          lambda: ("seg_stage1.kowt", "seg_stage1.json", "scans_train",
-                   "masks_initial", "world_train.json", "world_train.pgm"),
+          lambda: ("seg_stage1.kowt", "scans_train", "masks_initial",
+                   "world_train.json", "world_train.pgm"),
           lambda report: f"side path recall "
                          f"{report['side_path_recall']:.3f}, grass false "
                          f"positive rate "
                          f"{report['grass_false_positive_rate']:.3f}"),
     Stage("segment", run_segment,
-          lambda scans, model: (f"{model}.kowt", f"{model}.json", scans),
+          lambda scans, model: (f"{model}.kowt", scans),
           lambda _, scans, model: f"segmented {scans}",
           options=(("--scans", {"default": "scans_eval_short",
                                 "help": "scan subdirectory under the "
@@ -778,7 +774,7 @@ STAGES = {s.name: s for s in (
           seg_score_lines, gate=seg_gates_pass),
     Stage("render", run_render,
           lambda: ("scans_train", "masks_initial", "masks_propagated",
-                   "seg_stage2.kowt", "seg_stage2.json"),
+                   "seg_stage2.kowt"),
           lambda _: "renders written"),
     Stage("reproduce", run_reproduce, lambda: (), seg_score_lines,
           gate=seg_gates_pass),

@@ -6,12 +6,11 @@ regions, and stage 2 fine-tunes on full scans with the densified masks.
 """
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import formats, numeric
+from . import numeric
 from .canvas import Label
 from .errors import InputError, NumericError, SamplingError, ShapeError
 
@@ -48,7 +47,6 @@ class UNet:
     def __init__(self, depth: int = 3, base_channels: int = 8,
                  in_channels: int = 1, seed: int = 0):
         self.depth = depth
-        self.base_channels = base_channels
         self.in_channels = in_channels
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0E7]))
         conv = numeric.Conv2d
@@ -141,11 +139,9 @@ class UNet:
         return numeric.named_params(self._blocks())
 
 
-def save_unet(weights_path, header_path, model: UNet):
+def save_unet(weights_path, model: UNet):
+    """The model's weights; load_unet works its layout out from them."""
     numeric.save_weights(weights_path, model.named_params())
-    header = {"depth": model.depth, "base_channels": model.base_channels,
-              "in_channels": model.in_channels}
-    formats.write_json(header_path, header)
 
 
 def _param_shapes(depth: int, base_channels: int, in_channels: int) -> list:
@@ -159,20 +155,20 @@ def _param_shapes(depth: int, base_channels: int, in_channels: int) -> list:
             for j, shape in enumerate(((o, c, k, k), (o,)))]
 
 
-def load_unet(weights_path, header_path) -> UNet:
-    """The U-Net of a save_unet weights file and header. The weights are
-    read first, and InputError is raised before any layer is built unless
-    the header's depth, base_channels and in_channels are positive
-    integers that give exactly the file's tensor names and shapes."""
+def load_unet(weights_path) -> UNet:
+    """The U-Net of a save_unet file, laid out as its tensors say: depth d
+    holds 8 * d + 6, and layer0.p0 is (base_channels, in_channels, 3, 3).
+    InputError is raised before any layer is built unless the file holds
+    exactly the tensor names and shapes of that layout."""
     tensors = numeric.load_weights(weights_path)
-    with open(header_path) as f:
-        header = json.load(f)
-    dims = [header.get(k) for k in ("depth", "base_channels", "in_channels")]
-    # a depth needs 8 * depth + 6 tensors; the bound keeps the list of
-    # expected tensors no longer than the file's
-    if not numeric.positive_ints(dims, 3) or dims[0] > len(tensors):
-        raise InputError(f"header {header_path} {header} does not describe "
-                         f"the {len(tensors)} tensors of {weights_path}")
+    depth, rest = divmod(len(tensors) - 6, 8)
+    first = dict(tensors).get("layer0.p0", np.empty(0))
+    if depth < 1 or rest or first.ndim != 4 or not all(first.shape):
+        raise InputError(f"weights file {weights_path} holds {len(tensors)} "
+                         f"tensors and a layer0.p0 of shape {first.shape}; "
+                         f"a U-Net of depth d >= 1 holds 8 * d + 6 and a "
+                         f"4-D layer0.p0")
+    dims = depth, *first.shape[:2]
     numeric.check_tensors(weights_path, tensors, _param_shapes(*dims))
     model = UNet(*dims)
     numeric.load_params(weights_path, tensors, model.named_params())

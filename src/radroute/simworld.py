@@ -10,7 +10,6 @@ most SYNTH_BLOCK_SAMPLES samples, in bounded memory; each clip keeps its
 own seed, gain and peak, and its samples equal a one-clip call bit for bit.
 """
 
-import json
 import os
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -19,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .dsp import AudioClip
-from .formats import (csv_rows, finite_number, read_pgm, write_json,
-                      write_pgm)
+from .formats import (csv_rows, finite_number, json_object, read_json,
+                      read_pgm, write_json, write_pgm)
 
 
 class TerrainClass(IntEnum):
@@ -515,25 +514,32 @@ def save_world(terrain_map: TerrainMap, json_path, pgm_path):
 
 
 def load_world(json_path) -> TerrainMap:
-    """The world of a save_world file; InputError unless its cell_size is
-    a positive number and its grid_height and grid_width are the shape of
-    its PGM."""
-    with open(json_path) as f:
-        meta = json.load(f)
+    """The world of a save_world file; InputError as formats.read_json (of
+    the file and of each of its paths), or unless its cell_size is a
+    positive number and its grid_height and grid_width are the shape of
+    the PGM that its grid_pgm names beside it."""
+    meta = read_json(json_path, ("cell_size", "grid_pgm", "grid_height",
+                                 "grid_width", "paths"))
     cell_size = meta["cell_size"]
     if type(cell_size) not in (int, float) or not 0 < cell_size < np.inf:
         raise InputError(f"{json_path}: cell_size must be a positive "
                          f"number, got {cell_size!r}")
-    pgm = os.path.join(os.path.dirname(str(json_path)), meta["grid_pgm"])
+    pgm = os.path.join(os.path.dirname(str(json_path)), str(meta["grid_pgm"]))
+    if not os.path.isfile(pgm):
+        raise InputError(f"{json_path}: grid_pgm {meta['grid_pgm']!r} names "
+                         f"no file beside it")
     grid = read_pgm(pgm).astype(np.int8)
     shape = (meta["grid_height"], meta["grid_width"])
     if grid.shape != shape:
         raise InputError(f"{json_path}: grid_height, grid_width {shape} do "
                          f"not match the {grid.shape} grid of {pgm}")
+    paths = [json_object(p, ("vertices", "width", "untraversed"),
+                         f"{json_path} path {i}")
+             for i, p in enumerate(meta["paths"])]
     polylines = [
         PathPolyline(vertices=np.asarray(p["vertices"], dtype=np.float64),
                      width=p["width"], untraversed=p["untraversed"])
-        for p in meta["paths"]
+        for p in paths
     ]
     return TerrainMap(grid=grid, cell_size=cell_size,
                       path_polylines=polylines)

@@ -470,7 +470,7 @@ def test_gate_10_inference_throughput(capsys, full_run):
         "import sys, time\n"
         "import numpy as np\n"
         "from radroute import segmentation\n"
-        "model = segmentation.load_unet(sys.argv[1], sys.argv[2])\n"
+        "model = segmentation.load_unet(sys.argv[1])\n"
         "x = segmentation.prepare_scan_image(\n"
         "    np.random.default_rng(0).random((256, 256)))\n"
         "segmentation.segment(model, x)\n"
@@ -483,8 +483,7 @@ def test_gate_10_inference_throughput(capsys, full_run):
                MKL_NUM_THREADS="1", NUMEXPR_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", script,
-         os.path.join(out, "seg_stage2.kowt"),
-         os.path.join(out, "seg_stage2.json")],
+         os.path.join(out, "seg_stage2.kowt")],
         capture_output=True, text=True, env=env, check=True)
     rate = float(proc.stdout.strip())
     ok = rate >= 10.0
@@ -499,8 +498,7 @@ def test_render_draws_segment_mask(full_run):
     images = [scan.image
               for scan in pipeline._read_scans(cfg, out, "scans_train")]
     image = images[len(images) // 2]
-    model = segmentation.load_unet(os.path.join(out, "seg_stage2.kowt"),
-                                   os.path.join(out, "seg_stage2.json"))
+    model = segmentation.load_unet(os.path.join(out, "seg_stage2.kowt"))
     path = segmentation.segment(model, image) > 0
     assert path.any()
     mask = np.where(path, int(canvas.Label.PATH), int(canvas.Label.NOT_PATH))

@@ -400,7 +400,7 @@ class TestModelIo:
             ds, np.arange(len(ds)),
             TrainConfig(learning_rate=0.02, batch_size=16, epochs=1, seed=0))
         audio.save_model(tmp_path / "m.kowt", tmp_path / "m.json", model,
-                         "spectrogram", ds.input_shape, DEFAULT_STFT)
+                         "spectrogram", DEFAULT_STFT)
         fresh = audio.load_model(tmp_path / "m.kowt", ds.input_shape)
         x = ds.images[:2]
         np.testing.assert_array_equal(fresh.forward(x), model.forward(x))
@@ -410,6 +410,7 @@ class TestModelIo:
         assert header["class_order"] == ["grass", "gravel", "asphalt"]
         assert header["dsp"] == {"frame_len": 441, "hop": 441,
                                  "fft_size": 441}
+        assert "input_shape" not in header
 
     def test_weights_of_relu_before_pool_order_load(self, tmp_path):
         # the network once ran conv -> relu -> maxpool per block; its

@@ -10,9 +10,10 @@ import types
 import numpy as np
 import pytest
 
+import capped
 import radroute
-from radroute import (audio, canvas, cli, formats, pipeline, segmentation,
-                      simworld)
+from radroute import (audio, canvas, cli, formats, numeric, pipeline,
+                      segmentation, simworld)
 from radroute.errors import ConfigurationError, InputError
 
 
@@ -231,7 +232,8 @@ class TestDspSection:
                            stage])
             assert rc == cli.EXIT_OK, stage
         header = json.loads((out / "audio_model.json").read_text())
-        assert header["input_shape"] == [1, 32, 99]
+        assert "input_shape" not in header  # the framing and WAV give it
+        audio.load_model(out / "audio_model.kowt", (1, 32, 99))
         assert header["dsp"] == {"frame_len": 441, "hop": 220,
                                  "fft_size": 441}
         assert (out / "stream_report.json").exists()
@@ -475,7 +477,6 @@ def write_train_fixture(out, cfg, n_masks):
     scfg = cfg["segmentation"]
     segmentation.save_unet(
         os.path.join(out, "seg_stage1.kowt"),
-        os.path.join(out, "seg_stage1.json"),
         segmentation.UNet(depth=scfg["depth"],
                           base_channels=scfg["base_channels"]))
 
@@ -660,12 +661,12 @@ class TestStageTable:
     def test_missing_sidecar_is_missing_input(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         write_train_fixture(out, pipeline.resolve_config(SMALL_TRAIN), 2)
-        os.remove(os.path.join(out, "seg_stage1.json"))
+        os.remove(os.path.join(out, "seg_stage1.kowt"))
         rc = cli.main(["--out", out, "propagate"])
         assert rc == cli.EXIT_MISSING_INPUT
         err = capsys.readouterr().err
         assert "missing input for propagate: " in err
-        assert "seg_stage1.json" in err
+        assert "seg_stage1.kowt" in err
         assert not os.path.exists(os.path.join(out, "masks_propagated"))
 
 
@@ -697,71 +698,92 @@ class TestThreads:
             cli.EXIT_MISSING_INPUT, ["3"]]
 
 
-# A child process with its address space capped: a loader that builds
-# layers from a bad header before checking it fails there with
-# MemoryError, instead of taking the memory of the host.
-CAPPED_CLI = textwrap.dedent("""
-    import resource, sys
-    cap = 512 << 20
-    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-    from radroute.cli import main
-    sys.exit(main(sys.argv[1:]))
-""")
-
-
 def run_capped_cli(*argv):
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(radroute.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
+    """`radroute argv...` in a child capped as capped.run_capped: a loader
+    that builds layers from a bad header before checking it fails there."""
+    return capped.run_capped(
+        "import sys\nfrom radroute.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n", *argv)
+
+
+def _unet_tensors(change):
+    """The tensors of a depth-1, 2-channel U-Net, changed as change names:
+    the counts of depth 30 and depth 2, a count no depth has, a layer0.p0
+    of 4096 or of no input channels."""
+    named = segmentation.UNet(depth=1, base_channels=2).named_params()
+    extra = [(f"extra{i:03d}", np.zeros(1)) for i in range(8 * 29)]
+    if change == "huge-base":
+        named[0] = ("layer0.p0", np.zeros((1 << 12, 1, 3, 3)))
+    elif change == "no-input":
+        named[0] = ("layer0.p0", np.zeros((2, 0, 3, 3)))
+    return named + {"depth-30": extra, "depth-2": extra[:8],
+                    "depth-x": extra[:1]}.get(change, [])
 
 
 class TestModelHeaders:
+    # A U-Net's layout comes from the tensor records of its .kowt: depth
+    # from their count, base and input channels from layer0.p0's shape
     @pytest.mark.parametrize("change", [
-        {}, {"depth": 30}, {"depth": 2}, {"depth": "x"},
-        {"base_channels": 1 << 20}, {"in_channels": 0}],
-        ids=["valid", "depth-30", "depth-2", "depth-x", "huge-base",
-             "no-input"])
+        "valid", "depth-30", "depth-2", "depth-x", "huge-base", "no-input"])
     def test_unet_header_checked_before_any_layer(self, tmp_path, change):
         out = tmp_path / "run"
         os.makedirs(out / "scans")
-        segmentation.save_unet(out / "m.kowt", out / "m.json",
-                               segmentation.UNet(depth=1, base_channels=2))
-        header = json.loads((out / "m.json").read_text())
-        (out / "m.json").write_text(json.dumps({**header, **change}))
+        numeric.save_weights(out / "m.kowt", _unet_tensors(change))
         proc = run_capped_cli("--out", str(out), "segment", "--scans",
                               "scans", "--model", "m")
-        if not change:
+        if change == "valid":
             assert proc.returncode == cli.EXIT_OK, proc.stderr
             return
         assert proc.returncode == cli.EXIT_ERROR
         assert "m.kowt" in proc.stderr, proc.stderr
+        assert len(proc.stderr) < 400, proc.stderr
 
-    @pytest.mark.parametrize("input_shape, loads", [
-        ([1, 32, 50], True), ([1, 10 ** 6, 10 ** 6], False),
-        ([10 ** 8, 32, 50], False), ([1, 32], False), ([1, 32.0, 50], False),
-        (None, False)], ids=["valid", "huge-image", "huge-channels",
-                             "two-dims", "float", "missing"])
+    # a gammatone model's header with its representation changed: the
+    # weights of another image shape are refused naming the .kowt, a
+    # representation that is no string of REPRESENTATIONS naming the header
+    @pytest.mark.parametrize("representation, named", [
+        ("gammatone", "poses_train.csv"), ("spectrogram", "audio_model.kowt"),
+        ("mel", "audio_model.kowt"), ("x", "audio_model.json"),
+        (32.0, "audio_model.json"), (None, "audio_model.json")],
+        ids=["valid", "spectrogram", "mel", "unknown", "float", "missing"])
     def test_audio_header_checked_before_any_layer(self, tmp_path,
-                                                   input_shape, loads):
+                                                   representation, named):
         out = tmp_path / "run"
         os.makedirs(out)
-        for name in ("traverse_audio.wav", "poses_train.csv"):
-            (out / name).write_bytes(b"")
+        (out / "poses_train.csv").write_bytes(b"")
+        formats.write_wav(out / "traverse_audio.wav", np.zeros(22050),
+                          44100.0)
         audio.save_model(out / "audio_model.kowt", out / "audio_model.json",
-                         audio.build_model((1, 32, 50)), "mel", (1, 32, 50),
+                         audio.build_model((1, 32, 50)), "gammatone",
                          pipeline.stft_config(pipeline.DEFAULT_CONFIG))
         header = json.loads((out / "audio_model.json").read_text())
-        header["input_shape"] = input_shape
+        header["representation"] = representation
+        if representation is None:
+            del header["representation"]
         (out / "audio_model.json").write_text(json.dumps(header))
         proc = run_capped_cli("--out", str(out), "eval-audio")
         assert proc.returncode == cli.EXIT_ERROR
-        if loads:  # the empty WAV is what fails
-            assert "traverse_audio.wav" in proc.stderr, proc.stderr
-        else:
-            assert "audio_model.kowt" in proc.stderr, proc.stderr
+        assert named in proc.stderr, proc.stderr
+        if representation is None:
+            assert "'representation'" in proc.stderr, proc.stderr
+
+    # a WAV whose header declares a rate of 2**31 Hz over a few frames: the
+    # model's input shape comes from one window at that rate, so the window
+    # is checked against the frames the file holds before it is built
+    def test_wav_rate_beyond_its_frames_exits_1(self, tmp_path):
+        out = tmp_path / "run"
+        os.makedirs(out)
+        (out / "poses_train.csv").write_bytes(b"")
+        formats.write_wav(out / "traverse_audio.wav", np.zeros(64), 44100.0)
+        data = bytearray((out / "traverse_audio.wav").read_bytes())
+        data[24:28] = (1 << 31).to_bytes(4, "little")
+        (out / "traverse_audio.wav").write_bytes(bytes(data))
+        audio.save_model(out / "audio_model.kowt", out / "audio_model.json",
+                         audio.build_model((1, 32, 50)), "gammatone",
+                         pipeline.stft_config(pipeline.DEFAULT_CONFIG))
+        proc = run_capped_cli("--out", str(out), "eval-audio")
+        assert proc.returncode == cli.EXIT_ERROR, proc.stderr
+        assert "traverse_audio.wav" in proc.stderr, proc.stderr
 
 
 PREDICTIONS_HEADER = "timestamp,class,p_grass,p_gravel,p_asphalt\n"
@@ -977,3 +999,47 @@ class TestWorldReader:
             tmp_path, capsys, key, value,
             f"grid_height, grid_width {shape} do not match the (64, 64) "
             f"grid of")
+
+    @pytest.mark.parametrize("damage, error", [
+        ("truncated", "not JSON text"), ("no-paths", "no key 'paths'")])
+    def test_unreadable_world_exits_1_naming_file_and_key(self, tmp_path,
+                                                          capsys, damage,
+                                                          error):
+        out = str(tmp_path / "run")
+        write_train_fixture(out, pipeline.resolve_config(SMALL_TRAIN), 2)
+        path = os.path.join(out, "world_train.json")
+        with open(path) as f:
+            text = f.read()
+        if damage == "truncated":
+            text = text[:len(text) // 2]
+        else:
+            meta = json.loads(text)
+            del meta["paths"]
+            text = json.dumps(meta)
+        with open(path, "w") as f:
+            f.write(text)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_TRAIN))
+        rc = cli.main(["--config", str(cfg_path), "--out", out, "propagate"])
+        assert rc == cli.EXIT_ERROR
+        assert f"{path}: {error}" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "masks_propagated"))
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text, error", [
+        ('{"seed": 3', "not JSON text"), ("[1, 2]", "not a JSON object"),
+        (b'{"seed": 3}\xff', "not JSON text")],
+        ids=["truncated", "list", "not-utf8"])
+    def test_unreadable_config_exits_1_naming_it(self, tmp_path, capsys,
+                                                 text, error):
+        path = tmp_path / "cfg.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        out = tmp_path / "run"
+        rc = cli.main(["--config", str(path), "--out", str(out), "fuse"])
+        assert rc == cli.EXIT_ERROR
+        assert f"{path}: {error}" in capsys.readouterr().err
+        assert not out.exists()

@@ -3,8 +3,8 @@ import pytest
 
 from radroute import evaluate
 from radroute.errors import ShapeError
-from radroute.evaluate import (UndefinedMetricError, compare_csv,
-                               compare_table, confusion_2x2, scores)
+from radroute.evaluate import (UndefinedMetricError, compare_table,
+                               confusion_2x2, scores)
 
 
 def block_mask(shape, rows, cols):
@@ -143,11 +143,3 @@ class TestCompareTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compare_table(["a"], [])
-
-    def test_csv_export(self):
-        text = compare_csv(["t1", "t2", "t3"], self.ROWS)
-        lines = text.strip().splitlines()
-        assert lines[0] == "name,t1,t2,t3"
-        assert len(lines) == 5
-        assert lines[1].startswith("spectrogram,98.500000")
-        assert lines[-1].startswith("Average,")

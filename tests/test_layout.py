@@ -156,13 +156,33 @@ def _callee(func):
     return None
 
 
+def _class_calls(tree):
+    """{id of each call of a classmethod's first parameter, as
+    `cls(...)`: the name of the method's class}."""
+    found = {}
+    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for cls in classes:
+        for method in cls.body:
+            if (isinstance(method, ast.FunctionDef) and method.args.args
+                    and "classmethod" in _decorator_names(method)):
+                first = method.args.args[0].arg
+                found.update((id(node), cls.name)
+                             for node in ast.walk(method)
+                             if isinstance(node, ast.Call)
+                             and isinstance(node.func, ast.Name)
+                             and node.func.id == first)
+    return found
+
+
 def _settings(trees):
     """What the trees set: for each callee name, the (keywords, count of
     positional arguments, star, double star) of every call made through
-    it, resolving a local alias such as `conv = numeric.Conv2d`; and the
-    attribute names that are assigned."""
-    aliases, calls, stores = {}, [], set()
+    it, resolving a local alias such as `conv = numeric.Conv2d` and a
+    classmethod's `cls(...)` to its class; and the attribute names that
+    are assigned."""
+    aliases, calls, stores, classes = {}, [], set(), {}
     for tree in trees.values():
+        classes.update(_class_calls(tree))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Assign) and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)
@@ -175,7 +195,7 @@ def _settings(trees):
                 stores.add(node.attr)
     settings = {}
     for call in calls:
-        name = _callee(call.func)
+        name = classes.get(id(call), _callee(call.func))
         entry = ({k.arg for k in call.keywords if k.arg is not None},
                  sum(not isinstance(a, ast.Starred) for a in call.args),
                  any(isinstance(a, ast.Starred) for a in call.args),
@@ -281,6 +301,15 @@ def test_default_guard_on_a_synthetic_module():
         def main(argv=None):
             pass
 
+        @dataclass
+        class Bank:
+            bands: list
+            by_cls_call: int = 4
+
+            @classmethod
+            def design(cls, n):
+                return cls(list(range(n)), by_cls_call=n)
+
         def caller(cfg, options):
             Config(5, 1, by_keyword=1)
             cfg.by_store += 1
@@ -295,6 +324,8 @@ def test_default_guard_on_a_synthetic_module():
             sometimes_set(1)
             sometimes_set(1, left_by_one=2)
             main(["--help"])
+            Bank.design(3)
+            Bank([1])
         """)
     trees = {"m": ast.parse(source)}
     assert _unset(trees) == [

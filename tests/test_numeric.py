@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from radroute import audio, numeric, segmentation
-from radroute.errors import (DegenerateBatchError, NumericError, ShapeError)
+from radroute.errors import (DegenerateBatchError, InputError, NumericError,
+                             ShapeError)
 
 from oracles import Upsample2x, gradcheck, masked_binary_cross_entropy
 
@@ -949,3 +950,17 @@ class TestWeightsFile:
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match="truncated"):
                 numeric.load_weights(path)
+
+    def test_mismatch_message_is_bounded(self, tmp_path):
+        # 200 stray tensors beside a model's own: the message gives the
+        # counts and the first stray, not every name
+        model = [("w", np.ones((2, 3))), ("b", np.zeros(2))]
+        path = tmp_path / "extra.kowt"
+        numeric.save_weights(path, model + [(f"stray{i:03d}", np.zeros(1))
+                                            for i in range(200)])
+        with pytest.raises(InputError) as caught:
+            numeric.check_tensors(path, numeric.load_weights(path),
+                                  [(n, t.shape) for n, t in model])
+        message = str(caught.value)
+        assert "0 tensors missing, 200 unexpected (first stray000)" in message
+        assert len(message) < 300, message

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,10 +154,8 @@ class TestUNetForward:
 
     def test_save_load_roundtrip(self, tmp_path):
         model = tiny_model(seed=5, zero_head=False)
-        segmentation.save_unet(tmp_path / "m.kowt", tmp_path / "m.json",
-                               model)
-        back = segmentation.load_unet(tmp_path / "m.kowt",
-                                      tmp_path / "m.json")
+        segmentation.save_unet(tmp_path / "m.kowt", model)
+        back = segmentation.load_unet(tmp_path / "m.kowt")
         x = np.random.default_rng(1).normal(size=(1, 32, 32, 1))
         np.testing.assert_array_equal(back.forward(x), model.forward(x))
 
@@ -174,10 +174,7 @@ class TestUNetForward:
         # a larger head spreads the probabilities, so errors are not squashed
         named[-2] = (named[-2][0], 4.0 * named[-2][1])
         numeric.save_weights(tmp_path / "m.kowt", named)
-        formats.write_json(tmp_path / "m.json", {
-            "depth": 3, "base_channels": 8, "in_channels": 1})
-        model = segmentation.load_unet(tmp_path / "m.kowt",
-                                       tmp_path / "m.json")
+        model = segmentation.load_unet(tmp_path / "m.kowt")
         assert [n for n, _ in model.named_params()] == [n for n, _ in named]
         x = rng.normal(size=(2, 32, 48, 1))
         want = concat_layout_probabilities(named, 3, x)
@@ -194,31 +191,46 @@ class TestUNetForward:
 
     def _load_altered(self, tmp_path, alter):
         model = tiny_model(seed=5)
-        segmentation.save_unet(tmp_path / "m.kowt", tmp_path / "m.json",
-                               model)
         named = alter([(n, p.copy()) for n, p in model.named_params()])
         numeric.save_weights(tmp_path / "m.kowt", named)
-        return segmentation.load_unet(tmp_path / "m.kowt",
-                                      tmp_path / "m.json")
+        return segmentation.load_unet(tmp_path / "m.kowt")
 
     def test_load_rejects_wrong_shape(self, tmp_path):
-        # one (1, 1, 3, 3) filter would broadcast into all four filters
+        # one (4, 1, 3, 3) filter would broadcast into all four filters
         def alter(named):
-            named[0] = (named[0][0], named[0][1][:1])
+            named[2] = (named[2][0], named[2][1][:1])
             return named
-        with pytest.raises(InputError, match="layer0.p0"):
+        with pytest.raises(InputError, match="layer2.p0"):
             self._load_altered(tmp_path, alter)
 
     def test_load_rejects_missing_name(self, tmp_path):
-        with pytest.raises(InputError, match="missing.*layer0.p1"):
+        # a renamed tensor keeps the count of a U-Net
+        with pytest.raises(InputError, match=r"1 tensors missing \(first "
+                                             r"layer0.p1\), 1 unexpected"):
             self._load_altered(tmp_path, lambda named: [
-                (n, p) for n, p in named if n != "layer0.p1"])
+                ("stray" if n == "layer0.p1" else n, p) for n, p in named])
 
     def test_load_rejects_extra_name(self, tmp_path):
-        with pytest.raises(InputError, match="unexpected.*stray"):
+        # eight more tensors make the count of a deeper U-Net
+        with pytest.raises(InputError, match=r"8 unexpected \(first stray0"):
             self._load_altered(tmp_path, lambda named: named + [
-                ("stray", np.zeros(3))])
+                (f"stray{i}", np.zeros(3)) for i in range(8)])
 
+    @pytest.mark.parametrize("count", [6, 13, 15])
+    def test_load_rejects_a_count_no_depth_has(self, tmp_path, count):
+        with pytest.raises(InputError, match=f"holds {count} tensors"):
+            self._load_altered(tmp_path, lambda named: (
+                named + [("stray", np.zeros(3))])[:count])
+
+    @pytest.mark.parametrize("shape", [(4, 1, 3), (0, 1, 3, 3),
+                                       (4, 0, 3, 3)])
+    def test_load_rejects_a_first_weight_of_no_layout(self, tmp_path,
+                                                      shape):
+        def alter(named):
+            named[0] = ("layer0.p0", np.zeros(shape))
+            return named
+        with pytest.raises(InputError, match=re.escape(f"{shape}")):
+            self._load_altered(tmp_path, alter)
 
 def step_grads(model, x, target, labeled):
     """One training step's logits and parameter gradients, in x's dtype."""

@@ -4,14 +4,15 @@ The trained classifier supplies the weak supervisory signal: a 2 Hz stream
 of terrain predictions over 0.5 s audio windows. Every feature image comes
 from `window_features`: equal-length windows are framed each on their own,
 one batched STFT per block of `WINDOW_BLOCK` windows serves all three
-representations, the mel and gammatone weights are built once per
-dataset or stream, and each window's image is standardized on its own.
-Recordings are featurised one at a time and streams one block at a time,
-so no stage holds more than one recording's or one block's samples.
+representations, the mel and gammatone weights are built once per process,
+and each window's image is standardized on its own. Training recordings
+and the traverse stream are read the same way, one block at a time
+(`_block_images`), so no stage holds more than one block's samples.
 Dataset images are float32, so the CNN trains and classifies in float32
 over float64 master weights.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -28,69 +29,73 @@ REPRESENTATIONS = ("spectrogram", "mel", "gammatone")
 N_MEL_CHANNELS = 64
 N_GAMMATONE_CHANNELS = 32
 
-# Windows per batched STFT, and per block classify_stream reads of its
+# Windows per batched STFT, and per block _block_images reads of a
 # stream. It bounds the transient arrays (samples, frames, spectrum,
-# power: about 25 MB at the default framing) whatever the recording
-# length.
+# power: about 45 MB traced at the default framing) whatever the
+# recording length.
 WINDOW_BLOCK = 64
 
 # Windows per network pass of classify_stream and evaluate.
 CLASSIFY_BATCH = 64
 
 
-def _filter_weights(representation: str, sample_rate: float,
-                    cfg: StftConfig):
+@functools.lru_cache(maxsize=None)
+def _filter_weights(representation: str, sample_rate: float, fft_size: int):
     """(channels x bins weights on STFT power, divisor of the weighted
-    sum), or None for the spectrogram."""
+    sum), or None for the spectrogram; built once per process for each
+    argument set, and read-only."""
     if representation == "spectrogram":
         return None
     if representation == "mel":
-        return dsp.mel_filterbank(N_MEL_CHANNELS, cfg.fft_size // 2 + 1,
-                                  sample_rate, cfg.fft_size)[0], 1.0
-    if representation != "gammatone":
+        weights, divisor = dsp.mel_filterbank(
+            N_MEL_CHANNELS, fft_size // 2 + 1, sample_rate, fft_size)[0], 1.0
+    elif representation == "gammatone":
+        fb = dsp.GammatoneFilterbank.design(N_GAMMATONE_CHANNELS, sample_rate)
+        weights, divisor = dsp.gammatone_weights(fb, sample_rate,
+                                                 fft_size), fft_size
+        # dsp.gammatonegram_fast's doubling of the non-DC/non-Nyquist power
+        # bins, moved onto the weights: doubling is exact in floating point
+        weights[:, 1:-1 if fft_size % 2 == 0 else None] *= 2.0
+    else:
         raise ValueError(f"unknown representation {representation!r}")
-    fb = dsp.GammatoneFilterbank.design(N_GAMMATONE_CHANNELS, sample_rate)
-    weights = dsp.gammatone_weights(fb, sample_rate, cfg.fft_size)
-    # dsp.gammatonegram_fast's doubling of the non-DC/non-Nyquist power
-    # bins, moved onto the weights: doubling is exact in floating point
-    weights[:, 1:-1 if cfg.fft_size % 2 == 0 else None] *= 2.0
-    return weights, cfg.fft_size
+    weights.flags.writeable = False
+    return weights, divisor
 
 
-def window_features(windows, sample_rate: float, representations,
-                    cfg: StftConfig, dtype=np.float64,
-                    banks: dict | None = None) -> dict:
-    """Standardized dB images of equal-length windows, per representation.
-
-    windows is an (n, samples) array or a sequence of equal-length 1-D
-    arrays. Returns {representation: (n, channels, frames) array of dtype},
-    each image equal to standardize() of the per-clip dsp function's.
-    The filterbanks are built into banks; calls at one sample rate and
-    framing that share a banks dict build them once.
-    """
-    banks = {} if banks is None else banks
-    for rep in representations:
-        if rep not in banks:
-            banks[rep] = _filter_weights(rep, sample_rate, cfg)
+def window_features(windows: np.ndarray, sample_rate: float, representations,
+                    cfg: StftConfig, dtype=np.float64) -> dict:
+    """Standardized dB images of the rows of an (n, samples) array, from
+    one batched STFT; callers pass at most WINDOW_BLOCK rows (one block of
+    _block_images, or one whole clip). Returns {representation: (n,
+    channels, frames) array of dtype}, each image equal to standardize()
+    of the per-clip dsp function's."""
+    mag = np.abs(dsp.stft_windows(windows, cfg))  # (n, frames, bins)
+    power = mag ** 2
     out = {}
-    for start in range(0, len(windows), WINDOW_BLOCK):
-        block = np.asarray(windows[start:start + WINDOW_BLOCK],
-                           dtype=np.float64)
-        mag = np.abs(dsp.stft_windows(block, cfg))  # (b, frames, bins)
-        power = mag ** 2
-        for rep in representations:
-            bank = banks[rep]
-            if bank is None:
-                db = dsp.log_power(mag)
-            else:
-                weights, divisor = bank
-                db = dsp.power_db((power @ weights.T) / divisor)
-            if rep not in out:
-                out[rep] = np.empty((len(windows), db.shape[2], db.shape[1]),
-                                    dtype=dtype)
-            for i, image in enumerate(db.transpose(0, 2, 1)):
-                out[rep][start + i] = standardize(image)
+    for rep in representations:
+        bank = _filter_weights(rep, sample_rate, cfg.fft_size)
+        if bank is None:
+            db = dsp.log_power(mag)
+        else:
+            weights, divisor = bank
+            db = dsp.power_db((power @ weights.T) / divisor)
+        out[rep] = np.empty((len(db), db.shape[2], db.shape[1]), dtype=dtype)
+        for i, image in enumerate(db.transpose(0, 2, 1)):
+            out[rep][i] = standardize(image)
     return out
+
+
+def _block_images(stream, representations, cfg: StftConfig):
+    """{representation: (b, channels, frames) float32 images} of each block
+    of WINDOW_BLOCK consecutive CLIP_LEN_S windows of stream, in order; a
+    trailing partial window is dropped. stream is an open
+    formats.WavReader, or anything with its sample_rate and blocks()."""
+    n = int(round(CLIP_LEN_S * stream.sample_rate))
+    for block in stream.blocks(WINDOW_BLOCK * n):
+        windows = block[:len(block) // n * n].reshape(-1, n)
+        if len(windows):
+            yield window_features(windows, stream.sample_rate,
+                                  representations, cfg, np.float32)
 
 
 def extract_features(clip: AudioClip, representation: str,
@@ -124,70 +129,62 @@ class AudioDataset:
         return c, h, w
 
 
-def slice_clip(clip: AudioClip):
-    """Consecutive non-overlapping CLIP_LEN_S windows; a trailing partial
-    is dropped."""
-    n = int(round(CLIP_LEN_S * clip.sample_rate))
-    count = len(clip.samples) // n
-    return [AudioClip(clip.samples[i * n:(i + 1) * n], clip.sample_rate)
-            for i in range(count)]
-
-
-def build_datasets(clips_by_terrain: dict, seed: int,
+def build_datasets(streams_by_terrain: dict, seed: int,
                    cfg: StftConfig) -> dict:
-    """Slice per-terrain recordings to 0.5 s windows and extract features.
+    """0.5 s windows of per-terrain recordings and their feature images.
 
-    clips_by_terrain maps TerrainClass -> iterable of AudioClip (one per
-    microphone/recording), all at one sample rate. Each recording is
-    featurised for every representation before the next is taken, so an
-    iterable that reads them one at a time holds one recording's samples.
-    Returns {representation: AudioDataset} over REPRESENTATIONS, every
-    dataset in the same seeded order. Too-short clips are skipped and counted.
+    streams_by_terrain maps TerrainClass -> open streams (one per
+    microphone/recording: formats.WavReader, or anything with its
+    sample_rate, n_frames and blocks()), all at one sample rate. The
+    window counts, and so the seeded order and the labels, come from the
+    streams' n_frames before any audio is read; then each stream is read
+    a block at a time, and each block's images are written to their rows
+    of the preallocated datasets. Returns {representation: AudioDataset} over
+    REPRESENTATIONS, every dataset in the same seeded order. Recordings
+    shorter than one window are skipped and counted.
     """
-    if len(clips_by_terrain) < 2:
+    if len(streams_by_terrain) < 2:
         raise ValueError("need clips from at least 2 terrain classes")
-    parts = {rep: [] for rep in REPRESENTATIONS}
-    labels, rates, banks = [], set(), {}
+    streams, labels, rates = [], [], set()
     skipped = 0
-    for terrain in sorted(clips_by_terrain, key=int):
-        for clip in clips_by_terrain[terrain]:
-            windows = [piece.samples for piece in slice_clip(clip)]
-            if not windows:
+    for terrain in sorted(streams_by_terrain, key=int):
+        for stream in streams_by_terrain[terrain]:
+            n = int(round(CLIP_LEN_S * stream.sample_rate))
+            if stream.n_frames < n:
                 skipped += 1
                 continue
-            rates.add(clip.sample_rate)
+            rates.add(stream.sample_rate)
             if len(rates) > 1:
                 raise ValueError(f"recordings at several sample rates "
                                  f"{sorted(rates)}")
-            images = window_features(windows, clip.sample_rate,
-                                     REPRESENTATIONS, cfg, np.float32, banks)
-            for rep in REPRESENTATIONS:
-                parts[rep].append(images[rep])
-            labels += [int(terrain)] * len(windows)
-            del clip, windows  # before the next recording is read
+            streams.append(stream)
+            labels += [int(terrain)] * (stream.n_frames // n)
     if not labels:
         raise ValueError("no usable clips")
     labels = np.array(labels, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     order = rng.permutation(len(labels))
-    return {rep: AudioDataset(images=_permuted(parts[rep], order),
-                              labels=labels[order], representation=rep,
-                              skipped_short=skipped)
-            for rep in REPRESENTATIONS}
-
-
-def _permuted(parts: list, order: np.ndarray) -> np.ndarray:
-    """np.concatenate(parts)[order, ..., None], filled part by part and
-    each part dropped once placed, so no second copy is ever whole."""
-    rank = np.empty_like(order)
+    rank = np.empty_like(order)  # the row of each window, in read order
     rank[order] = np.arange(len(order))
-    out = np.empty((len(order), *parts[0].shape[1:], 1), parts[0].dtype)
+    # A zero window gives the image shapes and builds the filterbanks, so
+    # the arrays that outlive a block are allocated before any block's
+    # temporaries and do not split the heap space that the next block
+    # reuses (in the benchmark's audio workload, allocating them among
+    # the first block's temporaries raised the peak RSS by up to 15%).
+    rate = streams[0].sample_rate
+    zero = window_features(np.zeros((1, int(round(CLIP_LEN_S * rate)))),
+                           rate, REPRESENTATIONS, cfg)
+    images = {rep: np.empty((len(labels), *image.shape[1:], 1), np.float32)
+              for rep, image in zero.items()}
     start = 0
-    while parts:
-        part = parts.pop(0)
-        out[rank[start:start + len(part)], ..., 0] = part
-        start += len(part)
-    return out
+    for stream in streams:
+        for block in _block_images(stream, REPRESENTATIONS, cfg):
+            for rep, part in block.items():
+                images[rep][rank[start:start + len(part)], ..., 0] = part
+            start += len(part)
+    return {rep: AudioDataset(images=images[rep], labels=labels[order],
+                              representation=rep, skipped_short=skipped)
+            for rep in REPRESENTATIONS}
 
 
 @dataclass
@@ -203,10 +200,6 @@ class TrainConfig:
     batch_size: int
     epochs: int
     seed: int
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("invalid training configuration")
 
 
 def _layout(chans: int, h: int, w: int):
@@ -289,19 +282,6 @@ def _class_probabilities(model: numeric.Sequential,
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def _stream_images(stream, representation: str, cfg: StftConfig):
-    """Feature images of the consecutive 0.5 s windows of stream (see
-    classify_stream), one at a time, read WINDOW_BLOCK windows per block."""
-    n = int(round(CLIP_LEN_S * stream.sample_rate))  # slice_clip's window
-    banks = {}
-    for block in stream.blocks(WINDOW_BLOCK * n):
-        windows = block[:len(block) // n * n].reshape(-1, n)
-        if len(windows):
-            yield from window_features(windows, stream.sample_rate,
-                                       (representation,), cfg, np.float32,
-                                       banks)[representation]
-
-
 def classify_stream(model: numeric.Sequential, stream, representation: str,
                     cfg: StftConfig):
     """2 Hz predictions over consecutive 0.5 s windows of a long recording.
@@ -313,7 +293,8 @@ def classify_stream(model: numeric.Sequential, stream, representation: str,
     on its batch size. Prediction i is stamped at the center of window i,
     (i + 0.5) * CLIP_LEN_S from the start of the stream.
     """
-    images = _stream_images(stream, representation, cfg)
+    images = (image for block in _block_images(stream, (representation,), cfg)
+              for image in block[representation])
     batches = iter(lambda: list(itertools.islice(images, CLASSIFY_BATCH)),
                    [])
     probs = [_class_probabilities(model, np.stack(batch)[..., None])

@@ -54,13 +54,17 @@ def _set_threads(n: int):
 
 def load_config(args) -> dict:
     from . import formats, pipeline
+    from .errors import ConfigurationError
 
     user = None
     if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
         user = formats.read_json(args.config, ())
-    cfg = pipeline.resolve_config(user)
+    try:
+        cfg = pipeline.resolve_config(user)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{args.config}: {exc}") from None
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out is not None:

@@ -8,6 +8,7 @@ hashes. All randomness derives from the global seed, so two runs with the
 same (config, seed) are byte-identical.
 """
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -92,14 +93,18 @@ DEFAULT_CONFIG = {
 # otherwise fail, or quietly train nothing, only after simulate
 VALUE_CHECKS = (
     *((name, lambda v, cfg: 0 < v < float("inf"), "> 0") for name in (
-        "simworld.scan_interval_s", "simworld.speed", "simworld.vo_dt",
-        "simworld.sample_rate", "simworld.gps_rate")),
+        "simworld.cell_size", "simworld.scan_interval_s", "simworld.speed",
+        "simworld.vo_dt", "simworld.sample_rate", "simworld.gps_rate",
+        "audio.learning_rate", "segmentation.stage1_lr",
+        "segmentation.stage2_lr")),
     *((name, lambda v, cfg: v >= 1, ">= 1") for name in (
         "audio.clips_per_class", "audio.recordings_per_class",
         "audio.trials", "audio.epochs", "audio.batch_size",
-        "segmentation.depth", "segmentation.stage1_steps",
-        "segmentation.stage2_steps", "segmentation.batch_size",
-        "segmentation.n_rotations")),
+        "segmentation.depth", "segmentation.base_channels",
+        "segmentation.stage1_steps", "segmentation.stage2_steps",
+        "segmentation.batch_size", "segmentation.n_rotations",
+        "eval.eval_scans_per_world")),
+    ("simworld.grid_size", lambda v, cfg: v >= 64, ">= 64"),
     *((name, lambda v, cfg: 0 < v < 1, "in (0, 1)") for name in (
         "audio.train_fraction", "segmentation.probability_threshold")),
     ("audio.train_fraction",
@@ -110,8 +115,8 @@ VALUE_CHECKS = (
     ("segmentation.vote_threshold", lambda v, cfg: 0 < v <= 1, "in (0, 1]"),
     ("audio.representation", lambda v, cfg: v in audio.REPRESENTATIONS,
      f"one of {audio.REPRESENTATIONS}"),
-    *((name, lambda v, cfg: v % 2 ** cfg["segmentation"]["depth"] == 0,
-       "divisible by 2**segmentation.depth") for name in (
+    *((name, lambda v, cfg: v > 0 and v % 2 ** cfg["segmentation"]["depth"]
+       == 0, "a positive multiple of 2**segmentation.depth") for name in (
         "canvas.image_size", "segmentation.crop", "segmentation.tile_size")),
     ("segmentation.crop", lambda v, cfg: v <= cfg["canvas"]["image_size"],
      "at most canvas.image_size"),
@@ -305,19 +310,15 @@ def run_simulate(cfg: dict, out: str):
 # ------------------------------------------------------------------- audio
 
 
-def _class_recordings(out: str) -> dict:
-    """{terrain: its recordings under audio/}, each read as an AudioClip
-    only when it is taken."""
+def _class_recordings(out: str, stack: contextlib.ExitStack) -> dict:
+    """{terrain: its recordings under audio/, each a formats.WavReader
+    open on stack}."""
     audio_dir = os.path.join(out, "audio")
     names = sorted(os.listdir(audio_dir))
-
-    def read(name):
-        return dsp.AudioClip(*formats.read_wav(os.path.join(audio_dir, name)))
-
-    return {terrain: map(read, [name for name in names
-                                if name.startswith(terrain.name.lower())
-                                and name.endswith(".wav")])
-            for terrain in TerrainClass}
+    return {terrain: [stack.enter_context(formats.WavReader(
+        os.path.join(audio_dir, name))) for name in names
+        if name.startswith(terrain.name.lower()) and name.endswith(".wav")]
+        for terrain in TerrainClass}
 
 
 def _split_dataset(n: int, train_fraction: float, seed: int):
@@ -335,9 +336,10 @@ def run_train_audio(cfg: dict, out: str):
     and save the final (gammatone by default) model."""
     acfg = cfg["audio"]
     seed = cfg["seed"]
-    datasets = audio.build_datasets(_class_recordings(out),
-                                    seed=derive_seed(seed, 60),
-                                    cfg=stft_config(cfg))
+    with contextlib.ExitStack() as stack:
+        datasets = audio.build_datasets(_class_recordings(out, stack),
+                                        seed=derive_seed(seed, 60),
+                                        cfg=stft_config(cfg))
     accuracies = {rep: [] for rep in audio.REPRESENTATIONS}
     logs = {rep: [] for rep in audio.REPRESENTATIONS}
     final_model = None

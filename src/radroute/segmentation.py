@@ -443,14 +443,6 @@ class PropagationConfig:
     probability_threshold: float
     seed: int
 
-    def __post_init__(self):
-        if self.n_rotations < 1:
-            raise ValueError("need at least one rotation")
-        if not (0 < self.vote_threshold <= 1):
-            raise ValueError("vote_threshold in (0, 1]")
-        if not (0 < self.probability_threshold < 1):
-            raise ValueError("probability_threshold in (0, 1)")
-
 
 def _tiled_inference(model: UNet, image: np.ndarray,
                      tile: int) -> np.ndarray:

@@ -77,10 +77,6 @@ class SimConfig:
         if self.radar_profile not in RANGE_RESOLUTION:
             raise ConfigurationError(
                 f"unknown radar profile {self.radar_profile!r}")
-        if self.grid_size < 64:
-            raise ConfigurationError("grid must be at least 64x64")
-        if self.cell_size <= 0:
-            raise ConfigurationError("cell_size must be positive")
 
     @property
     def range_resolution(self) -> float:
@@ -315,10 +311,12 @@ def synth_audio_blocks(terrains, duration_s: float, sample_rate: float,
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration_s * sample_rate))
+    # the bins lo <= f <= hi of each terrain's band; every other gain is 1
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    gains = np.ones((len(TerrainClass), len(freqs)))
-    for terrain, (lo, hi) in TERRAIN_AUDIO_BANDS.items():
-        gains[terrain, (freqs >= lo) & (freqs <= hi)] = AUDIO_BAND_BOOST
+    bands = {terrain: slice(np.searchsorted(freqs, lo, "left"),
+                            np.searchsorted(freqs, hi, "right"))
+             for terrain, (lo, hi) in TERRAIN_AUDIO_BANDS.items()}
+    del freqs
     per_block = max(1, SYNTH_BLOCK_SAMPLES // n)
     for start in range(0, len(terrains), per_block):
         block = terrains[start:start + per_block]
@@ -329,7 +327,8 @@ def synth_audio_blocks(terrains, duration_s: float, sample_rate: float,
             rng.standard_normal(out=row)
         spec = np.fft.rfft(noise)
         del noise
-        spec *= gains[block]
+        for row, terrain in zip(spec, block):
+            row[bands[terrain]] *= AUDIO_BAND_BOOST
         shaped = np.fft.irfft(spec, n=n)
         del spec
         shaped *= (0.9 / np.maximum(np.abs(shaped).max(axis=1),
@@ -516,8 +515,9 @@ def save_world(terrain_map: TerrainMap, json_path, pgm_path):
 def load_world(json_path) -> TerrainMap:
     """The world of a save_world file; InputError as formats.read_json (of
     the file and of each of its paths), or unless its cell_size is a
-    positive number and its grid_height and grid_width are the shape of
-    the PGM that its grid_pgm names beside it."""
+    positive number, its grid_height and grid_width are the shape of the
+    PGM that its grid_pgm names beside it, its paths are a list and the
+    vertices of each are [x, y] pairs of finite numbers."""
     meta = read_json(json_path, ("cell_size", "grid_pgm", "grid_height",
                                  "grid_width", "paths"))
     cell_size = meta["cell_size"]
@@ -533,14 +533,23 @@ def load_world(json_path) -> TerrainMap:
     if grid.shape != shape:
         raise InputError(f"{json_path}: grid_height, grid_width {shape} do "
                          f"not match the {grid.shape} grid of {pgm}")
-    paths = [json_object(p, ("vertices", "width", "untraversed"),
-                         f"{json_path} path {i}")
-             for i, p in enumerate(meta["paths"])]
-    polylines = [
-        PathPolyline(vertices=np.asarray(p["vertices"], dtype=np.float64),
-                     width=p["width"], untraversed=p["untraversed"])
-        for p in paths
-    ]
+    if not isinstance(meta["paths"], list):
+        raise InputError(f"{json_path}: paths must be a list, got "
+                         f"{meta['paths']!r}")
+    polylines = []
+    for i, p in enumerate(meta["paths"]):
+        where = f"{json_path} path {i}"
+        p = json_object(p, ("vertices", "width", "untraversed"), where)
+        try:
+            vertices = np.asarray(p["vertices"], dtype=np.float64)
+        except (TypeError, ValueError):  # a string, or rows of two lengths
+            vertices = np.empty(0)
+        if vertices.ndim != 2 or vertices.shape[1] != 2 or not np.isfinite(
+                vertices).all():
+            raise InputError(f"{where}: vertices must be [x, y] pairs of "
+                             f"finite numbers, got {p['vertices']!r}")
+        polylines.append(PathPolyline(vertices=vertices, width=p["width"],
+                                      untraversed=p["untraversed"]))
     return TerrainMap(grid=grid, cell_size=cell_size,
                       path_polylines=polylines)
 

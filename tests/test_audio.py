@@ -1,4 +1,6 @@
+import contextlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from radroute import audio, dsp, formats, numeric, pipeline, simworld
 from radroute.audio import (AudioDataset, TrainConfig, build_datasets,
                             build_model, classify_stream, extract_features,
-                            slice_clip, train_classifier)
+                            train_classifier)
 from radroute.dsp import AudioClip, GammatoneFilterbank, StftConfig
 from radroute.errors import NumericError, ShapeError
 from radroute.simworld import TerrainClass, synth_audio
@@ -24,40 +26,79 @@ def clips(terrain, n, seed0=0, duration=0.5):
 
 
 class ClipStream:
-    """An AudioClip read as classify_stream reads a formats.WavReader."""
+    """An AudioClip read as build_datasets and classify_stream read a
+    formats.WavReader; it can be read more than once."""
 
     def __init__(self, clip):
         self.samples, self.sample_rate = clip.samples, clip.sample_rate
+        self.n_frames = len(clip.samples)
 
     def blocks(self, frames):
         for start in range(0, len(self.samples), frames):
             yield self.samples[start:start + frames]
 
 
+def streams(terrain, n, seed0=0, duration=0.5):
+    return [ClipStream(clip) for clip in clips(terrain, n, seed0, duration)]
+
+
 def two_class_dataset(n=3, representation="spectrogram"):
     return build_datasets(
-        {TerrainClass.GRASS: clips(TerrainClass.GRASS, n),
-         TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, n, seed0=100)},
+        {TerrainClass.GRASS: streams(TerrainClass.GRASS, n),
+         TerrainClass.GRAVEL: streams(TerrainClass.GRAVEL, n, seed0=100)},
         0, DEFAULT_STFT)[representation]
 
 
+def write_recordings(out, per_class, duration):
+    """per_class recordings of each terrain under out/audio, named as
+    simulate names them."""
+    os.makedirs(out / "audio")
+    for terrain in TerrainClass:
+        for i, clip in enumerate(clips(terrain, per_class, seed0=10 * terrain,
+                                       duration=duration)):
+            formats.write_wav(
+                out / "audio" / f"{terrain.name.lower()}_{i}.wav",
+                clip.samples, clip.sample_rate)
+
+
+def stream_images(clip, representation, cfg=DEFAULT_STFT):
+    """The images audio._block_images gives of clip, one row a window."""
+    return np.concatenate([block[representation] for block in
+                           audio._block_images(ClipStream(clip),
+                                               (representation,), cfg)])
+
+
 class TestSliceClip:
+    """The 0.5 s windows that build_datasets and classify_stream cut from
+    a stream."""
+
     def test_window_count_for_recording_session(self):
         # 15 min per class from each of 2 microphones at 0.5 s windows
         fs = 1000.0
         recording = AudioClip(np.zeros(int(900 * fs)), fs)
-        per_mic = len(slice_clip(recording))
+        per_mic = len(stream_images(recording, "spectrogram"))
         assert per_mic == 1800
         assert 2 * per_mic == 3600  # per class, both microphones
 
     def test_partial_window_dropped(self):
         clip = AudioClip(np.zeros(22050 + 11025), 44100.0)
-        assert len(slice_clip(clip)) == 1
+        assert len(stream_images(clip, "spectrogram")) == 1
+        ds = build_datasets({TerrainClass.GRASS: [ClipStream(clip)],
+                             TerrainClass.GRAVEL: [ClipStream(clip)]},
+                            0, DEFAULT_STFT)["spectrogram"]
+        assert len(ds) == 2 and ds.skipped_short == 0
 
     def test_windows_are_consecutive(self):
-        clip = AudioClip(np.arange(44100, dtype=float), 44100.0)
-        a, b = slice_clip(clip)
-        assert a.samples[-1] + 1 == b.samples[0]
+        # 66 windows: a block edge at 64, then a trailing partial window
+        clip = synth_audio(TerrainClass.GRAVEL, 33.3, 44100.0, 7)
+        windows = clip.samples[:66 * 22050].reshape(66, 22050)
+        assert audio.WINDOW_BLOCK == 64
+        for rep in audio.REPRESENTATIONS:
+            want = np.concatenate([audio.window_features(
+                windows[i:i + 1], 44100.0, (rep,), DEFAULT_STFT)[rep]
+                for i in range(66)])
+            assert np.array_equal(stream_images(clip, rep),
+                                  want.astype(np.float32)), rep
 
 
 class TestBuildDataset:
@@ -73,17 +114,17 @@ class TestBuildDataset:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             build_datasets({TerrainClass.GRASS:
-                            clips(TerrainClass.GRASS, 2)}, 0, DEFAULT_STFT)
+                            streams(TerrainClass.GRASS, 2)}, 0, DEFAULT_STFT)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_datasets({}, 0, DEFAULT_STFT)
 
     def test_short_clips_counted(self):
-        short = AudioClip(np.zeros(1000), 44100.0)
+        short = ClipStream(AudioClip(np.zeros(1000), 44100.0))
         ds = build_datasets(
-            {TerrainClass.GRASS: clips(TerrainClass.GRASS, 2) + [short],
-             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2)},
+            {TerrainClass.GRASS: streams(TerrainClass.GRASS, 2) + [short],
+             TerrainClass.GRAVEL: streams(TerrainClass.GRAVEL, 2)},
             0, DEFAULT_STFT)["spectrogram"]
         assert ds.skipped_short == 1
         assert len(ds) == 4
@@ -135,7 +176,7 @@ def oracle_image(clip, representation, cfg):
 
 
 class TestBatchedFeatures:
-    # 33.3 s: 66 windows, a block edge at 64, and a trailing partial window
+    # 33.3 s: 66 windows and a trailing partial window
     @pytest.fixture(scope="class")
     def recording(self):
         return synth_audio(TerrainClass.GRAVEL, 33.3, 44100.0, 7)
@@ -144,18 +185,18 @@ class TestBatchedFeatures:
         DEFAULT_STFT, StftConfig(frame_len=441, hop=220, fft_size=512)],
         ids=["default", "hop220-fft512"])
     def test_matches_per_clip_oracles(self, recording, cfg):
-        windows = slice_clip(recording)
-        assert len(windows) == 66 > audio.WINDOW_BLOCK
-        images = audio.window_features([w.samples for w in windows],
-                                       recording.sample_rate,
-                                       audio.REPRESENTATIONS, cfg)
-        for rep in audio.REPRESENTATIONS:
-            assert images[rep].shape[0] == len(windows)
-            assert images[rep].dtype == np.float64
-            worst = max(np.abs(images[rep][i]
-                               - oracle_image(w, rep, cfg)).max()
-                        for i, w in enumerate(windows))
-            assert worst <= 1e-12, rep
+        windows = recording.samples[:66 * 22050].reshape(66, 22050)
+        for start in range(0, 66, audio.WINDOW_BLOCK):
+            block = windows[start:start + audio.WINDOW_BLOCK]
+            images = audio.window_features(block, recording.sample_rate,
+                                           audio.REPRESENTATIONS, cfg)
+            for rep in audio.REPRESENTATIONS:
+                assert images[rep].shape[0] == len(block)
+                assert images[rep].dtype == np.float64
+                worst = max(np.abs(images[rep][i] - oracle_image(
+                    AudioClip(w, 44100.0), rep, cfg)).max()
+                    for i, w in enumerate(block))
+                assert worst <= 1e-12, rep
 
     def test_whole_clip_matches_oracle(self):
         clip = synth_audio(TerrainClass.ASPHALT, 1.3, 44100.0, 2)
@@ -165,8 +206,8 @@ class TestBatchedFeatures:
             assert np.abs(got - oracle_image(clip, rep, cfg)).max() <= 1e-12
 
     def test_all_representations_match_single(self, monkeypatch):
-        data = {TerrainClass.GRASS: clips(TerrainClass.GRASS, 2),
-                TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2, seed0=9)}
+        data = {TerrainClass.GRASS: streams(TerrainClass.GRASS, 2),
+                TerrainClass.GRAVEL: streams(TerrainClass.GRAVEL, 2, seed0=9)}
         shared = audio.build_datasets(data, 5, DEFAULT_STFT)
         for rep in shared:
             monkeypatch.setattr(audio, "REPRESENTATIONS", (rep,))
@@ -175,10 +216,10 @@ class TestBatchedFeatures:
             np.testing.assert_array_equal(shared[rep].labels, single.labels)
 
     def test_short_clip_skipped_in_every_dataset(self):
-        short = AudioClip(np.zeros(1000), 44100.0)
+        short = ClipStream(AudioClip(np.zeros(1000), 44100.0))
         datasets = audio.build_datasets(
-            {TerrainClass.GRASS: clips(TerrainClass.GRASS, 2) + [short],
-             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 2)},
+            {TerrainClass.GRASS: streams(TerrainClass.GRASS, 2) + [short],
+             TerrainClass.GRAVEL: streams(TerrainClass.GRAVEL, 2)},
             0, DEFAULT_STFT)
         for ds in datasets.values():
             assert ds.skipped_short == 1
@@ -187,19 +228,24 @@ class TestBatchedFeatures:
     def test_mixed_sample_rates_rejected(self):
         with pytest.raises(ValueError, match="sample rates"):
             audio.build_datasets(
-                {TerrainClass.GRASS: clips(TerrainClass.GRASS, 1),
-                 TerrainClass.GRAVEL: [AudioClip(np.ones(8000), 8000.0)]},
+                {TerrainClass.GRASS: streams(TerrainClass.GRASS, 1),
+                 TerrainClass.GRAVEL: [ClipStream(AudioClip(np.ones(8000),
+                                                            8000.0))]},
                 0, DEFAULT_STFT)
 
     def test_filterbanks_built_once_per_train_audio(self, tmp_path,
                                                     monkeypatch):
-        os.makedirs(tmp_path / "audio")
-        for terrain in TerrainClass:
-            for i, clip in enumerate(clips(terrain, 2, seed0=10 * terrain,
-                                           duration=2.0)):
-                formats.write_wav(
-                    tmp_path / "audio" / f"{terrain.name.lower()}_{i}.wav",
-                    clip.samples, clip.sample_rate)
+        write_recordings(tmp_path, 2, 2.0)
+        # eval-audio's inputs: a 2 s traverse at the recordings' rate
+        [traverse] = clips(TerrainClass.GRASS, 1, duration=2.0)
+        formats.write_wav(tmp_path / "traverse_audio.wav", traverse.samples,
+                          traverse.sample_rate)
+        simworld.save_poses_csv(tmp_path / "poses_train.csv",
+                                simworld.GroundTruth(
+                                    timestamps=np.arange(3.0),
+                                    poses=np.zeros((3, 3)),
+                                    terrain_at_pose=np.zeros(3, int)))
+        audio._filter_weights.cache_clear()
         calls = {"mel_filterbank": 0, "gammatone_weights": 0}
         for name in calls:
             original = getattr(dsp, name)
@@ -211,14 +257,47 @@ class TestBatchedFeatures:
         cfg = pipeline.resolve_config({"audio": {"epochs": 1, "trials": 1}})
         pipeline.run_train_audio(cfg, str(tmp_path))
         assert calls == {"mel_filterbank": 1, "gammatone_weights": 1}
+        # the model's zero window and the stream reuse train-audio's banks
+        assert pipeline.run_eval_audio(cfg, str(tmp_path))[
+            "n_predictions"] == 4
+        assert calls == {"mel_filterbank": 1, "gammatone_weights": 1}
+
+    def test_cached_filterbanks_are_read_only(self):
+        for rep in ("mel", "gammatone"):
+            weights, _ = audio._filter_weights(rep, 44100.0, 441)
+            assert audio._filter_weights(rep, 44100.0, 441)[0] is weights
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0, 0] = 1.0
+
+
+class TestDatasetMemory:
+    def test_traced_peak_is_the_datasets_and_one_block(self, tmp_path):
+        # 140 windows per recording: blocks of 64, 64 and 12. Each block's
+        # samples, frames, spectrum and power come and go (about 4.1 blocks
+        # of float64 samples); no recording is held whole, and no image is
+        # held twice
+        write_recordings(tmp_path, 1, 70.0)
+        block = audio.WINDOW_BLOCK * 22050 * 8
+        with contextlib.ExitStack() as stack:
+            recordings = pipeline._class_recordings(str(tmp_path), stack)
+            tracemalloc.start()
+            try:
+                datasets = build_datasets(recordings, 0, DEFAULT_STFT)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        held = sum(ds.images.nbytes for ds in datasets.values())
+        assert len(datasets["mel"]) == 420
+        assert peak <= held + 5 * block, (
+            f"{(peak - held) / block:.2f} blocks beyond the datasets")
 
 
 class TestTraining:
     def test_learns_two_easy_classes(self):
         train = two_class_dataset(n=8)
         test = build_datasets(
-            {TerrainClass.GRASS: clips(TerrainClass.GRASS, 3, seed0=500),
-             TerrainClass.GRAVEL: clips(TerrainClass.GRAVEL, 3, seed0=600)},
+            {TerrainClass.GRASS: streams(TerrainClass.GRASS, 3, seed0=500),
+             TerrainClass.GRAVEL: streams(TerrainClass.GRAVEL, 3, seed0=600)},
             0, DEFAULT_STFT)["spectrogram"]
         model, log = train_classifier(
             train, np.arange(len(train)),
@@ -253,12 +332,6 @@ class TestTraining:
                              TrainConfig(learning_rate=0.02,
                                          batch_size=len(ds), epochs=1,
                                          seed=0))
-
-    def test_bad_config(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0, batch_size=16, epochs=3, seed=0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.02, batch_size=0, epochs=3, seed=0)
 
 
 class TestFloat32:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -141,7 +142,23 @@ class TestValueChecks:
               "audio.train_fraction"),
              ({"audio": {"recordings_per_class": 0}},
               "audio.recordings_per_class"),
-             ({"audio": {"clips_per_class": 0}}, "audio.clips_per_class")]
+             ({"audio": {"clips_per_class": 0}}, "audio.clips_per_class"),
+             # these failed only after simulate or without naming their
+             # key, or (a learning rate of 0) trained nothing
+             ({"segmentation": {"tile_size": 0}}, "segmentation.tile_size"),
+             ({"segmentation": {"tile_size": -8}}, "segmentation.tile_size"),
+             ({"segmentation": {"crop": 0}}, "segmentation.crop"),
+             ({"segmentation": {"stage1_lr": 0}}, "segmentation.stage1_lr"),
+             ({"segmentation": {"stage2_lr": -1}}, "segmentation.stage2_lr"),
+             ({"audio": {"learning_rate": 0}}, "audio.learning_rate"),
+             ({"eval": {"eval_scans_per_world": 0}},
+              "eval.eval_scans_per_world"),
+             ({"segmentation": {"base_channels": 0}},
+              "segmentation.base_channels"),
+             ({"simworld": {"grid_size": 10}}, "simworld.grid_size"),
+             ({"simworld": {"cell_size": 0}}, "simworld.cell_size"),
+             ({"segmentation": {"vote_threshold": 0.0}},
+              "segmentation.vote_threshold")]
 
     @pytest.mark.parametrize("user,key", CASES)
     def test_rejected_naming_key(self, user, key):
@@ -155,7 +172,8 @@ class TestValueChecks:
         rc = cli.main(["--config", str(cfg_path), "--out",
                        str(tmp_path / "run"), "simulate"])
         assert rc == cli.EXIT_ERROR == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: config key {key}" in err
         assert not (tmp_path / "run").exists()
 
     def test_readme_table_lists_every_check(self):
@@ -177,9 +195,12 @@ class TestValueChecks:
                                  "batch_size": 1, "depth": 1, "crop": 2,
                                  "tile_size": 2, "n_rotations": 1,
                                  "vote_threshold": 1.0,
-                                 "probability_threshold": 0.01},
+                                 "probability_threshold": 0.01,
+                                 "base_channels": 1, "stage1_lr": 1e-9},
                 "canvas": {"image_size": 2},
-                "eval": {"min_iou": 1.01, "min_pixel_accuracy": -1.0}}
+                "simworld": {"grid_size": 64},
+                "eval": {"min_iou": 1.01, "min_pixel_accuracy": -1.0,
+                         "eval_scans_per_world": 1}}
         cfg = pipeline.resolve_config(user)
         for section, values in user.items():
             assert {k: cfg[section][k] for k in values} == values
@@ -276,9 +297,10 @@ class TestAudioWindowCount:
                                                 monkeypatch):
         cfg, _, out = gate9_audio_run
         monkeypatch.setattr(audio, "REPRESENTATIONS", ("gammatone",))
-        datasets = audio.build_datasets(
-            pipeline._class_recordings(str(out)), cfg["seed"],
-            pipeline.stft_config(cfg))
+        with contextlib.ExitStack() as stack:
+            datasets = audio.build_datasets(
+                pipeline._class_recordings(str(out), stack), cfg["seed"],
+                pipeline.stft_config(cfg))
         assert len(datasets["gammatone"]) == pipeline.audio_window_count(
             cfg) == 120
 
@@ -1001,7 +1023,9 @@ class TestWorldReader:
             f"grid of")
 
     @pytest.mark.parametrize("damage, error", [
-        ("truncated", "not JSON text"), ("no-paths", "no key 'paths'")])
+        ("truncated", "not JSON text"), ("no-paths", "no key 'paths'"),
+        ("paths-5", "paths must be a list, got 5"),
+        ("vertex-text", "vertices must be [x, y] pairs of finite numbers")])
     def test_unreadable_world_exits_1_naming_file_and_key(self, tmp_path,
                                                           capsys, damage,
                                                           error):
@@ -1014,7 +1038,12 @@ class TestWorldReader:
             text = text[:len(text) // 2]
         else:
             meta = json.loads(text)
-            del meta["paths"]
+            if damage == "no-paths":
+                del meta["paths"]
+            elif damage == "paths-5":
+                meta["paths"] = 5
+            else:
+                meta["paths"][0]["vertices"][1] = [1, "a"]
             text = json.dumps(meta)
         with open(path, "w") as f:
             f.write(text)
@@ -1022,7 +1051,8 @@ class TestWorldReader:
         cfg_path.write_text(json.dumps(SMALL_TRAIN))
         rc = cli.main(["--config", str(cfg_path), "--out", out, "propagate"])
         assert rc == cli.EXIT_ERROR
-        assert f"{path}: {error}" in capsys.readouterr().err
+        where = f"{path} path 0" if damage == "vertex-text" else path
+        assert f"{where}: {error}" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "masks_propagated"))
 
 

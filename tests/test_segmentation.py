@@ -745,14 +745,6 @@ class TestPropagate:
         # unlabeled parts of the stripe get picked up
         assert new[stripe & (mask == U)].mean() > 0.5
 
-    def test_bad_configs(self):
-        with pytest.raises(ValueError):
-            propagation_config(n_rotations=0)
-        with pytest.raises(ValueError):
-            propagation_config(vote_threshold=0.0)
-        with pytest.raises(ValueError):
-            propagation_config(probability_threshold=1.0)
-
 
 class TestStage2:
     def test_full_scan_forward_shape(self, stripe_model):

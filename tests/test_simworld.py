@@ -207,6 +207,21 @@ class TestSynthAudioBlocks:
     def test_odd_length_and_rate(self):
         self.check(0.0371, 22050.0, [len(self.TERRAINS)])
 
+    def test_traced_peak_per_sample_is_bounded(self):
+        # the noise, its spectrum and irfft's copy of it: 24 bytes a
+        # sample; no gain table, band mask or gathered gains
+        n = 441000
+        tracemalloc.start()
+        try:
+            for block in simworld.synth_audio_blocks([2], 10.0, 44100.0,
+                                                     [5]):
+                assert block.shape == (1, n)
+            del block
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * n, f"{peak / n:.1f} bytes a sample"
+
     def test_synth_audio_is_the_one_clip_case(self):
         for terrain in TerrainClass:
             clip = synth_audio(terrain, 0.5, 44100.0, 3)

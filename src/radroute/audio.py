@@ -356,16 +356,3 @@ def load_model(weights_path, input_shape) -> numeric.Sequential:
     numeric.load_params(weights_path, tensors,
                         numeric.named_params(model.layers))
     return model
-
-
-PREDICTION_COLUMNS = ("timestamp", "class", "p_grass", "p_gravel",
-                      "p_asphalt")
-
-
-def predictions_csv(path, predictions):
-    with open(path, "w") as f:
-        f.write(",".join(PREDICTION_COLUMNS) + "\n")
-        for p in predictions:
-            name = TerrainClass(p.terrain).name.lower()
-            probs = ",".join(f"{v:.6f}" for v in p.probabilities)
-            f.write(f"{p.timestamp:.6f},{name},{probs}\n")

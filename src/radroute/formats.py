@@ -188,14 +188,27 @@ def read_exact(f, n: int, what: str) -> bytes:
     return f.read(n)
 
 
-def write_csv(path, columns, rows: np.ndarray):
-    np.savetxt(path, rows, delimiter=",", header=",".join(columns),
-               comments="", fmt="%.9f")
+def write_csv(path, columns, rows):
+    """A header row of the column names, then one line per row of the
+    (rows, columns) values, each written through its column's format:
+    a format spec (".9f"), or the {code: name} table of a class column.
+    columns are (name, format) pairs."""
+    with open(path, "w") as f:
+        f.write(",".join(name for name, _ in columns) + "\n")
+        for row in np.asarray(rows).tolist():
+            f.write(",".join(fmt[int(value)] if isinstance(fmt, dict)
+                             else format(value, fmt)
+                             for (_, fmt), value in zip(columns, row)) + "\n")
 
 
-def finite_number(text: str, where: str) -> float:
-    """text as a float, or InputError naming where unless it is a finite
-    number."""
+def _csv_value(text: str, fmt, where: str) -> float:
+    """text read through its column's format: the code of a class name,
+    or a finite number; InputError naming where otherwise."""
+    if isinstance(fmt, dict):
+        for code, name in fmt.items():
+            if text == name:
+                return float(code)
+        raise InputError(f"{where}: unknown class {text!r}")
     try:
         value = float(text)
     except ValueError:
@@ -205,14 +218,16 @@ def finite_number(text: str, where: str) -> float:
     return value
 
 
-def csv_rows(path, columns):
-    """(where, fields) of each data row of a CSV file whose header is
-    columns and whose first column is a timestamp; where names the file
-    and the row (the header is row 1). InputError names the file, the row
-    and the column of a wrong header, a row with another column count, a
-    timestamp that is not a finite number or not after the row before,
-    and a file with no data rows."""
-    header, last = ",".join(columns), None
+def read_csv(path, columns) -> np.ndarray:
+    """The float64 (rows, columns) values of a write_csv file with these
+    columns, the first a timestamp; a class column reads back to codes.
+    InputError names the file, the row (the header is row 1) and the
+    column of a wrong header, a row with another column count, a
+    timestamp not after the row before, a value that is neither a finite
+    number nor a class name of its column, and a file with no data
+    rows."""
+    header = ",".join(name for name, _ in columns)
+    rows = []
     # a byte that is not ASCII reads as U+FFFD, which no check accepts
     with open(path, encoding="ascii", errors="replace") as f:
         if f.readline().strip() != header:
@@ -222,20 +237,12 @@ def csv_rows(path, columns):
             if len(fields) != len(columns):
                 raise InputError(f"{where}: {len(fields)} columns, "
                                  f"expected {len(columns)}")
-            t = finite_number(fields[0], f"{where} column {columns[0]}")
-            if last is not None and t <= last:
-                raise InputError(f"{where} column {columns[0]}: {t} is not "
-                                 f"after {last}")
-            last = t
-            yield where, fields
-    if last is None:
+            values = [_csv_value(text, fmt, f"{where} column {name}")
+                      for (name, fmt), text in zip(columns, fields)]
+            if rows and values[0] <= rows[-1][0]:
+                raise InputError(f"{where} column {columns[0][0]}: "
+                                 f"{values[0]} is not after {rows[-1][0]}")
+            rows.append(values)
+    if not rows:
         raise InputError(f"{path}: no data rows")
-
-
-def read_csv(path, columns) -> np.ndarray:
-    """The (rows, columns) values of a write_csv file with these columns,
-    the first a timestamp: InputError as csv_rows, or naming the row and
-    column of a value that is not a finite number."""
-    return np.array([[finite_number(text, f"{where} column {name}")
-                      for name, text in zip(columns, fields)]
-                     for where, fields in csv_rows(path, columns)])
+    return np.array(rows)

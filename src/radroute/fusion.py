@@ -22,7 +22,6 @@ def wrap_angle(a):
 class EkfState:
     mean: np.ndarray  # (3,) x, y, yaw
     covariance: np.ndarray  # (3, 3)
-    timestamp: float
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64).copy()
@@ -43,7 +42,7 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
 
 def ekf_predict(state: EkfState, vo, q: np.ndarray) -> EkfState:
     """Propagate by a body-frame increment (timestamp, dx, dy, dyaw)."""
-    t, dx, dy, dyaw = float(vo[0]), float(vo[1]), float(vo[2]), float(vo[3])
+    dx, dy, dyaw = float(vo[1]), float(vo[2]), float(vo[3])
     x, y, yaw = state.mean
     c, s = np.cos(yaw), np.sin(yaw)
     mean = np.array([
@@ -58,7 +57,7 @@ def ekf_predict(state: EkfState, vo, q: np.ndarray) -> EkfState:
     ])
     p = _symmetrize(f @ state.covariance @ f.T + q)
     _check_psd(p)
-    return EkfState(mean=mean, covariance=p, timestamp=t)
+    return EkfState(mean=mean, covariance=p)
 
 
 def ekf_update(state: EkfState, gps) -> EkfState:
@@ -81,7 +80,7 @@ def ekf_update(state: EkfState, gps) -> EkfState:
     ikh = np.eye(3) - k @ h
     p_new = _symmetrize(ikh @ p @ ikh.T + k @ r @ k.T)
     _check_psd(p_new)
-    return EkfState(mean=mean, covariance=p_new, timestamp=state.timestamp)
+    return EkfState(mean=mean, covariance=p_new)
 
 
 def default_process_noise(vo_trans_sigma: float,
@@ -114,8 +113,7 @@ def fuse(vo_stream: np.ndarray, gps_stream: np.ndarray, init_pose,
         dt0 = float(np.median(dts)) if len(dts) else 0.0
         vo_stream[:, 3] -= yaw_drift_rate * np.concatenate([[dt0], dts])
     state = EkfState(mean=np.asarray(init_pose, dtype=np.float64),
-                     covariance=np.diag([0.01, 0.01, 1e-4]),
-                     timestamp=float(vo_stream[0, 0]) - 1e-9)
+                     covariance=np.diag([0.01, 0.01, 1e-4]))
     out = np.empty((len(vo_stream), 4))
     gi = 0
     for i, vo in enumerate(vo_stream):
@@ -174,15 +172,3 @@ def label_trajectory(trajectory: np.ndarray,
     return LabeledTrajectory(timestamps=arr[:, 0], poses=arr[:, 1:4],
                              terrain=arr[:, 4].astype(np.int64),
                              confidence=arr[:, 5], dropped=dropped)
-
-
-def save_labeled_trajectory_csv(path, lt: LabeledTrajectory):
-    from .simworld import TERRAIN_NAMES, TerrainClass
-
-    with open(path, "w") as f:
-        f.write("timestamp,x,y,yaw,terrain,confidence\n")
-        for t, (x, y, yaw), cls, conf in zip(lt.timestamps, lt.poses,
-                                             lt.terrain, lt.confidence):
-            name = TERRAIN_NAMES[TerrainClass(int(cls))]
-            f.write(f"{t:.6f},{x:.9f},{y:.9f},{yaw:.9f},{name},{conf:.6f}\n")
-

@@ -11,7 +11,6 @@ same (config, seed) are byte-identical.
 import contextlib
 import copy
 import hashlib
-import json
 import math
 import os
 from collections.abc import Callable
@@ -105,6 +104,7 @@ VALUE_CHECKS = (
         "segmentation.batch_size", "segmentation.n_rotations",
         "eval.eval_scans_per_world")),
     ("simworld.grid_size", lambda v, cfg: v >= 64, ">= 64"),
+    ("canvas.image_size", lambda v, cfg: v >= 32, ">= 32"),
     *((name, lambda v, cfg: 0 < v < 1, "in (0, 1)") for name in (
         "audio.train_fraction", "segmentation.probability_threshold")),
     ("audio.train_fraction",
@@ -201,10 +201,21 @@ def _ensure_dir(path):
 
 WORLD_TAGS = {"train": 11, "eval_short": 12, "eval_long": 13}
 
-# The columns of the sensor and fused-pose CSV files, as written and read.
-VO_COLUMNS = ("timestamp", "dx", "dy", "dyaw")
-GPS_COLUMNS = ("timestamp", "x", "y", "sigma")
-FUSED_COLUMNS = ("timestamp", "x", "y", "yaw")
+# The (name, format) columns of each CSV file (formats.write_csv).
+VO_COLUMNS = (("timestamp", ".9f"), ("dx", ".9f"), ("dy", ".9f"),
+              ("dyaw", ".9f"))
+GPS_COLUMNS = (("timestamp", ".9f"), ("x", ".9f"), ("y", ".9f"),
+               ("sigma", ".9f"))
+FUSED_COLUMNS = (("timestamp", ".9f"), ("x", ".9f"), ("y", ".9f"),
+                 ("yaw", ".9f"))
+POSE_COLUMNS = (("timestamp", ".6f"), ("x", ".9f"), ("y", ".9f"),
+                ("yaw", ".9f"), ("terrain", simworld.TERRAIN_NAMES))
+PREDICTION_COLUMNS = (("timestamp", ".6f"), ("class", simworld.TERRAIN_NAMES),
+                      ("p_grass", ".6f"), ("p_gravel", ".6f"),
+                      ("p_asphalt", ".6f"))
+LABELED_COLUMNS = (("timestamp", ".6f"), ("x", ".9f"), ("y", ".9f"),
+                   ("yaw", ".9f"), ("terrain", simworld.TERRAIN_NAMES),
+                   ("confidence", ".6f"))
 
 
 def write_resolved_config(cfg: dict, out: str):
@@ -245,7 +256,9 @@ def run_simulate(cfg: dict, out: str):
                             os.path.join(out, f"world_{name}.pgm"))
 
     # training traverse + sensors
-    simworld.save_poses_csv(os.path.join(out, "poses_train.csv"), truth)
+    formats.write_csv(os.path.join(out, "poses_train.csv"), POSE_COLUMNS,
+                      np.column_stack([truth.timestamps, truth.poses,
+                                       truth.terrain_at_pose]))
     vo = simworld.synth_vo(truth, sc, derive_seed(seed, 22))
     gps = simworld.synth_gps(truth, sc, derive_seed(seed, 23))
     formats.write_csv(os.path.join(out, "vo.csv"), VO_COLUMNS, vo)
@@ -409,13 +422,17 @@ def run_eval_audio(cfg: dict, out: str):
         model, rep = _load_audio_model(cfg, out, wav)
         predictions = audio.classify_stream(model, wav, rep,
                                             cfg=stft_config(cfg))
-    audio.predictions_csv(os.path.join(out, "predictions.csv"), predictions)
+    formats.write_csv(os.path.join(out, "predictions.csv"),
+                      PREDICTION_COLUMNS,
+                      [(p.timestamp, p.terrain, *p.probabilities)
+                       for p in predictions])
 
-    truth = simworld.load_poses_csv(os.path.join(out, "poses_train.csv"))
+    truth = formats.read_csv(os.path.join(out, "poses_train.csv"),
+                             POSE_COLUMNS)
     correct = 0
     for p in predictions:
-        k = int(np.argmin(np.abs(truth.timestamps - p.timestamp)))
-        correct += int(p.terrain == int(truth.terrain_at_pose[k]))
+        k = int(np.argmin(np.abs(truth[:, 0] - p.timestamp)))
+        correct += int(p.terrain == int(truth[k, 4]))
     accuracy = correct / len(predictions)
     report = {"stream_accuracy": accuracy, "n_predictions": len(predictions)}
     formats.write_json(os.path.join(out, "stream_report.json"), report)
@@ -433,11 +450,12 @@ def run_fuse(cfg: dict, out: str):
     if bad.size:  # the EKF squares sigma, so a sign error would pass
         raise InputError(f"{gps_path} row {bad[0] + 2} column sigma: "
                          f"{gps[bad[0], 3]} is not positive")
-    truth = simworld.load_poses_csv(os.path.join(out, "poses_train.csv"))
+    truth = formats.read_csv(os.path.join(out, "poses_train.csv"),
+                             POSE_COLUMNS)
     sw = cfg["simworld"]
     q = fusion.default_process_noise(sw["vo_trans_sigma"],
                                      sw["vo_yaw_sigma"])
-    fused = fusion.fuse(vo, gps, truth.poses[0], q=q,
+    fused = fusion.fuse(vo, gps, truth[0, 1:4], q=q,
                         yaw_drift_rate=np.deg2rad(sw["vo_yaw_drift_deg_s"]))
     formats.write_csv(os.path.join(out, "fused.csv"), FUSED_COLUMNS, fused)
     return fused
@@ -473,8 +491,10 @@ def run_paint(cfg: dict, out: str):
     predictions = _read_predictions(os.path.join(out, "predictions.csv"))
     scans = _read_scans(cfg, out, "scans_train")
     lt = fusion.label_trajectory(fused, predictions)
-    fusion.save_labeled_trajectory_csv(
-        os.path.join(out, "labeled_trajectory.csv"), lt)
+    formats.write_csv(os.path.join(out, "labeled_trajectory.csv"),
+                      LABELED_COLUMNS,
+                      np.column_stack([lt.timestamps, lt.poses, lt.terrain,
+                                       lt.confidence]))
 
     mask_dir = _ensure_dir(os.path.join(out, "masks_initial"))
     fused_t = fused[:, 0]
@@ -489,38 +509,23 @@ def run_paint(cfg: dict, out: str):
 
 
 def _read_predictions(path):
-    """The predictions of an audio.predictions_csv file. InputError names
-    the file, the row (the header is row 1) and the column of a wrong
-    header or column count, an unknown class, a value that is not a
-    finite number, or a timestamp not after the row before
-    (formats.csv_rows)."""
-    columns, preds = audio.PREDICTION_COLUMNS, []
-    for where, fields in formats.csv_rows(path, columns):
-        terrain = simworld.TERRAIN_BY_NAME.get(fields[1])
-        if terrain is None:
-            raise InputError(f"{where} column class: unknown terrain "
-                             f"class {fields[1]!r}")
-        t, *probs = [formats.finite_number(text, f"{where} column {name}")
-                     for name, text in zip(columns, fields)
-                     if name != "class"]
-        preds.append(audio.TerrainPrediction(
-            terrain=int(terrain), timestamp=t, probabilities=np.array(probs)))
-    return preds
+    """The predictions of a predictions.csv file; InputError as
+    formats.read_csv."""
+    return [audio.TerrainPrediction(terrain=int(row[1]),
+                                    timestamp=float(row[0]),
+                                    probabilities=row[2:])
+            for row in formats.read_csv(path, PREDICTION_COLUMNS)]
 
 
 # ------------------------------------------------------------ segmentation
 
 
-def _load_masks(out: str, subdir: str):
-    mdir = os.path.join(out, subdir)
-    return [canvas.mask_from_pgm_values(
-        formats.read_pgm(os.path.join(mdir, f)))
-        for f in sorted(os.listdir(mdir)) if f.endswith(".pgm")]
-
-
 def _scan_masks(out: str, subdir: str, n_scans: int):
     """The masks of subdir, which must hold exactly one per training scan."""
-    masks = _load_masks(out, subdir)
+    mdir = os.path.join(out, subdir)
+    masks = [canvas.mask_from_pgm_values(
+        formats.read_pgm(os.path.join(mdir, f)))
+        for f in sorted(os.listdir(mdir)) if f.endswith(".pgm")]
     if len(masks) != n_scans:
         raise InputError(f"{subdir} holds {len(masks)} masks for "
                          f"{n_scans} training scans")
@@ -552,11 +557,10 @@ def run_train_seg(cfg: dict, out: str, stage: int):
     else:
         raise ConfigurationError("stage must be 1 or 2")
     segmentation.save_unet(os.path.join(out, f"seg_stage{stage}.kowt"), model)
-    with open(os.path.join(out, f"seg_stage{stage}_log.json"), "w") as f:
-        json.dump({"losses": log.losses,
-                   "skipped_batches": log.skipped_batches,
-                   "augment_fallbacks": log.augment_fallbacks}, f)
-        f.write("\n")
+    formats.write_json(os.path.join(out, f"seg_stage{stage}_log.json"),
+                       {"losses": log.losses,
+                        "skipped_batches": log.skipped_batches,
+                        "augment_fallbacks": log.augment_fallbacks})
     return model
 
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .dsp import AudioClip
-from .formats import (csv_rows, finite_number, json_object, read_json,
-                      read_pgm, write_json, write_pgm)
+from .formats import json_object, read_json, read_pgm, write_json, write_pgm
 
 
 class TerrainClass(IntEnum):
@@ -29,7 +28,6 @@ class TerrainClass(IntEnum):
 
 
 TERRAIN_NAMES = {t: t.name.lower() for t in TerrainClass}
-TERRAIN_BY_NAME = {v: k for k, v in TERRAIN_NAMES.items()}
 
 RANGE_RESOLUTION = {"short": 0.0438, "long": 0.1752}
 
@@ -234,12 +232,10 @@ def _chord_resample(vertices: np.ndarray, step: float) -> np.ndarray:
         disc = bb * bb - 4.0 * aa * cc
         root = None
         if aa > 1e-18 and disc >= 0.0:
-            sq = np.sqrt(disc)
-            for cand in ((-bb + sq) / (2.0 * aa),):
-                nu = u + cand
-                if 1e-12 < cand and nu <= 1.0 + 1e-12:
-                    root = min(nu, 1.0)
-                    break
+            cand = (-bb + np.sqrt(disc)) / (2.0 * aa)
+            nu = u + cand
+            if 1e-12 < cand and nu <= 1.0 + 1e-12:
+                root = min(nu, 1.0)
         if root is None:
             seg += 1
             u = 0.0
@@ -552,34 +548,3 @@ def load_world(json_path) -> TerrainMap:
                                       untraversed=p["untraversed"]))
     return TerrainMap(grid=grid, cell_size=cell_size,
                       path_polylines=polylines)
-
-
-# The columns of poses_train.csv, as written and read.
-POSE_COLUMNS = ("timestamp", "x", "y", "yaw", "terrain")
-
-
-def save_poses_csv(path, truth: GroundTruth):
-    with open(path, "w") as f:
-        f.write(",".join(POSE_COLUMNS) + "\n")
-        for t, (x, y, yaw), cls in zip(truth.timestamps, truth.poses,
-                                       truth.terrain_at_pose):
-            name = TERRAIN_NAMES[TerrainClass(int(cls))]
-            f.write(f"{t:.6f},{x:.9f},{y:.9f},{yaw:.9f},{name}\n")
-
-
-def load_poses_csv(path) -> GroundTruth:
-    """The traverse of a save_poses_csv file. InputError names the file,
-    the row and the column as formats.csv_rows does, or of a value that
-    is not a finite number or an unknown terrain class."""
-    values, terrain = [], []
-    for where, fields in csv_rows(path, POSE_COLUMNS):
-        *numbers, name = fields
-        if name not in TERRAIN_BY_NAME:
-            raise InputError(f"{where} column terrain: unknown terrain "
-                             f"class {name!r}")
-        values.append([finite_number(text, f"{where} column {column}")
-                       for column, text in zip(POSE_COLUMNS, numbers)])
-        terrain.append(int(TERRAIN_BY_NAME[name]))
-    values = np.array(values)
-    return GroundTruth(timestamps=values[:, 0], poses=values[:, 1:],
-                       terrain_at_pose=np.array(terrain))

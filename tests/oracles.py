@@ -16,8 +16,8 @@ tests call, nor the imports that only this code needs (`scipy.signal`,
   `ndimage_displacement_field` and `textbook_warp_coords`, the oracles of
   the numpy resampling in `segmentation` (rotation, the augmentation's
   warp and its elastic field);
-- `load_labeled_trajectory_csv`, the round trip of
-  `fusion.save_labeled_trajectory_csv`.
+- `load_labeled_trajectory_csv`, the `labeled_trajectory.csv` that
+  `paint` writes, read back as a `fusion.LabeledTrajectory`.
 """
 
 from dataclasses import dataclass
@@ -26,13 +26,14 @@ import numpy as np
 from scipy import ndimage
 from scipy.signal import fftconvolve
 
+from radroute import formats
 from radroute.dsp import (AudioClip, GammatoneFilterbank, StftConfig,
                           frame_count, gammatone_weights, log_power,
                           mel_filterbank, power_db, stft_windows)
 from radroute.errors import DegenerateBatchError, ShapeError
 from radroute.fusion import LabeledTrajectory
 from radroute.numeric import EPS_PROB, Layer
-from radroute.simworld import TERRAIN_BY_NAME
+from radroute.pipeline import LABELED_COLUMNS
 
 # ------------------------------------------------------- time-frequency
 
@@ -305,16 +306,8 @@ def textbook_warp_coords(shape, angle_deg, scale, disp):
 
 
 def load_labeled_trajectory_csv(path) -> LabeledTrajectory:
-    ts, poses, terrain, conf = [], [], [], []
-    with open(path) as f:
-        next(f)
-        for line in f:
-            t, x, y, yaw, name, c = line.strip().split(",")
-            ts.append(float(t))
-            poses.append([float(x), float(y), float(yaw)])
-            terrain.append(int(TERRAIN_BY_NAME[name]))
-            conf.append(float(c))
+    rows = formats.read_csv(path, LABELED_COLUMNS)
     # the file records the labelled poses, not the dropped predictions
-    return LabeledTrajectory(timestamps=np.array(ts), poses=np.array(poses),
-                             terrain=np.array(terrain),
-                             confidence=np.array(conf), dropped=0)
+    return LabeledTrajectory(timestamps=rows[:, 0], poses=rows[:, 1:4],
+                             terrain=rows[:, 4].astype(np.int64),
+                             confidence=rows[:, 5], dropped=0)

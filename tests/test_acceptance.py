@@ -210,8 +210,7 @@ def test_gate_05_fusion_accuracy(capsys):
     # covariance stays symmetric positive semidefinite through a long
     # predict/update interleave at the same noise levels
     rng = np.random.default_rng(0)
-    state = fusion.EkfState(mean=np.zeros(3), covariance=np.eye(3) * 0.5,
-                            timestamp=0.0)
+    state = fusion.EkfState(mean=np.zeros(3), covariance=np.eye(3) * 0.5)
     q = fusion.default_process_noise(cfg.vo_trans_sigma, cfg.vo_yaw_sigma)
     psd_ok = True
     for i in range(1, 201):
@@ -393,7 +392,7 @@ def test_gate_08_final_segmentation(capsys, full_run):
     seed = cfg["seed"]
     images = [scan.image
               for scan in pipeline._read_scans(cfg, out, "scans_train")]
-    masks = pipeline._load_masks(out, "masks_initial")
+    masks = pipeline._scan_masks(out, "masks_initial", len(images))
     baseline = segmentation.UNet(depth=scfg["depth"],
                                  base_channels=scfg["base_channels"],
                                  seed=pipeline.derive_seed(seed, 70))

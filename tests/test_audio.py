@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radroute import audio, dsp, formats, numeric, pipeline, simworld
+from radroute import audio, dsp, formats, numeric, pipeline
 from radroute.audio import (AudioDataset, TrainConfig, build_datasets,
                             build_model, classify_stream, extract_features,
                             train_classifier)
@@ -240,11 +240,8 @@ class TestBatchedFeatures:
         [traverse] = clips(TerrainClass.GRASS, 1, duration=2.0)
         formats.write_wav(tmp_path / "traverse_audio.wav", traverse.samples,
                           traverse.sample_rate)
-        simworld.save_poses_csv(tmp_path / "poses_train.csv",
-                                simworld.GroundTruth(
-                                    timestamps=np.arange(3.0),
-                                    poses=np.zeros((3, 3)),
-                                    terrain_at_pose=np.zeros(3, int)))
+        formats.write_csv(tmp_path / "poses_train.csv", pipeline.POSE_COLUMNS,
+                          np.column_stack([np.arange(3.0), np.zeros((3, 4))]))
         audio._filter_weights.cache_clear()
         calls = {"mel_filterbank": 0, "gammatone_weights": 0}
         for name in calls:
@@ -512,10 +509,8 @@ class TestModelIo:
         np.testing.assert_array_equal(fresh.forward(x), old.forward(x))
 
     def test_predictions_csv(self, tmp_path):
-        preds = [audio.TerrainPrediction(
-            terrain=1, probabilities=np.array([0.1, 0.8, 0.1]),
-            timestamp=0.25)]
-        audio.predictions_csv(tmp_path / "p.csv", preds)
+        formats.write_csv(tmp_path / "p.csv", pipeline.PREDICTION_COLUMNS,
+                          [(0.25, 1, 0.1, 0.8, 0.1)])
         lines = (tmp_path / "p.csv").read_text().splitlines()
         assert lines[0] == "timestamp,class,p_grass,p_gravel,p_asphalt"
         assert lines[1] == "0.250000,gravel,0.100000,0.800000,0.100000"

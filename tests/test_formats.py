@@ -15,6 +15,23 @@ def wav_bytes(tmp_path, n=100):
     return path.read_bytes()
 
 
+class TestWriteCsv:
+    def test_bytes_equal_savetxt(self, tmp_path):
+        # signed zeros, values that round at the 9th decimal, and
+        # magnitudes from 1e-12 to 1e5 of either sign
+        rng = np.random.default_rng(24)
+        rows = np.concatenate([
+            [[0.0, -0.0, 5e-10, -1.5e-9]],
+            rng.choice([-1.0, 1.0], (2000, 4))
+            * 10.0 ** rng.uniform(-12, 5, (2000, 4))])
+        formats.write_csv(tmp_path / "a.csv",
+                          [(name, ".9f") for name in "wxyz"], rows)
+        np.savetxt(tmp_path / "b.csv", rows, delimiter=",", header="w,x,y,z",
+                   comments="", fmt="%.9f")
+        assert ((tmp_path / "a.csv").read_bytes()
+                == (tmp_path / "b.csv").read_bytes())
+
+
 class TestReadWav:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "a.wav"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radroute import fusion, pipeline, simworld
+from radroute import formats, fusion, pipeline, simworld
 from radroute.errors import AssociationError, InputError, NumericError
 from radroute.fusion import (EkfState, ekf_predict, ekf_update, fuse,
                              label_trajectory, wrap_angle)
@@ -19,10 +19,9 @@ def small_config(**simworld):
         {"simworld": {"grid_size": 64, **simworld}}), "short")
 
 
-def fresh_state(mean=(0.0, 0.0, 0.0), cov=None, t=0.0):
+def fresh_state(mean=(0.0, 0.0, 0.0), cov=None):
     cov = np.eye(3) * 0.5 if cov is None else cov
-    return EkfState(mean=np.array(mean, dtype=float), covariance=cov,
-                    timestamp=t)
+    return EkfState(mean=np.array(mean, dtype=float), covariance=cov)
 
 
 class TestWrapAngle:
@@ -233,7 +232,9 @@ class TestLabelTrajectory:
         times = np.arange(0.25, 5.0, 0.5)
         preds = [Pred(t, terrain=int(TerrainClass.GRAVEL)) for t in times]
         lt = label_trajectory(self.traj(times), preds)
-        fusion.save_labeled_trajectory_csv(tmp_path / "lt.csv", lt)
+        formats.write_csv(tmp_path / "lt.csv", pipeline.LABELED_COLUMNS,
+                          np.column_stack([lt.timestamps, lt.poses,
+                                           lt.terrain, lt.confidence]))
         back = load_labeled_trajectory_csv(tmp_path / "lt.csv")
         np.testing.assert_allclose(back.timestamps, lt.timestamps, atol=1e-6)
         np.testing.assert_allclose(back.poses, lt.poses, atol=1e-9)

@@ -6,8 +6,9 @@ every byte, and FLIPS single-bit flips at seeded positions.
 - A binary case that loads must come back with the shape its own header
   declares; any other outcome but ValueError (MemoryError, OverflowError,
   struct.error, a bare RuntimeError from `wave`) fails.
-- A CSV case that loads must come back finite, with the header's columns
-  and increasing timestamps; any other outcome but InputError fails.
+- A CSV case that loads must come back finite, with the header's columns,
+  increasing timestamps and a class code of its table in each class
+  column; any other outcome but InputError fails.
 - A JSON case (the config file, a world, the audio model header) that
   loads must read equal to the values its text declares; any other
   outcome but InputError or ConfigurationError (KeyError, TypeError,
@@ -164,34 +165,44 @@ def test_damaged_file_loads_as_declared_or_raises_value_error(tmp_path, ext):
 
 
 def _valid_rows(rows, columns):
+    classes = [(i, fmt) for i, (_, fmt) in enumerate(columns)
+               if isinstance(fmt, dict)]
     if not (rows.ndim == 2 and rows.shape[1] == len(columns)
-            and np.isfinite(rows).all() and (np.diff(rows[:, 0]) > 0).all()):
+            and np.isfinite(rows).all() and (np.diff(rows[:, 0]) > 0).all()
+            and all(set(rows[:, i]) <= set(fmt) for i, fmt in classes)):
         return f"loaded {rows!r}"
 
 
-CSV_FILES = {"vo.csv": pipeline.VO_COLUMNS, "gps.csv": pipeline.GPS_COLUMNS,
-             "fused.csv": pipeline.FUSED_COLUMNS}
+# the seed of each file is 1500 + its place in this order
+CSV_FILES = {"fused.csv": pipeline.FUSED_COLUMNS,
+             "gps.csv": pipeline.GPS_COLUMNS, "vo.csv": pipeline.VO_COLUMNS,
+             "labeled_trajectory.csv": pipeline.LABELED_COLUMNS,
+             "poses_train.csv": pipeline.POSE_COLUMNS,
+             "predictions.csv": pipeline.PREDICTION_COLUMNS}
 
 
 def csv_failures(name: str, directory: str) -> list:
     columns = CSV_FILES[name]
-    rng = np.random.default_rng(1500 + sorted(CSV_FILES).index(name))
+    rng = np.random.default_rng(1500 + list(CSV_FILES).index(name))
     valid = pathlib.Path(directory, f"valid_{name}")
-    formats.write_csv(valid, columns, np.column_stack([
-        np.cumsum(rng.uniform(0.1, 1.0, 5)),
-        rng.normal(size=(5, len(columns) - 1))]))
+    rows = np.column_stack([np.cumsum(rng.uniform(0.1, 1.0, 5)),
+                            rng.normal(size=(5, len(columns) - 1))])
+    for i, (_, fmt) in enumerate(columns):
+        if isinstance(fmt, dict):  # a class column holds codes
+            rows[:, i] = rng.choice(list(fmt), 5)
+    formats.write_csv(valid, columns, rows)
     return _fuzz(valid.read_bytes(), pathlib.Path(directory, name),
                  rng.integers(1 << 30),
                  lambda p: formats.read_csv(p, columns), InputError,
                  lambda rows, _: _valid_rows(rows, columns))
 
 
-@pytest.mark.parametrize("name", sorted(CSV_FILES))
+@pytest.mark.parametrize("name", list(CSV_FILES))
 def test_damaged_csv_loads_valid_rows_or_raises_input_error(tmp_path, name):
     assert _capped("csv_failures", name, str(tmp_path)) == []
 
 
-# ------------------------------------------- JSON files and poses_train.csv
+# -------------------------------------------------------------- JSON files
 #
 # Each entry writes a valid file into a directory and returns its path,
 # the reader, and check(what it read, the bytes) as _fuzz takes it.
@@ -263,31 +274,8 @@ def _audio_model_header(directory):
         got, (_declared(data)["representation"], weights))
 
 
-def _poses_file(directory):
-    path = directory / "poses_train.csv"
-    rng = np.random.default_rng(16)
-    simworld.save_poses_csv(path, simworld.GroundTruth(
-        np.cumsum(rng.uniform(0.1, 1.0, 5)), rng.normal(size=(5, 3)),
-        rng.integers(0, 3, 5)))
-
-    def read(p):
-        truth = simworld.load_poses_csv(p)
-        return truth, np.column_stack([truth.timestamps, truth.poses,
-                                       truth.terrain_at_pose])
-
-    def check(loaded, _):
-        truth, rows = loaded
-        if not set(truth.terrain_at_pose) <= {int(t) for t in
-                                              simworld.TerrainClass}:
-            return f"read terrain {truth.terrain_at_pose!r}"
-        return _valid_rows(rows, simworld.POSE_COLUMNS)
-
-    return path, read, check
-
-
 ARTIFACTS = {"config": _config_file, "world_train.json": _world_file,
-             "audio_model.json": _audio_model_header,
-             "poses_train.csv": _poses_file}
+             "audio_model.json": _audio_model_header}
 
 
 def artifact_failures(name: str, directory: str) -> list:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radroute import canvas, pipeline, simworld
+from radroute import canvas, formats, pipeline, simworld
 from radroute.errors import ConfigurationError
 from radroute.simworld import (TerrainClass, generate_world, plan_traverse,
                                synth_audio, synth_gps, synth_radar, synth_vo)
@@ -538,13 +538,14 @@ class TestWorldIo:
         cfg = small_config()
         world = generate_world(6, cfg)
         truth = plan_traverse(world, cfg)
-        simworld.save_poses_csv(tmp_path / "poses.csv", truth)
-        loaded = simworld.load_poses_csv(tmp_path / "poses.csv")
-        np.testing.assert_allclose(loaded.timestamps, truth.timestamps,
-                                   atol=1e-6)
-        np.testing.assert_allclose(loaded.poses, truth.poses, atol=1e-9)
-        np.testing.assert_array_equal(loaded.terrain_at_pose,
-                                      truth.terrain_at_pose)
+        formats.write_csv(tmp_path / "poses.csv", pipeline.POSE_COLUMNS,
+                          np.column_stack([truth.timestamps, truth.poses,
+                                           truth.terrain_at_pose]))
+        loaded = formats.read_csv(tmp_path / "poses.csv",
+                                  pipeline.POSE_COLUMNS)
+        np.testing.assert_allclose(loaded[:, 0], truth.timestamps, atol=1e-6)
+        np.testing.assert_allclose(loaded[:, 1:4], truth.poses, atol=1e-9)
+        np.testing.assert_array_equal(loaded[:, 4], truth.terrain_at_pose)
 
 
 class TestSimulateStream:

@@ -149,8 +149,11 @@ class WavReader:
             raise ValueError(f"WAV file {path} declares sample rate "
                              f"{self.sample_rate}")
         self.n_frames = w.getnframes()
-        # wave.open leaves the file at the first sample
-        held = (os.fstat(self._file.fileno()).st_size - self._file.tell()) // 2
+        # wave.open leaves the file at the first sample, and reads no byte
+        # past the end of the RIFF chunk that the bytes at 4 declare
+        fd = self._file.fileno()
+        riff_end = 8 + int.from_bytes(os.pread(fd, 4, 4), "little")
+        held = (min(os.fstat(fd).st_size, riff_end) - self._file.tell()) // 2
         if self.n_frames > held:
             raise ValueError(f"truncated WAV file {path}: header declares "
                              f"{self.n_frames} frames, data holds {held}")
@@ -178,12 +181,12 @@ def read_wav(path):
 
 
 def read_exact(f, n: int, what: str) -> bytes:
-    """n bytes from a binary file, or ValueError("truncated <what> ...")
+    """n bytes from a binary file, or InputError("truncated <what> ...")
     before anything is read if the file holds fewer."""
     at = f.tell()
     left = os.fstat(f.fileno()).st_size - at
     if n > left:
-        raise ValueError(f"truncated {what}: wanted {n} bytes at offset "
+        raise InputError(f"truncated {what}: wanted {n} bytes at offset "
                          f"{at}, got {max(left, 0)}")
     return f.read(n)
 

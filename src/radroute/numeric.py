@@ -18,17 +18,20 @@ forward and its backward.
 
 Conv2d runs one of two GEMM formulations chosen by its input channel
 count alone:
-- C > 1: k GEMMs over row views of one kernel-row panel of the padded
-  input (Anderson et al. 2017), not the k*k-times-larger im2col matrix;
-  forward, dW and dX share it.
+- C > 1: one GEMM per kernel row over a kernel-row panel of the padded
+  input (Anderson et al. 2017), not the k*k-times-larger im2col matrix.
+  Forward and dX (conv_nhwc) compute B adjacent output pixels per GEMM
+  row and build the panel one cache-sized band of rows at a time; dW
+  (_weight_grad) reads one whole-input panel.
 - C == 1: plain im2col (Chellapilla et al. 2006), one GEMM against the
   (k*k, N*oh*ow) matrix of the k*k shifted input copies; dW is one GEMM
   against the same matrix. There the panel's GEMMs have K = k and its
   copies k-element inner loops: at 16x221x50x1 (the audio CNN) im2col's
   copies and GEMM take 1.8 ms against the panel's 3.7, and at 1x256x256x1
   (the U-Net) 0.8 against 2.4. From C = 2 on the panel wins: 16x221x50x2
-  4.3 against 4.6 ms, 1x256x256x8 4.2 against 12.3 ms (forward, float32,
-  one BLAS thread, 2-vCPU x86 host).
+  4.3 against 4.6 ms, 1x256x256x8 4.2 against 12.3 ms with whole-image
+  panels (forward, float32, one BLAS thread, 2-vCPU x86 host); banded,
+  with B = 2, 1x256x256x8 -> 8 takes 4.3 ms against 9.1 unbanded.
 Both return C-contiguous (N, oh, ow, O) arrays, and dX of both is the
 kernel-row correlation. Inference runs the same layers' forward on float32
 input.
@@ -108,15 +111,47 @@ def _kernel_rows(xp: np.ndarray, k: int):
             for u in range(k)], oh, ow
 
 
+# At 1x256x256x8 -> 8 (float32, one BLAS thread, 2-vCPU x86 host), B*O =
+# 16 GEMM columns rather than O = 8, and bands of 1024 GEMM rows per image,
+# whose 164 kB panel stays in L2 (the whole image's is 6.3 MB), take
+# conv_nhwc from 3.9 to 2.0 ms; 8 or 32 columns and bands of 256 to 8192
+# rows were no faster there or at 16x64x64x8 -> 8.
+_BLOCK_COLUMNS = 16
+_BAND_ROWS = 1024
+
+
 def conv_nhwc(xp: np.ndarray, wmat: np.ndarray, k: int) -> np.ndarray:
-    """Padded (N, H, W, C) times a (k*k*C, O) matrix: (N, oh, ow, O),
-    summed over kernel rows of one stacked GEMM each."""
-    rows, oh, ow = _kernel_rows(xp, k)
-    wrows = wmat.reshape(k, -1, wmat.shape[1])
-    out = rows[0] @ wrows[0]
-    for u in range(1, k):
-        out += rows[u] @ wrows[u]
-    return out.reshape(xp.shape[0], oh, ow, -1)
+    """Padded (N, H, W, C) times a (k*k*C, O) matrix: (N, oh, ow, O).
+
+    A GEMM row is B adjacent windows of one output row, B the largest
+    divisor of ow up to _BLOCK_COLUMNS // O, against each kernel row's
+    block-Toeplitz ((B+k-1)*C, B*O) weights; the k GEMMs of a band of
+    output rows read its own panel. A 1x1 kernel runs as one GEMM."""
+    n, h, w, c = xp.shape
+    oh, ow, o = h - k + 1, w - k + 1, wmat.shape[1]
+    b = max(d for d in range(1, max(1, _BLOCK_COLUMNS // o) + 1)
+            if ow % d == 0) if k > 1 else 1
+    m = ow // b
+    band = oh if k == 1 else max(1, _BAND_ROWS // m)
+    toeplitz = np.zeros((k, b + k - 1, c, b, o), np.result_type(xp, wmat))
+    for j in range(b):
+        toeplitz[:, j:j + k, :, j] = wmat.reshape(k, k, c, o)
+    toeplitz = toeplitz.reshape(k, -1, b * o)
+    s0, s1, s2, s3 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, h, m, b + k - 1, c), strides=(s0, s1, b * s2, s2, s3),
+        writeable=False)
+    out = np.empty((n, oh, ow, o), toeplitz.dtype)
+    flat = out.reshape(n, oh * m, b * o)
+    for i in range(0, oh, band):
+        r = min(band, oh - i)
+        panel = np.ascontiguousarray(windows[:, i:i + r + k - 1]).reshape(
+            n, (r + k - 1) * m, -1)
+        dst = flat[:, i * m:(i + r) * m]
+        np.matmul(panel[:, :r * m], toeplitz[0], out=dst)
+        for u in range(1, k):
+            dst += panel[:, u * m:(u + r) * m] @ toeplitz[u]
+    return out
 
 
 def _taps(xp: np.ndarray, k: int) -> np.ndarray:
@@ -620,28 +655,30 @@ def save_weights(path, named_tensors: list[tuple[str, np.ndarray]]):
             f.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def _read_exact(f, n: int) -> bytes:
-    return read_exact(f, n, "weights file")
-
-
 def load_weights(path) -> list[tuple[str, np.ndarray]]:
+    """The (name, float64 tensor) records of a weights file; InputError,
+    naming the file, if it is not one or its records do not fill it."""
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            return read_exact(f, n, f"weights file {path}")
+
         if f.read(4) != WEIGHTS_MAGIC:
-            raise ValueError("not a KOWT weights file")
-        version, count = struct.unpack("<II", _read_exact(f, 8))
+            raise InputError(f"not a KOWT weights file: {path}")
+        version, count = struct.unpack("<II", read(8))
         if version != WEIGHTS_VERSION:
-            raise ValueError(f"unsupported weights version {version}")
+            raise InputError(f"unsupported weights version {version} in "
+                             f"{path}")
         out = []
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(f, 4))
-            shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-            data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)),
+            (name_len,) = struct.unpack("<I", read(4))
+            name = read(name_len).decode("utf-8")
+            (rank,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{rank}I", read(4 * rank))
+            data = np.frombuffer(read(8 * math.prod(shape)),
                                  dtype="<f8").reshape(shape)
             out.append((name, data.astype(np.float64)))
         if f.read(1):
-            raise ValueError(f"overlong weights file {path}: bytes follow "
+            raise InputError(f"overlong weights file {path}: bytes follow "
                              f"its {count} tensors")
         return out
 

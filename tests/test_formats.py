@@ -55,6 +55,17 @@ class TestReadWav:
         with pytest.raises(ValueError, match="truncated WAV file"):
             formats.read_wav(path)
 
+    def test_riff_chunk_ending_inside_the_data_rejected(self, tmp_path):
+        # wave reads no byte past the RIFF chunk, so a RIFF size 128 short
+        # loaded 36 of the 100 samples the data chunk declares
+        path = tmp_path / "short_riff.wav"
+        raw = bytearray(wav_bytes(tmp_path))
+        raw[4] ^= 0x80
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="header declares 100 frames, "
+                                             "data holds 36"):
+            formats.read_wav(path)
+
 
 class TestWavReader:
     @staticmethod

@@ -1,3 +1,5 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -287,6 +289,70 @@ class TestKernelRowPanel:
         assert np.isnan(got[1, 1, 1, 4])
         np.testing.assert_array_equal(got.view(np.int32),
                                       want.view(np.int32))
+
+
+# (kernel, padding, batch, channels in, channels out, width, GEMM rows per
+# band or None for the module's, input layout) on a 7-row input. conv_nhwc
+# puts B output pixels in a GEMM row, B the largest divisor of the output
+# width up to 16 // O: the first three run B = 1, 2 and 4 forward; width 25
+# runs B = 1 forward and B = 5 in dX; k = 2 runs B = 2. Patched band sizes
+# split the 7 output rows into bands of 3, 3 and 1 rows, or of one row
+# each. "nhwc" is channel-last memory, "columns" every other column of a
+# wider channel-last array, "transposed" a view of channel-first memory;
+# at p = 0 conv_nhwc reads the last two in place.
+BLOCKED_CONFIGS = [(3, 1, 2, 3, 16, 8, None, "nhwc"),
+                   (3, 1, 2, 3, 8, 8, None, "nhwc"),
+                   (3, 1, 1, 2, 4, 8, None, "nhwc"),
+                   (3, 1, 2, 2, 8, 25, None, "nhwc"),
+                   (2, 1, 2, 3, 8, 7, None, "nhwc"),
+                   (1, 0, 2, 3, 4, 8, 4, "nhwc"),
+                   (3, 1, 2, 3, 8, 8, 12, "nhwc"),
+                   (3, 1, 1, 3, 4, 8, 1, "nhwc"),
+                   (3, 0, 2, 3, 8, 10, None, "columns"),
+                   (3, 0, 2, 3, 4, 10, 8, "transposed")]
+
+
+def laid_out(x, layout):
+    """Channel-first (N, C, H, W) values as a channel-last array of the
+    given memory layout."""
+    if layout == "transposed":
+        return nhwc(x)
+    if layout == "columns":
+        n, c, h, w = x.shape
+        wide = np.zeros((n, h, 2 * w, c), x.dtype)
+        wide[:, :, ::2] = nhwc(x)
+        return wide[:, :, ::2]
+    return np.ascontiguousarray(nhwc(x))
+
+
+class TestRowBlockedGemm:
+    @pytest.mark.parametrize("k,p,n,c,o,w,band,layout", BLOCKED_CONFIGS)
+    def test_conv_and_layer_match_loops(self, monkeypatch, k, p, n, c, o, w,
+                                        band, layout):
+        if band is not None:
+            monkeypatch.setattr(numeric, "_BAND_ROWS", band)
+        rng = np.random.default_rng(1000 + 10 * k + o + w)
+        conv = numeric.Conv2d(c, o, k, padding=p, rng=rng)
+        conv.bias[...] = rng.normal(size=o)
+        x = rng.normal(size=(n, c, 7, w))
+        want = conv_oracle(x, conv.weight, conv.bias, padding=p)
+        grad = rng.normal(size=want.shape)
+        dw, db, dx_want = conv_backward_oracle(x, conv.weight, grad, p)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            xin = laid_out(x.astype(dtype), layout)
+            assert xin.flags.c_contiguous == (layout == "nhwc")
+            got = numeric.conv_nhwc(numeric.pad_nhwc(xin, p),
+                                    numeric.conv_matrix(conv.weight)
+                                    .astype(dtype), k)
+            conv.zero_grad()
+            out = nchw(conv.forward(xin))
+            dx = nchw(conv.backward(nhwc(grad).astype(dtype)))
+            assert out.dtype == dx.dtype == got.dtype == dtype
+            assert out.shape == want.shape and dx.shape == x.shape
+            for value, ref in ((nchw(got), want - conv.bias[:, None, None]),
+                               (out, want), (dx, dx_want),
+                               (conv.d_weight, dw), (conv.d_bias, db)):
+                assert np.abs(value - ref).max() <= tol * np.abs(ref).max()
 
 
 class TestSimpleLayers:
@@ -842,10 +908,23 @@ class TestActivationMemory:
 
     def test_unet_forward_retains_one_copy_of_each_activation(self):
         # one copy of each activation a full scan's pass keeps is 15.6 MB;
-        # a padded copy of each conv input as well was 29.1 MB
+        # a padded copy of each conv input as well was 29.1 MB. The peak is
+        # 18.0 MB with banded convolutions, 25.7 MB with whole-image panels
         model, x = self.scan_model_and_input()
-        retained, _ = self.traced(lambda: model.logits(x))
+        retained, peak = self.traced(lambda: model.logits(x))
         assert retained <= 17 * 2**20, f"{retained / 2**20:.1f} MB"
+        assert peak <= 20 * 2**20, f"{peak / 2**20:.1f} MB"
+
+    def test_conv_forward_holds_one_band_of_transients(self):
+        # a full scan's 8 -> 8 convolution allocates its output, its padded
+        # input and one band's panel and partial products, 4.4 MB traced;
+        # the whole image's kernel-row panel alone was 6.3 MB (12.1 peak)
+        x = np.random.default_rng(27).normal(size=(1, 256, 256, 8))
+        x = x.astype(np.float32)
+        conv = numeric.Conv2d(8, 8, 3, padding=1)
+        _, peak = self.traced(lambda: conv.forward(x))
+        padded = x.nbytes * 258 * 258 // (256 * 256)
+        assert peak <= x.nbytes + padded + 2**20, f"{peak / 2**20:.2f} MB"
 
     def test_unet_training_step_peak(self):
         # 46.9 MB with a padded copy of each conv input kept
@@ -924,8 +1003,6 @@ class TestWeightsFile:
             np.testing.assert_array_equal(got, want)
 
     def test_magic_and_layout(self, tmp_path):
-        import struct
-
         path = tmp_path / "one.kowt"
         numeric.save_weights(path, [("w", np.array([1.5, -2.0]))])
         raw = path.read_bytes()
@@ -950,6 +1027,32 @@ class TestWeightsFile:
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match="truncated"):
                 numeric.load_weights(path)
+
+    def test_bad_magic_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.kowt"
+        path.write_bytes(b"NOPE" + b"\x00" * 16)
+        with pytest.raises(InputError, match=f"not a KOWT weights file: "
+                                             f"{re.escape(str(path))}$"):
+            numeric.load_weights(path)
+
+    def test_unsupported_version_names_the_file(self, tmp_path):
+        path = tmp_path / "v2.kowt"
+        numeric.save_weights(path, [("w", np.ones(2))])
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputError, match=f"unsupported weights version 2 "
+                                             f"in {re.escape(str(path))}$"):
+            numeric.load_weights(path)
+
+    def test_truncated_tensor_names_the_file(self, tmp_path):
+        path = tmp_path / "short.kowt"
+        numeric.save_weights(path, [("w", np.ones((3, 4)))])
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(InputError, match=f"truncated weights file "
+                                             f"{re.escape(str(path))}: wanted "
+                                             f"96 bytes at offset 29, got 88"):
+            numeric.load_weights(path)
 
     def test_mismatch_message_is_bounded(self, tmp_path):
         # 200 stray tensors beside a model's own: the message gives the
